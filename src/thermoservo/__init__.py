@@ -79,6 +79,7 @@ from .viewfactor import (
     QuadratureSpec,
     ViewFactor,
     simpson_2d,
+    vf_batch,
     vf_dsi_oracle,
     vf_general,
     vf_parallel_disks,

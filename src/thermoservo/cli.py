@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid scenario/arguments, 3 workspace violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -15,6 +16,8 @@ import numpy as np
 from .estimation import SampleWindow
 from .feasibility import (
     DEFAULT_GRID_STEP_CM,
+    ROTATION_GRID,
+    TRANSLATION_GRID,
     GridSpec,
     isosurface_grid,
     pairwise_feasibility,
@@ -95,10 +98,8 @@ def _cmd_isosurface(args) -> int:
     contour = _object_contour(args)
     grid = None
     if args.step is not None:
-        if args.subset == "translation":
-            grid = GridSpec(ranges=((-20.0, 20.0), (-20.0, 20.0), (0.0, 30.0)), step=args.step)
-        else:
-            grid = GridSpec(ranges=((-90.0, 90.0), (-90.0, 90.0), (-90.0, 90.0)), step=args.step)
+        default = TRANSLATION_GRID if args.subset == "translation" else ROTATION_GRID
+        grid = dataclasses.replace(default, step=args.step)
     field = isosurface_grid(
         cm_to_m(args.source_radius_cm),
         contour,

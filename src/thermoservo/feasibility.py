@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Contour, DegeneratePoseError, Pose
+from .geometry import Contour, Pose
 from .thermal import Environment, LambdaParams
 from .units import cm_to_m
-from .viewfactor import DEFAULT_SPEC, QuadratureSpec, _general_value
+from .viewfactor import DEFAULT_SPEC, QuadratureSpec, vf_batch
 
 #: Target counts as met when the steady-state temperature at the witness
 #: pose is within this band (Kelvin), mirroring the closed-loop band.
@@ -34,10 +34,15 @@ FEASIBILITY_TOLERANCE_K = 0.5
 #: Default translation grid step for condition-2 searches, in cm.
 DEFAULT_GRID_STEP_CM = 0.5
 
+#: End-effector poses evaluated together in a condition-2 search; bounds
+#: its per-pose arrays whatever the grid size.
+SEARCH_CHUNK = 4096
 
-def steady_state_temperature(f21: float, lam: LambdaParams) -> float:
-    """Equilibrium temperature T_v0 for a given view factor, in Kelvin."""
-    if not 0.0 <= f21 < 1.0:
+
+def steady_state_temperature(f21, lam: LambdaParams):
+    """Equilibrium temperature T_v0 for a view factor (float or array), in
+    Kelvin."""
+    if not np.all((0.0 <= f21) & (f21 < 1.0)):
         raise ValueError("view factor must be in [0, 1)")
     return ((lam.lambda1 * f21 + lam.lambda3) / lam.lambda2) ** 0.25
 
@@ -54,11 +59,6 @@ def target_bounds(env: Environment) -> tuple[float, float]:
     steady-state temperatures (Kelvin), assuming gray surfaces with equal
     emittance and absorptance."""
     return env.ambient_temp, env.source_emittance**0.25 * env.source_temp
-
-
-def target_within_bounds(target_temp: float, env: Environment) -> bool:
-    lo, hi = target_bounds(env)
-    return lo <= target_temp < hi
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +134,34 @@ class ScalarField:
         return int(self.values.size)
 
 
-def _cell_pose(subset: str, coords: tuple[float, float, float]) -> Pose:
+def _clamp(values: np.ndarray) -> np.ndarray:
+    """Absorb quadrature noise at the range ends: coarse rules can overshoot
+    slightly for near-contact cells, while physical F stays in [0, 1)."""
+    return np.minimum(np.maximum(values, 0.0), 1.0 - 1e-12)
+
+
+def _cell_poses(subset: str, coords: np.ndarray) -> np.ndarray:
+    """(N, 6) poses of (N, 3) grid coordinates (cm or degrees)."""
+    poses = np.zeros((len(coords), 6))
     if subset == "translation":
-        return Pose(cm_to_m(coords[0]), cm_to_m(coords[1]), cm_to_m(coords[2]))
-    return Pose(
-        0.0,
-        0.0,
-        cm_to_m(5.0),
-        math.radians(coords[0]),
-        math.radians(coords[1]),
-        math.radians(coords[2]),
-    )
+        poses[:, :3] = cm_to_m(coords)
+    else:
+        poses[:, 2] = cm_to_m(5.0)
+        poses[:, 3:] = np.radians(coords)
+    return poses
 
 
-def _grid_chunk(args) -> list[tuple[float, bool]]:
-    subset, coord_list, source_radius, contour, spec = args
-    out = []
-    for coords in coord_list:
-        try:
-            value = _general_value(_cell_pose(subset, coords), source_radius, contour, spec)
-            # absorb quadrature noise at the range ends (coarse rules can
-            # overshoot slightly for near-contact cells); physical F < 1
-            value = min(max(value, 0.0), 1.0 - 1e-12)
-            out.append((value, False))
-        except DegeneratePoseError:
-            out.append((0.0, True))
-    return out
+def _grid_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped F21 values and degenerate flags of a run of grid cells;
+    degenerate cells get 0."""
+    subset, coords, source_radius, contour, spec = args
+    values, degenerate = vf_batch(_cell_poses(subset, coords), source_radius, contour, spec)
+    return np.where(degenerate, 0.0, _clamp(values)), degenerate
+
+
+def _grid_cells(axes) -> np.ndarray:
+    """(N, 3) coordinates of every grid cell, in row-major cell order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def isosurface_grid(
@@ -186,12 +188,8 @@ def isosurface_grid(
     if grid is None:
         grid = TRANSLATION_GRID if subset == "translation" else ROTATION_GRID
     axes = tuple(grid.axis_values(k) for k in range(3))
-    coords = [
-        (float(a), float(b), float(c))
-        for a in axes[0]
-        for b in axes[1]
-        for c in axes[2]
-    ]
+    shape = tuple(len(a) for a in axes)
+    coords = _grid_cells(axes)
     if workers is None:
         workers = multiprocessing.cpu_count()
     if workers > 1 and len(coords) > 256:
@@ -203,13 +201,12 @@ def isosurface_grid(
         ]
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_grid_chunk, chunks)
-        flat = [item for chunk in results for item in chunk]
+        values = np.concatenate([v for v, _ in results])
+        degenerate = np.concatenate([d for _, d in results])
     else:
-        flat = _grid_chunk((subset, coords, source_radius, contour, spec))
+        values, degenerate = _grid_chunk((subset, coords, source_radius, contour, spec))
 
-    shape = tuple(len(a) for a in axes)
-    values = np.array([v for v, _ in flat]).reshape(shape)
-    degenerate = np.array([d for _, d in flat]).reshape(shape)
+    values, degenerate = values.reshape(shape), degenerate.reshape(shape)
     names = ("p1", "p2", "p3") if subset == "translation" else ("tx", "ty", "tz")
     return ScalarField(
         axis_names=names, axis_values=axes, values=values, degenerate=degenerate
@@ -224,7 +221,7 @@ def steady_state_field(field: ScalarField, lam: LambdaParams) -> ScalarField:
     """
     if field.kind != "view_factor":
         raise ValueError("input must be a view-factor field")
-    values = ((lam.lambda1 * field.values + lam.lambda3) / lam.lambda2) ** 0.25
+    values = steady_state_temperature(field.values, lam)
     return ScalarField(
         axis_names=field.axis_names,
         axis_values=field.axis_values,
@@ -317,44 +314,44 @@ def pairwise_feasibility(
         )
 
     disp = np.asarray(displacements, dtype=float)
+    target_temps = np.asarray(targets, dtype=float)
     best_residual = math.inf
     best_pose: Pose | None = None
     best_tv0: tuple[float, ...] = ()
     delta_min, delta_max = math.inf, -math.inf
 
-    def evaluate(cells_cm) -> None:
+    def evaluate(cells_cm: np.ndarray) -> None:
+        """Steady states of every object over the cells, in chunks of
+        SEARCH_CHUNK cells; an end-effector pose with any degenerate object
+        pose is skipped. The first cell with the smallest residual wins."""
         nonlocal best_residual, best_pose, best_tv0, delta_min, delta_max
-        for a, b, c in cells_cm:
-            base = np.array([cm_to_m(a), cm_to_m(b), cm_to_m(c)])
-            tv0 = []
-            try:
-                for i in range(n_obj):
-                    p = base + disp[i]
-                    value = _general_value(
-                        Pose(p[0], p[1], p[2]), source_radius, objects[i][0], spec
-                    )
-                    # Coarse quadrature can overshoot 1 slightly for
-                    # near-contact sweep cells; physical F stays below 1.
-                    value = min(max(value, 0.0), 1.0 - 1e-12)
-                    tv0.append(steady_state_temperature(value, objects[i][1]))
-            except DegeneratePoseError:
+        for start in range(0, len(cells_cm), SEARCH_CHUNK):
+            base = cm_to_m(cells_cm[start : start + SEARCH_CHUNK])
+            tv0 = np.empty((len(base), n_obj))
+            skip = np.zeros(len(base), dtype=bool)
+            poses = np.zeros((len(base), 6))
+            for i, (contour, lam) in enumerate(objects):
+                poses[:, :3] = base + disp[i]
+                values, degenerate = vf_batch(poses, source_radius, contour, spec)
+                tv0[:, i] = steady_state_temperature(
+                    np.where(degenerate, 0.0, _clamp(values)), lam
+                )
+                skip |= degenerate
+            base, tv0 = base[~skip], tv0[~skip]
+            if len(base) == 0:
                 continue
             if n_obj >= 2:
-                delta = tv0[0] - tv0[1]
-                delta_min = min(delta_min, delta)
-                delta_max = max(delta_max, delta)
-            residual = max(abs(t - ts) for t, ts in zip(tv0, targets))
-            if residual < best_residual:
-                best_residual = residual
-                best_pose = Pose(base[0], base[1], base[2])
-                best_tv0 = tuple(tv0)
+                delta = tv0[:, 0] - tv0[:, 1]
+                delta_min = min(delta_min, float(delta.min()))
+                delta_max = max(delta_max, float(delta.max()))
+            residual = np.abs(tv0 - target_temps).max(axis=1)
+            k = int(np.argmin(residual))
+            if residual[k] < best_residual:
+                best_residual = float(residual[k])
+                best_pose = Pose(*(float(v) for v in base[k]))
+                best_tv0 = tuple(float(v) for v in tv0[k])
 
-    evaluate(
-        (float(a), float(b), float(c))
-        for a in axes[0]
-        for b in axes[1]
-        for c in axes[2]
-    )
+    evaluate(_grid_cells(axes))
 
     step = grid.step
     for _ in range(refine_levels):
@@ -371,12 +368,7 @@ def pairwise_feasibility(
             local_axes.append(
                 np.array([center[k]]) if flat else vals[(vals >= lo) & (vals < hi)]
             )
-        evaluate(
-            (float(a), float(b), float(c))
-            for a in local_axes[0]
-            for b in local_axes[1]
-            for c in local_axes[2]
-        )
+        evaluate(_grid_cells(local_axes))
         step = fine
 
     delta_range = (delta_min, delta_max) if n_obj >= 2 else None

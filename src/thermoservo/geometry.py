@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,15 +79,29 @@ class Pose:
         return Pose.from_vector(x)
 
 
+def rotations_from_euler(angles) -> np.ndarray:
+    """Rotation matrices R = Rz @ Ry @ Rx for (..., 3) extrinsic X-Y-Z
+    angles, shape (..., 3, 3).
+
+    The entries are the expanded products, computed elementwise on a
+    contiguous copy, so each matrix depends only on its own angles, whatever
+    the batch around it.
+    """
+    a = np.ascontiguousarray(angles, dtype=float)
+    c, s = np.cos(a), np.sin(a)
+    cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
+    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    sy_sx, sy_cx = sy * sx, sy * cx
+    r = np.empty(a.shape[:-1] + (3, 3))
+    r[..., 0, 0], r[..., 0, 1], r[..., 0, 2] = cz * cy, cz * sy_sx - sz * cx, cz * sy_cx + sz * sx
+    r[..., 1, 0], r[..., 1, 1], r[..., 1, 2] = sz * cy, sz * sy_sx + cz * cx, sz * sy_cx - cz * sx
+    r[..., 2, 0], r[..., 2, 1], r[..., 2, 2] = -sy, cy * sx, cy * cx
+    return r
+
+
 def rotation_from_euler(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
     """Rotation matrix for extrinsic X-Y-Z angles, R = Rz @ Ry @ Rx."""
-    cx, sx = math.cos(theta_x), math.sin(theta_x)
-    cy, sy = math.cos(theta_y), math.sin(theta_y)
-    cz, sz = math.cos(theta_z), math.sin(theta_z)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
-    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    return rz @ ry @ rx
+    return rotations_from_euler((theta_x, theta_y, theta_z))
 
 
 def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
@@ -402,6 +417,65 @@ class Complete:
 Occlusion = Common | Partial | Complete
 
 
+class OcclusionArrays(NamedTuple):
+    """Occlusion classes of B poses; poses in none of the three masks are
+    Common. phi1 < phi2 are the crossing angles and (lo, hi) the
+    contributing arc, meaningful where `partial` is set."""
+
+    coplanar: np.ndarray
+    partial: np.ndarray
+    complete: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def classify_occlusions(
+    rotations: np.ndarray, translations: np.ndarray, source_radius: float
+) -> OcclusionArrays:
+    """Batch form of classify_occlusion and contributing_arc for (B, 3, 3)
+    rotations and (B, 3) translations; elementwise, so each pose's class
+    depends only on that pose."""
+    # Contiguous rows, so that the elementwise math takes the same path for
+    # a batch of one as for many.
+    n0, n1, n2 = np.ascontiguousarray(-rotations[:, :, 2].T)
+    p1, p2, p3 = np.ascontiguousarray(translations.T)
+    d = n0 * p1 + n1 * p2 + n2 * p3
+    abs_d = np.abs(d)
+    amp = source_radius * np.hypot(n0, n1)
+    coplanar = (np.abs(p3) < 1e-12) & (amp < 1e-12 * source_radius)
+    # The plane cuts the disk only where amp > |d|; otherwise (tangent or
+    # non-intersecting chord) the disk is one-sided and the sign of d decides.
+    partial = amp - abs_d > 1e-12 * np.maximum(np.maximum(amp, abs_d), source_radius)
+    phi1, phi2 = np.zeros(len(d)), np.zeros(len(d))
+    lo, hi = np.zeros(len(d)), np.zeros(len(d))
+    if np.count_nonzero(partial):
+        delta = np.arccos(np.clip(d[partial] / amp[partial], -1.0, 1.0))
+        psi = np.arctan2(n1[partial], n0[partial])
+        roots = np.remainder(np.stack([psi + delta, psi - delta]), TWO_PI)
+        # x % 2*pi rounds up to exactly 2*pi for tiny negative x
+        roots[roots >= TWO_PI] = 0.0
+        phi1[partial], phi2[partial] = roots.min(axis=0), roots.max(axis=0)
+        gap = phi2 - phi1
+        # Numerically tangent: fall back to the one-sided classification.
+        partial &= (gap >= 1e-12) & (TWO_PI - gap >= 1e-12)
+        lo[partial], hi[partial] = _contributing_arcs(
+            n0[partial], n1[partial], d[partial], phi1[partial], phi2[partial], source_radius
+        )
+    # d < 0 means the disk center is on the front side of the object plane.
+    complete = ~partial & (d >= 0.0)
+    return OcclusionArrays(coplanar, partial, complete, phi1, phi2, lo, hi)
+
+
+def _contributing_arcs(n0, n1, d, phi1, phi2, source_radius):
+    """Of the two arcs between the crossing angles, the counterclockwise
+    one (lo, hi), hi > lo, whose midpoint lies on the object's front side."""
+    mid = 0.5 * (phi1 + phi2)
+    front = source_radius * (n0 * np.cos(mid) + n1 * np.sin(mid)) - d > 0.0
+    return np.where(front, phi1, phi2), np.where(front, phi2, phi1 + TWO_PI)
+
+
 def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     """Classify how the object plane relates to the bounded source disk.
 
@@ -418,31 +492,12 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     """
     if source_radius <= 0.0:
         raise ValueError("source_radius must be positive")
-    normal = object_normal(pose_rotation(pose))
-    d = float(normal @ pose.translation)
-    amp = source_radius * math.hypot(normal[0], normal[1])
-
-    if abs(pose.p3) < 1e-12 and amp < 1e-12 * source_radius:
+    occ = classify_occlusions(pose_rotation(pose)[None], pose.translation[None], source_radius)
+    if occ.coplanar[0]:
         raise DegeneratePoseError("object lies in the source plane")
-
-    # Tangent or non-intersecting chord: one-sided disk, sign of d decides.
-    # d < 0 means the disk center is on the front side of the object plane.
-    if amp - abs(d) <= 1e-12 * max(amp, abs(d), source_radius):
-        return Common() if d < 0.0 else Complete()
-
-    psi = math.atan2(normal[1], normal[0])
-    delta = math.acos(min(1.0, max(-1.0, d / amp)))
-
-    def wrap_2pi(x: float) -> float:
-        w = x % TWO_PI
-        # x % 2*pi rounds up to exactly 2*pi for tiny negative x
-        return 0.0 if w >= TWO_PI else w
-
-    phi1, phi2 = sorted((wrap_2pi(psi + delta), wrap_2pi(psi - delta)))
-    if phi2 - phi1 < 1e-12 or TWO_PI - (phi2 - phi1) < 1e-12:
-        # Numerically tangent: fall back to the one-sided classification.
-        return Common() if d < 0.0 else Complete()
-    return Partial(phi1=phi1, phi2=phi2)
+    if occ.partial[0]:
+        return Partial(phi1=float(occ.phi1[0]), phi2=float(occ.phi2[0]))
+    return Complete() if occ.complete[0] else Common()
 
 
 def contributing_arc(
@@ -451,12 +506,8 @@ def contributing_arc(
     """Angle range (start, end) with end > start whose counterclockwise arc
     bounds the contributing segment of the source disk."""
     normal = object_normal(pose_rotation(pose))
-    d = float(normal @ pose.translation)
-    phi1, phi2 = occlusion.phi1, occlusion.phi2
-    mid = 0.5 * (phi1 + phi2)
-    front = (
-        source_radius * (normal[0] * math.cos(mid) + normal[1] * math.sin(mid)) - d
+    d = normal[0] * pose.p1 + normal[1] * pose.p2 + normal[2] * pose.p3
+    lo, hi = _contributing_arcs(
+        normal[0], normal[1], d, occlusion.phi1, occlusion.phi2, source_radius
     )
-    if front > 0.0:
-        return phi1, phi2
-    return phi2, phi1 + TWO_PI
+    return float(lo), float(hi)

@@ -18,6 +18,7 @@ from .viewfactor import (
     QuadratureSpec,
     _general_value,
     simpson_2d,
+    vf_batch,
 )
 
 # Forward-difference perturbations: balance quadrature noise against
@@ -95,28 +96,31 @@ def view_factor_gradient(
         DegeneratePoseError: Base pose degenerate, or both one-sided
             differences of a component degenerate.
     """
-    if base_value is None:
-        f0 = _general_value(pose, source_radius, contour, spec)
-    else:
-        f0 = base_value
+    x = pose.as_vector()
+    idx = np.asarray(indices, dtype=int)
+    steps = np.where(idx < 3, translation_step, rotation_step)
+    forward = np.repeat(x[None, :], len(idx), axis=0)
+    forward[np.arange(len(idx)), idx] += steps
+    # One kernel call for the base pose (if needed) and every forward pose.
+    batch = forward if base_value is not None else np.vstack([x, forward])
+    values, degenerate = vf_batch(batch, source_radius, contour, spec)
+    f0 = base_value
+    if f0 is None:
+        if degenerate[0]:
+            raise DegeneratePoseError("base pose is degenerate")
+        f0, values, degenerate = values[0], values[1:], degenerate[1:]
     grad = np.zeros(6)
-    for i in indices:
-        h = translation_step if i < 3 else rotation_step
+    grad[idx] = (values - f0) / steps
+    for k in np.flatnonzero(degenerate):
+        # Forward pose degenerate: fall back to a backward difference.
+        i, h = int(idx[k]), float(steps[k])
         try:
-            f_fwd = _general_value(
-                pose.perturbed(i, h), source_radius, contour, spec
-            )
-            grad[i] = (f_fwd - f0) / h
-        except DegeneratePoseError:
-            try:
-                f_bwd = _general_value(
-                    pose.perturbed(i, -h), source_radius, contour, spec
-                )
-            except DegeneratePoseError as exc:
-                raise DegeneratePoseError(
-                    f"both perturbations of pose coordinate {i} are degenerate"
-                ) from exc
-            grad[i] = (f0 - f_bwd) / h
+            f_bwd = _general_value(pose.perturbed(i, -h), source_radius, contour, spec)
+        except DegeneratePoseError as exc:
+            raise DegeneratePoseError(
+                f"both perturbations of pose coordinate {i} are degenerate"
+            ) from exc
+        grad[i] = (f0 - f_bwd) / h
     return grad
 
 

@@ -30,7 +30,7 @@ from .control import (
 )
 from .estimation import SampleWindow
 from .feasibility import ScalarField
-from .geometry import CircleContour, Contour, Pose, fourier_fit
+from .geometry import CircleContour, Contour, DegeneratePoseError, Pose, fourier_fit
 from .interaction import view_factor_gradient
 from .thermal import (
     Environment,
@@ -41,7 +41,7 @@ from .thermal import (
     lambdas,
 )
 from .units import celsius_to_kelvin, cm_to_m, kelvin_to_celsius
-from .viewfactor import FAST_SPEC, QuadratureSpec, _general_value
+from .viewfactor import FAST_SPEC, QuadratureSpec, vf_batch
 
 
 class ScenarioError(ValueError):
@@ -309,6 +309,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
     n_ticks = scenario.n_ticks
     substeps = max(1, int(round(period / scenario.plant_dt)))
     schedule = scenario.source_schedule
+    moving_source = schedule is not None and schedule.moves
 
     def relative_pose(obj_index: int, p: Pose, t: float) -> Pose:
         offset = scenario.objects[obj_index].displacement
@@ -322,23 +323,30 @@ def run_simulation(scenario: Scenario) -> RunLog:
             p.theta_z,
         )
 
+    def view_factors(obj_index: int, p: Pose, times) -> np.ndarray:
+        """F21 of one object at pose p, relative to the source at each time."""
+        rel = np.array([relative_pose(obj_index, p, tt).as_vector() for tt in times])
+        values, degenerate = vf_batch(
+            rel,
+            scenario.source_radius,
+            scenario.objects[obj_index].contour,
+            scenario.quadrature,
+        )
+        if degenerate.any():
+            raise DegeneratePoseError(
+                f"object {obj_index + 1} touches the source plane at pose {p}"
+            )
+        return values
+
     columns = _log_columns(scenario)
     rows = np.full((n_ticks + 1, len(columns)), np.nan)
     violation = False
+    # F21 at the current pose and time; each plant step below leaves the
+    # value at the next tick's pose and time here.
+    f_now = np.array([view_factors(i, pose, (0.0,))[0] for i in range(n_obj)])
 
     for tick in range(n_ticks + 1):
         t = tick * period
-        f_now = np.array(
-            [
-                _general_value(
-                    relative_pose(i, pose, t),
-                    scenario.source_radius,
-                    scenario.objects[i].contour,
-                    scenario.quadrature,
-                )
-                for i in range(n_obj)
-            ]
-        )
         measured = temps + rng.uniform(
             -scenario.sensor.noise_amplitude, scenario.sensor.noise_amplitude, n_obj
         )
@@ -447,24 +455,12 @@ def run_simulation(scenario: Scenario) -> RunLog:
             break
 
         # Heat at the new pose; for a moving source the view factor is
-        # interpolated linearly across the period.
-        t_next = t + period
+        # interpolated linearly across the period. The value at the end of
+        # the period is the next tick's f_now: for a static source the
+        # relative pose does not change over the period.
+        ends = (t, (tick + 1) * period) if moving_source else (t,)
         for i in range(n_obj):
-            f_start = _general_value(
-                relative_pose(i, pose, t),
-                scenario.source_radius,
-                scenario.objects[i].contour,
-                scenario.quadrature,
-            )
-            if schedule is not None and schedule.moves:
-                f_end = _general_value(
-                    relative_pose(i, pose, t_next),
-                    scenario.source_radius,
-                    scenario.objects[i].contour,
-                    scenario.quadrature,
-                )
-            else:
-                f_end = f_start
+            f_start, f_end = (float(v) for v in view_factors(i, pose, ends)[[0, -1]])
 
             def f_of_time(tt: float, a=f_start, b=f_end, t0=t) -> float:
                 return a + (b - a) * (tt - t0) / period
@@ -478,6 +474,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
                 t0=t,
             )
             temps[i] = traj[-1]
+            f_now[i] = f_end
 
     return RunLog(columns=columns, rows=rows, violation=violation)
 

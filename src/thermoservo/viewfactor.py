@@ -18,26 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # numba only accelerates the brute-force oracle; optional
-    import numba as _numba
-
-    _numba.config.THREADING_LAYER = "workqueue"
-except ImportError:  # pragma: no cover
-    _numba = None
-
 from .geometry import (
     MIN_SURFACE_CLEARANCE,
     CircleContour,
-    Common,
-    Complete,
     Contour,
     DegeneratePoseError,
     FourierContour,
     Pose,
     TWO_PI,
-    classify_occlusion,
-    contributing_arc,
+    classify_occlusions,
     pose_rotation,
+    rotations_from_euler,
 )
 
 # Floor on the contour-point distance inside the ln kernel; the integrable
@@ -131,80 +122,194 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # Contour-integral engine
 # ---------------------------------------------------------------------------
 
+#: Node pairs (object node x source node) evaluated per vectorized block.
+#: Bounds the kernel's temporary arrays to about 128 kB each.
+BLOCK_PAIRS = 2**14
 
-def _object_curve(contour: Contour, pose: Pose, n: int):
-    """Sampled object boundary (points, tangents, weights) over one period."""
-    t, w = _simpson_nodes(0.0, contour.period, n)
-    local_pt = contour.local_point(t)
-    local_tan = contour.local_tangent(t)
-    rotation = pose_rotation(pose)
-    zeros = np.zeros((len(t), 1))
-    pts = np.concatenate([local_pt, zeros], axis=1) @ rotation.T + pose.translation
-    tans = np.concatenate([local_tan, zeros], axis=1) @ rotation.T
-    return pts, tans, w
+_NODE_CACHE: dict = {}
+_NODE_CACHE_LIMIT = 64
 
 
-def _circle_arc_curve(radius: float, lo: float, hi: float, n: int):
-    t, w = _simpson_nodes(lo, hi, n)
-    pts = np.stack(
-        [radius * np.cos(t), radius * np.sin(t), np.zeros_like(t)], axis=1
-    )
-    tans = np.stack(
-        [-radius * np.sin(t), radius * np.cos(t), np.zeros_like(t)], axis=1
-    )
-    return pts, tans, w
+def _cached(key, build):
+    """Tuple of arrays from build(), kept per key and shared read-only."""
+    hit = _NODE_CACHE.get(key)
+    if hit is None:
+        if len(_NODE_CACHE) >= _NODE_CACHE_LIMIT:
+            _NODE_CACHE.clear()
+        hit = _NODE_CACHE[key] = build()
+        for array in hit:
+            array.flags.writeable = False
+    return hit
 
 
-def _chord_curve(start: np.ndarray, end: np.ndarray, n: int):
-    """Straight chord from start to end, parametrized by normalized length."""
-    t, w = _simpson_nodes(0.0, 1.0, n)
-    pts = start[None, :] + t[:, None] * (end - start)[None, :]
-    tans = np.broadcast_to(end - start, pts.shape).copy()
-    return pts, tans, w
+def _object_nodes(contour: Contour, n: int):
+    """Local boundary samples over one period, cached per (contour, n).
+
+    Returns (points, tangents, weights): (2, m) local (x, y) points, (2, m)
+    tangents d(point)/d(param) and the (m,) Simpson weights, m = n + 1.
+    """
+    if isinstance(contour, CircleContour):
+        key = ("circle", contour.radius, n)
+    else:
+        key = ("fourier", contour.harmonics, contour.beta.tobytes(), contour.b.tobytes(), n)
+
+    def build():
+        t, w = _simpson_nodes(0.0, contour.period, n)
+        points = np.ascontiguousarray(contour.local_point(t).T)
+        tangents = np.ascontiguousarray(contour.local_tangent(t).T)
+        return points, tangents, w
+
+    return _cached(key, build)
 
 
-def _pair_integral(curve1, curve2) -> float:
-    """Quadrature of ln(s) * (ds2 . ds1) over a pair of sampled curves."""
-    pts1, tans1, w1 = curve1
-    pts2, tans2, w2 = curve2
-    diff = pts2[None, :, :] - pts1[:, None, :]
-    s = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.maximum(s, MIN_KERNEL_DISTANCE, out=s)
-    kernel = np.log(s)
-    kernel *= tans1 @ tans2.T
-    return float(w1 @ kernel @ w2)
+def _unit_nodes(n: int):
+    """Simpson nodes and weights on [0, 1], the parameter range of every
+    source curve."""
+    return _cached(("unit", n), lambda: _simpson_nodes(0.0, 1.0, n))
+
+
+def _source_circle(radius: float, n: int):
+    """Full source circle (x, y, tx, ty) at the unit-interval nodes, each
+    (1, m), cached per (radius, n)."""
+
+    def build():
+        theta = TWO_PI * _unit_nodes(n)[0][None, :]
+        x, y = radius * np.cos(theta), radius * np.sin(theta)
+        return x, y, -TWO_PI * y, TWO_PI * x
+
+    return _cached(("source", radius, n), build)
+
+
+def _pair_values(points, tangents, source, w_obj, w_src) -> np.ndarray:
+    """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block.
+
+    points: (rows, 3, m_obj) world object samples; tangents: (rows, 2,
+    m_obj) their x and y components. source: (x, y, tx, ty), each (rows,
+    m_src) or (1, m_src). Source curves lie in z = 0, so the z component of
+    the object tangent drops out. Each row is reduced on its own in a fixed
+    order, so its value does not depend on the other rows of the block.
+    """
+    ox, oy, oz = (points[:, k, :, None] for k in range(3))
+    otx, oty = tangents[:, 0, :, None], tangents[:, 1, :, None]
+    sx, sy, stx, sty = (a[:, None, :] for a in source)
+    dx = ox - sx
+    s_sq = dx * dx
+    dy = oy - sy
+    s_sq += dy * dy
+    s_sq += oz * oz
+    np.maximum(s_sq, MIN_KERNEL_DISTANCE**2, out=s_sq)
+    kernel = np.log(s_sq, out=s_sq)
+    dot = otx * stx
+    dot += oty * sty
+    kernel *= dot
+    # ln s = ln(s^2) / 2. einsum reduces each row alone; a stacked matmul
+    # such as (kernel @ w_src) @ w_obj does not give batch-independent bits.
+    return 0.5 * np.einsum("bij,i,j->b", kernel, w_obj, w_src)
+
+
+def _block_values(poses, source_radius, nodes, circle, unit, area):
+    """View factors and degenerate flags of one block of poses."""
+    (lx, ly), (ltx, lty), w_obj = nodes
+    u, w_src = unit
+    translations = poses[:, :3]
+    rotations = rotations_from_euler(poses[:, 3:])
+    axis_x, axis_y = rotations[:, :, 0, None], rotations[:, :, 1, None]
+    # World-frame boundary samples: (B, 3, m) points and the x and y
+    # components (B, 2, m) of the tangents.
+    points = axis_x * lx + axis_y * ly + translations[:, :, None]
+    tangents = axis_x[:, :2] * ltx + axis_y[:, :2] * lty
+
+    occ = classify_occlusions(rotations, translations, source_radius)
+    near_contact = points[:, 2].min(axis=1) < MIN_SURFACE_CLEARANCE
+    degenerate = occ.coplanar | (~occ.complete & near_contact)
+    values = np.zeros(len(poses))
+    common = ~(occ.partial | occ.complete | degenerate)
+    if np.count_nonzero(common):
+        values[common] = _pair_values(points[common], tangents[common], circle, w_obj, w_src)
+
+    partial = occ.partial & ~degenerate
+    if np.count_nonzero(partial):
+        lo, hi = occ.lo[partial, None], occ.hi[partial, None]
+        theta = lo + (hi - lo) * u
+        rc, rs = source_radius * np.cos(theta), source_radius * np.sin(theta)
+        arc = (rc, rs, (lo - hi) * rs, (hi - lo) * rc)
+        # The chord from the arc's last node back to its first closes the segment.
+        end_x, end_y = rc[:, -1:], rs[:, -1:]
+        edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
+        chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
+        pts, tans = points[partial], tangents[partial]
+        arc_total = _pair_values(pts, tans, arc, w_obj, w_src)
+        values[partial] = arc_total + _pair_values(pts, tans, chord, w_obj, w_src)
+
+    values /= -(TWO_PI * area)
+    values[occ.complete] = 0.0  # not -0.0
+    values[degenerate] = np.nan
+    return values, degenerate
+
+
+def vf_batch(
+    poses,
+    source_radius: float,
+    contour: Contour,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> tuple[np.ndarray, np.ndarray]:
+    """View factors F21 of one contour at B poses, with degenerate flags.
+
+    The batched contour-integral kernel behind every view-factor caller.
+    Poses are processed in blocks of about BLOCK_PAIRS quadrature node
+    pairs; each pose's value is computed independently of the others, so
+    it is bitwise identical alone, in any batch, at any block split and in
+    any order. Complete self-obstruction gives exactly 0. Degenerate poses
+    (coplanar with the source, or with the boundary within
+    MIN_SURFACE_CLEARANCE of the source plane) are flagged and get NaN.
+
+    Args:
+        poses: (B, 6) array of [p1, p2, p3, theta_x, theta_y, theta_z].
+
+    Returns:
+        (values, degenerate): float and bool arrays of shape (B,).
+
+    Raises:
+        ValueError: Malformed or non-finite poses, non-positive radius.
+    """
+    poses = np.asarray(poses, dtype=float)
+    if poses.ndim != 2 or poses.shape[1] != 6:
+        raise ValueError(f"poses must have shape (B, 6), got {poses.shape}")
+    if not np.isfinite(poses).all():
+        raise ValueError("pose coordinates must be finite")
+    if not source_radius > 0.0:
+        raise ValueError("source_radius must be positive")
+    n = spec.n_per_dim
+    nodes = _object_nodes(contour, n)
+    circle = _source_circle(source_radius, n)
+    unit = _unit_nodes(n)
+    area = contour.area
+    per_block = max(1, BLOCK_PAIRS // (n + 1) ** 2)
+    values = np.empty(len(poses))
+    degenerate = np.empty(len(poses), dtype=bool)
+    for lo in range(0, len(poses), per_block):
+        block = slice(lo, lo + per_block)
+        values[block], degenerate[block] = _block_values(
+            poses[block], source_radius, nodes, circle, unit, area
+        )
+    return values, degenerate
 
 
 def _general_value(
     pose: Pose, source_radius: float, contour: Contour, spec: QuadratureSpec
 ) -> float:
-    occlusion = classify_occlusion(pose, source_radius)
-    if isinstance(occlusion, Complete):
-        return 0.0
+    """F21 at one pose: a batch of one.
 
-    n = spec.n_per_dim
-    obj_curve = _object_curve(contour, pose, n)
-    min_z = float(obj_curve[0][:, 2].min())
-    if min_z < MIN_SURFACE_CLEARANCE:
+    Raises:
+        DegeneratePoseError: Coplanar or near-contact pose.
+    """
+    values, degenerate = vf_batch(pose.as_vector()[None, :], source_radius, contour, spec)
+    if degenerate[0]:
         raise DegeneratePoseError(
-            f"object boundary within {MIN_SURFACE_CLEARANCE} m of the source plane "
-            f"(min clearance {min_z:.3e} m)"
+            "object lies in the source plane or its boundary comes within "
+            f"{MIN_SURFACE_CLEARANCE} m of it"
         )
-
-    total = 0.0
-    if isinstance(occlusion, Common):
-        total += _pair_integral(
-            _circle_arc_curve(source_radius, 0.0, TWO_PI, n), obj_curve
-        )
-    else:
-        lo, hi = contributing_arc(occlusion, pose, source_radius)
-        arc_start = source_radius * np.array([math.cos(lo), math.sin(lo), 0.0])
-        arc_end = source_radius * np.array([math.cos(hi), math.sin(hi), 0.0])
-        total += _pair_integral(
-            _circle_arc_curve(source_radius, lo, hi, n), obj_curve
-        )
-        total += _pair_integral(_chord_curve(arc_end, arc_start, n), obj_curve)
-    return -total / (TWO_PI * contour.area)
+    return float(values[0])
 
 
 def vf_general(
@@ -309,7 +414,7 @@ def _fourier_facets(contour: FourierContour, n_facets: int) -> tuple[np.ndarray,
     return centers, areas
 
 
-def _dsi_sum_numpy(obj_centers, obj_areas, src_centers, src_areas, normal) -> float:
+def _dsi_sum(obj_centers, obj_areas, src_centers, src_areas, normal) -> float:
     total = 0.0
     chunk = max(1, int(8e6 // max(len(src_centers), 1)))
     sx, sy = src_centers[:, 0], src_centers[:, 1]
@@ -334,25 +439,6 @@ def _dsi_sum_numpy(obj_centers, obj_areas, src_centers, src_areas, normal) -> fl
     return total / math.pi
 
 
-if _numba is not None:
-
-    @_numba.njit(parallel=True, cache=True)
-    def _dsi_sum_numba(obj_centers, obj_areas, src_centers, src_areas, normal):
-        total = 0.0
-        for i in _numba.prange(obj_centers.shape[0]):
-            acc = 0.0
-            for j in range(src_centers.shape[0]):
-                dx = obj_centers[i, 0] - src_centers[j, 0]
-                dy = obj_centers[i, 1] - src_centers[j, 1]
-                dz = obj_centers[i, 2] - src_centers[j, 2]
-                cos_obj = -(dx * normal[0] + dy * normal[1] + dz * normal[2])
-                if dz > 0.0 and cos_obj > 0.0:
-                    r_sq = dx * dx + dy * dy + dz * dz
-                    acc += dz * cos_obj / (r_sq * r_sq) * src_areas[j]
-            total += acc * obj_areas[i]
-        return total / math.pi
-
-
 def vf_dsi_oracle(
     pose: Pose, source_radius: float, contour: Contour, n_facets: int
 ) -> ViewFactor:
@@ -362,7 +448,7 @@ def vf_dsi_oracle(
     classical cos(theta2) cos(theta1) / (pi r^2) kernel is summed over
     facet-center pairs, skipping pairs whose connecting ray has a
     non-positive cosine at either surface. Intended as a slow, independent
-    check of the contour-integral path (numba-accelerated when available).
+    check of the contour-integral path.
 
     Args:
         n_facets: Facet count per surface, >= 16.
@@ -388,16 +474,5 @@ def vf_dsi_oracle(
     normal = -rotation[:, 2]
     area2 = float(obj_areas.sum())
 
-    if _numba is not None:
-        total = float(
-            _dsi_sum_numba(
-                np.ascontiguousarray(obj_centers),
-                np.ascontiguousarray(obj_areas),
-                np.ascontiguousarray(src_centers),
-                np.ascontiguousarray(src_areas),
-                np.ascontiguousarray(normal),
-            )
-        )
-    else:
-        total = _dsi_sum_numpy(obj_centers, obj_areas, src_centers, src_areas, normal)
+    total = _dsi_sum(obj_centers, obj_areas, src_centers, src_areas, normal)
     return ViewFactor.from_raw(total / area2)

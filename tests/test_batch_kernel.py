@@ -1,0 +1,523 @@
+"""The batched view-factor kernel against the per-pose contour integral it
+replaced, plus the batched callers: feasibility search and the simulator's
+evaluation count."""
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, find, given, settings
+from hypothesis import strategies as st
+
+from thermoservo import (
+    CircleContour,
+    Common,
+    Complete,
+    DegeneratePoseError,
+    Environment,
+    GridSpec,
+    ObjectSpec,
+    Partial,
+    Pose,
+    QuadratureSpec,
+    Scenario,
+    SensorSpec,
+    SourceSchedule,
+    ThermoParams,
+    VelocityLimits,
+    Workspace,
+    classify_occlusion,
+    lambdas,
+    pairwise_feasibility,
+    run_simulation,
+    steady_state_temperature,
+    view_factor_gradient,
+)
+from thermoservo import feasibility as feasibility_module
+from thermoservo import simulator as simulator_module
+from thermoservo import viewfactor as viewfactor_module
+from thermoservo.geometry import MIN_SURFACE_CLEARANCE, TWO_PI, fourier_fit
+from thermoservo.units import celsius_to_kelvin
+from thermoservo.interaction import DEFAULT_ROTATION_STEP, DEFAULT_TRANSLATION_STEP
+from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, _general_value, vf_batch
+
+from conftest import BUNNY_BUMPS, star_polyline
+
+SOURCE_RADIUS = 0.10
+CONTOURS = {
+    "circle": CircleContour(0.015),
+    "fourier": fourier_fit(star_polyline(0.018, BUNNY_BUMPS), 5),
+}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-pose contour integral the kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def _simpson_nodes(a, b, n):
+    x = np.linspace(a, b, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (b - a) / (3.0 * n)
+    return x, w
+
+
+def reference_rotation(pose):
+    cx, sx = math.cos(pose.theta_x), math.sin(pose.theta_x)
+    cy, sy = math.cos(pose.theta_y), math.sin(pose.theta_y)
+    cz, sz = math.cos(pose.theta_z), math.sin(pose.theta_z)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry @ rx
+
+
+def reference_arc(pose, source_radius):
+    """Per-pose occlusion class: "common", "complete" or the contributing
+    arc (lo, hi) of a Partial pose; raises DegeneratePoseError if coplanar."""
+    normal = -reference_rotation(pose)[:, 2]
+    d = float(normal @ pose.translation)
+    amp = source_radius * math.hypot(normal[0], normal[1])
+    if abs(pose.p3) < 1e-12 and amp < 1e-12 * source_radius:
+        raise DegeneratePoseError("object lies in the source plane")
+    if amp - abs(d) <= 1e-12 * max(amp, abs(d), source_radius):
+        return "common" if d < 0.0 else "complete"
+    psi = math.atan2(normal[1], normal[0])
+    delta = math.acos(min(1.0, max(-1.0, d / amp)))
+
+    def wrap_2pi(x):
+        w = x % TWO_PI
+        return 0.0 if w >= TWO_PI else w
+
+    phi1, phi2 = sorted((wrap_2pi(psi + delta), wrap_2pi(psi - delta)))
+    if phi2 - phi1 < 1e-12 or TWO_PI - (phi2 - phi1) < 1e-12:
+        return "common" if d < 0.0 else "complete"
+    mid = 0.5 * (phi1 + phi2)
+    if source_radius * (normal[0] * math.cos(mid) + normal[1] * math.sin(mid)) - d > 0.0:
+        return phi1, phi2
+    return phi2, phi1 + TWO_PI
+
+
+def _object_curve(contour, pose, n):
+    t, w = _simpson_nodes(0.0, contour.period, n)
+    rotation = reference_rotation(pose)
+    zeros = np.zeros((len(t), 1))
+    pts = np.concatenate([contour.local_point(t), zeros], axis=1) @ rotation.T + pose.translation
+    tans = np.concatenate([contour.local_tangent(t), zeros], axis=1) @ rotation.T
+    return pts, tans, w
+
+
+def _circle_arc_curve(radius, lo, hi, n):
+    t, w = _simpson_nodes(lo, hi, n)
+    zeros = np.zeros_like(t)
+    pts = np.stack([radius * np.cos(t), radius * np.sin(t), zeros], axis=1)
+    tans = np.stack([-radius * np.sin(t), radius * np.cos(t), zeros], axis=1)
+    return pts, tans, w
+
+
+def _chord_curve(start, end, n):
+    t, w = _simpson_nodes(0.0, 1.0, n)
+    pts = start[None, :] + t[:, None] * (end - start)[None, :]
+    return pts, np.broadcast_to(end - start, pts.shape).copy(), w
+
+
+def _pair_integral(curve1, curve2):
+    pts1, tans1, w1 = curve1
+    pts2, tans2, w2 = curve2
+    diff = pts2[None, :, :] - pts1[:, None, :]
+    s = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.maximum(s, MIN_KERNEL_DISTANCE, out=s)
+    return float(w1 @ (np.log(s) * (tans1 @ tans2.T)) @ w2)
+
+
+def reference_value(pose, source_radius, contour, n):
+    """Per-pose contour integral; raises DegeneratePoseError."""
+    arc = reference_arc(pose, source_radius)
+    if arc == "complete":
+        return 0.0
+    obj_curve = _object_curve(contour, pose, n)
+    if obj_curve[0][:, 2].min() < MIN_SURFACE_CLEARANCE:
+        raise DegeneratePoseError("near contact")
+    if arc == "common":
+        total = _pair_integral(_circle_arc_curve(source_radius, 0.0, TWO_PI, n), obj_curve)
+    else:
+        lo, hi = arc
+        arc_start = source_radius * np.array([math.cos(lo), math.sin(lo), 0.0])
+        arc_end = source_radius * np.array([math.cos(hi), math.sin(hi), 0.0])
+        total = _pair_integral(_circle_arc_curve(source_radius, lo, hi, n), obj_curve)
+        total += _pair_integral(_chord_curve(arc_end, arc_start, n), obj_curve)
+    return -total / (TWO_PI * contour.area)
+
+
+def borderline(pose, source_radius, contour, n):
+    """True within rounding of a class boundary (contact clearance or a
+    tangent cut), where the two paths may round to different classes."""
+    normal = -reference_rotation(pose)[:, 2]
+    d = float(normal @ pose.translation)
+    amp = source_radius * math.hypot(normal[0], normal[1])
+    if abs(amp - abs(d)) <= 1e-9 * source_radius:
+        return True
+    min_z = _object_curve(contour, pose, n)[0][:, 2].min()
+    return abs(min_z - MIN_SURFACE_CLEARANCE) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Pose strategies: Common, Partial, Complete and near-contact
+# ---------------------------------------------------------------------------
+
+lateral = st.floats(-0.15, 0.15)
+angle = st.floats(-math.pi, math.pi)
+common_poses = st.builds(
+    Pose, lateral, lateral, st.floats(0.02, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), angle
+)
+partial_poses = st.builds(
+    Pose, st.floats(-0.08, 0.08), st.floats(-0.08, 0.08), st.floats(0.01, 0.06),
+    st.floats(0.6, 1.5), st.floats(-0.8, 0.8), angle,
+)
+complete_poses = st.builds(
+    Pose, lateral, lateral, st.floats(0.01, 0.2), st.floats(2.8, math.pi), st.floats(-0.2, 0.2), angle
+)
+near_contact_poses = st.builds(
+    Pose, lateral, lateral, st.floats(1e-7, 2e-3), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), angle
+)
+any_pose = st.one_of(common_poses, partial_poses, complete_poses, near_contact_poses)
+pose_lists = st.lists(any_pose, min_size=1, max_size=12)
+cases = st.sampled_from([(name, n) for name in CONTOURS for n in (16, 64)])
+
+
+def as_array(poses):
+    return np.array([p.as_vector() for p in poses])
+
+
+@pytest.mark.parametrize(
+    "strategy, kind",
+    [(common_poses, Common), (partial_poses, Partial), (complete_poses, Complete)],
+)
+def test_strategies_reach_their_class(strategy, kind):
+    find(
+        strategy,
+        lambda p: isinstance(classify_occlusion(p, SOURCE_RADIUS), kind),
+        settings=settings(database=None),
+    )
+
+
+def test_near_contact_strategy_reaches_both_sides_of_the_clearance():
+    contour = CONTOURS["circle"]
+    for inside in (True, False):
+        find(
+            near_contact_poses,
+            lambda p: (_object_curve(contour, p, 16)[0][:, 2].min() < MIN_SURFACE_CLEARANCE)
+            == inside,
+            settings=settings(database=None),
+        )
+
+
+@given(case=cases, poses=pose_lists)
+@settings(max_examples=60, deadline=None)
+def test_matches_per_pose_reference(case, poses):
+    name, n = case
+    contour = CONTOURS[name]
+    assume(not any(borderline(p, SOURCE_RADIUS, contour, n) for p in poses))
+    values, degenerate = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(n))
+    for pose, value, flagged in zip(poses, values, degenerate):
+        try:
+            expected = reference_value(pose, SOURCE_RADIUS, contour, n)
+        except DegeneratePoseError:
+            assert flagged and math.isnan(value)
+            continue
+        assert not flagged
+        assert abs(value - expected) <= 1e-12
+
+
+@given(case=cases, poses=pose_lists, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_batch_independence_bitwise(case, poses, data):
+    name, n = case
+    contour, spec = CONTOURS[name], QuadratureSpec(n)
+    batch = as_array(poses)
+    values, degenerate = vf_batch(batch, SOURCE_RADIUS, contour, spec)
+    alone = [vf_batch(row[None, :], SOURCE_RADIUS, contour, spec)[0] for row in batch]
+    assert np.concatenate(alone).tobytes() == values.tobytes()
+    budget = data.draw(st.integers(1, 3 * (n + 1) ** 2), label="block_pairs")
+    with mock.patch.object(viewfactor_module, "BLOCK_PAIRS", budget):
+        split, split_deg = vf_batch(batch, SOURCE_RADIUS, contour, spec)
+    assert split.tobytes() == values.tobytes()
+    assert np.array_equal(split_deg, degenerate)
+    order = np.array(data.draw(st.permutations(range(len(batch))), label="order"))
+    shuffled, _ = vf_batch(batch[order], SOURCE_RADIUS, contour, spec)
+    assert shuffled.tobytes() == values[order].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONTOURS))
+def test_scalar_call_is_a_batch_of_one(name):
+    contour, spec = CONTOURS[name], QuadratureSpec(16)
+    poses = [Pose(0.01, 0.02, 0.05, 0.1, 0.2, 0.3), Pose(0.0, 0.0, 0.03, 1.0, 0.0, 0.0)]
+    values, _ = vf_batch(as_array(poses), SOURCE_RADIUS, contour, spec)
+    for pose, value in zip(poses, values):
+        assert _general_value(pose, SOURCE_RADIUS, contour, spec) == value
+
+
+class TestDegeneracy:
+    SPEC = QuadratureSpec(16)
+
+    def test_coplanar_and_clearance_poses_flagged(self):
+        poses = [
+            Pose(0.02, 0.0, 0.0),  # coplanar with the source
+            Pose(0.0, 0.0, MIN_SURFACE_CLEARANCE / 2),  # inside the clearance
+            Pose(0.0, 0.0, 0.005, 1.2, 0.0, 0.0),  # tilted boundary dips below the plane
+            Pose(0.0, 0.0, 0.05),
+        ]
+        values, degenerate = vf_batch(as_array(poses), SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
+        assert degenerate.tolist() == [True, True, True, False]
+        assert np.isnan(values[:3]).all() and 0.0 < values[3] < 1.0
+        for pose in poses[:3]:
+            with pytest.raises(DegeneratePoseError):
+                _general_value(pose, SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
+
+    @given(pose=complete_poses)
+    @settings(max_examples=30, deadline=None)
+    def test_complete_gives_exact_zero(self, pose):
+        assume(isinstance(classify_occlusion(pose, SOURCE_RADIUS), Complete))
+        values, degenerate = vf_batch(as_array([pose]), SOURCE_RADIUS, CONTOURS["fourier"], self.SPEC)
+        assert not degenerate[0]
+        assert values[0] == 0.0 and not np.signbit(values[0])
+
+    def test_empty_batch(self):
+        values, degenerate = vf_batch(np.zeros((0, 6)), SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
+        assert values.shape == degenerate.shape == (0,)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_non_finite_coordinate_rejected(self, bad, column):
+        poses = np.array([[0.0, 0.0, 0.05, 0.0, 0.0, 0.0]] * 2)
+        poses[1, column] = bad
+        with pytest.raises(ValueError):
+            vf_batch(poses, SOURCE_RADIUS, CONTOURS["circle"], QuadratureSpec(16))
+
+    def test_shape_and_radius_rejected(self):
+        with pytest.raises(ValueError):
+            vf_batch(np.zeros((2, 3)), SOURCE_RADIUS, CONTOURS["circle"])
+        with pytest.raises(ValueError):
+            vf_batch(np.array([[0, 0, 0.05, 0, 0, 0]]), 0.0, CONTOURS["circle"])
+
+
+# ---------------------------------------------------------------------------
+# Gradient: one batched call, backward fallback for degenerate forward poses
+# ---------------------------------------------------------------------------
+
+
+def per_component_gradient(pose, contour, spec):
+    f0 = _general_value(pose, SOURCE_RADIUS, contour, spec)
+    grad = np.zeros(6)
+    for i in range(6):
+        h = DEFAULT_TRANSLATION_STEP if i < 3 else DEFAULT_ROTATION_STEP
+        x = pose.as_vector()
+        x[i] += h
+        grad[i] = (vf_batch(x[None, :], SOURCE_RADIUS, contour, spec)[0][0] - f0) / h
+    return grad
+
+
+@pytest.mark.parametrize("name", sorted(CONTOURS))
+def test_gradient_matches_per_component_differences(name):
+    contour, spec = CONTOURS[name], QuadratureSpec(16)
+    for pose in (Pose(0.01, -0.02, 0.05, 0.2, -0.1, 0.4), Pose(0.0, 0.0, 0.03, 1.0, 0.0, 0.0)):
+        grad = view_factor_gradient(pose, SOURCE_RADIUS, contour, spec)
+        assert grad.tobytes() == per_component_gradient(pose, contour, spec).tobytes()
+
+
+def tilted_near_contact(margin):
+    """Circle tilted by 0.5 rad about x whose lowest Simpson node sits
+    `margin` above the contact clearance; tilting further lowers it."""
+    return Pose(0.0, 0.0, 0.015 * math.sin(0.5) + MIN_SURFACE_CLEARANCE + margin, 0.5, 0.0, 0.0)
+
+
+def test_gradient_falls_back_to_backward_difference():
+    contour, spec = CONTOURS["circle"], QuadratureSpec(16)
+    pose = tilted_near_contact(3e-7)
+    forward = pose.as_vector()
+    forward[3] += DEFAULT_ROTATION_STEP
+    assert vf_batch(forward[None, :], SOURCE_RADIUS, contour, spec)[1][0]
+    grad = view_factor_gradient(pose, SOURCE_RADIUS, contour, spec, indices=(2, 3))
+    f0 = _general_value(pose, SOURCE_RADIUS, contour, spec)
+    f_bwd = _general_value(pose.perturbed(3, -DEFAULT_ROTATION_STEP), SOURCE_RADIUS, contour, spec)
+    assert grad[3] == (f0 - f_bwd) / DEFAULT_ROTATION_STEP
+    assert grad[2] == per_component_gradient(pose, contour, spec)[2]
+
+
+def test_gradient_raises_when_both_sides_degenerate():
+    contour, spec = CONTOURS["circle"], QuadratureSpec(16)
+    # Untilted, 3e-7 m above the clearance: tilting either way by the
+    # default step lowers the boundary by 7.5e-7 m.
+    level = Pose(0.0, 0.0, MIN_SURFACE_CLEARANCE + 3e-7)
+    assert view_factor_gradient(level, SOURCE_RADIUS, contour, spec, indices=(2,))[2] < 0.0
+    with pytest.raises(DegeneratePoseError):
+        view_factor_gradient(level, SOURCE_RADIUS, contour, spec, indices=(3,))
+    with pytest.raises(DegeneratePoseError):
+        view_factor_gradient(Pose(0.0, 0.0, 0.0), SOURCE_RADIUS, contour, spec)
+
+
+# ---------------------------------------------------------------------------
+# Feasibility search against a per-pose loop
+# ---------------------------------------------------------------------------
+
+
+def per_pose_search(targets, displacements, objects, grid, spec):
+    """The base sweep of pairwise_feasibility, one pose at a time."""
+    best = (math.inf, None, ())
+    delta_min, delta_max = math.inf, -math.inf
+    for a in grid.axis_values(0):
+        for b in grid.axis_values(1):
+            for c in grid.axis_values(2):
+                base = np.array([a, b, c]) * 1e-2
+                tv0 = []
+                try:
+                    for disp, (contour, lam) in zip(displacements, objects):
+                        p = base + np.asarray(disp)
+                        f = _general_value(Pose(*p), SOURCE_RADIUS, contour, spec)
+                        tv0.append(steady_state_temperature(min(max(f, 0.0), 1.0 - 1e-12), lam))
+                except DegeneratePoseError:
+                    continue
+                delta_min = min(delta_min, tv0[0] - tv0[1])
+                delta_max = max(delta_max, tv0[0] - tv0[1])
+                residual = max(abs(t - ts) for t, ts in zip(tv0, targets))
+                if residual < best[0]:
+                    best = (residual, Pose(*base), tuple(tv0))
+    return best, (delta_min, delta_max)
+
+
+@pytest.mark.parametrize("chunk", [feasibility_module.SEARCH_CHUNK, 7])
+def test_feasibility_matches_per_pose_loop(bench_env, aluminum_lambdas, printed_sheet, chunk):
+    objects = [
+        (CircleContour(0.015), aluminum_lambdas),
+        (CONTOURS["fourier"], lambdas(printed_sheet, bench_env)),
+    ]
+    # Object 1 sits 1 cm below the end effector: the p3 = 1 cm layer puts it
+    # on the source plane, so those whole poses are skipped.
+    displacements = [(0.02, 0.0, -0.01), (-0.02, 0.01, 0.0)]
+    grid = GridSpec(ranges=((-4.0, 4.5), (-2.0, 2.5), (1.0, 7.5)), step=1.5)
+    targets = [celsius_to_kelvin(30.0), celsius_to_kelvin(45.0)]
+    spec = QuadratureSpec(16)
+    with mock.patch.object(feasibility_module, "SEARCH_CHUNK", chunk):
+        report = pairwise_feasibility(
+            targets, displacements, objects, SOURCE_RADIUS, bench_env, grid, spec,
+            tolerance=0.0, refine_levels=0,
+        )
+    (residual, witness, tv0), delta_range = per_pose_search(
+        targets, displacements, objects, grid, spec
+    )
+    assert report.witness == witness
+    assert report.residual == pytest.approx(residual, rel=1e-12)
+    assert report.steady_states == pytest.approx(tv0, rel=1e-12)
+    assert report.delta_range == pytest.approx(delta_range, rel=1e-12)
+
+
+def test_feasibility_skips_pose_when_any_object_degenerate(bench_env, aluminum_lambdas):
+    contour = CircleContour(0.015)
+    grid = GridSpec(ranges=((0.0, 0.5), (0.0, 0.5), (1.0, 3.5)), step=1.0)
+    report = pairwise_feasibility(
+        [celsius_to_kelvin(30.0)] * 2,
+        [(0.0, 0.0, -0.01), (0.0, 0.0, 0.0)],
+        [(contour, aluminum_lambdas)] * 2,
+        SOURCE_RADIUS, bench_env, grid, QuadratureSpec(16), refine_levels=0,
+    )
+    # Only the p3 = 2 and 3 cm poses count; object 1 touches the source at 1 cm.
+    assert report.witness.p3 in (0.02, 0.03)
+
+
+# ---------------------------------------------------------------------------
+# Simulator: view-factor evaluations per tick
+# ---------------------------------------------------------------------------
+
+
+def sheet_scenario(n_objects, schedule=None, duration=40.0):
+    sheet = ThermoParams.from_disk(0.90, 0.90, 1800.0, 1250.0, 0.015, 0.001)
+    arms = [np.array([0.03 * math.cos(a), 0.03 * math.sin(a), 0.0]) for a in (0.0, 2.1, 4.2)]
+    objects = tuple(
+        ObjectSpec(f"sheet{i}", CircleContour(0.015), sheet, arms[i], celsius_to_kelvin(23.0))
+        for i in range(n_objects)
+    )
+    return Scenario(
+        environment=Environment(celsius_to_kelvin(200.0), 0.25, celsius_to_kelvin(23.0)),
+        source_radius=SOURCE_RADIUS,
+        objects=objects,
+        targets=(celsius_to_kelvin(40.0),) * n_objects,
+        controller="model_based",
+        limits=VelocityLimits(0.005, 0.2),
+        initial_pose=Pose(0.0, 0.0, 0.08),
+        sensor=SensorSpec(0.1, 3),
+        duration=duration,
+        workspace=Workspace(((-0.3, 0.3), (-0.3, 0.3), (0.005, 0.4))),
+        boundary_mode="clip",
+        quadrature=QuadratureSpec(16),
+        source_schedule=schedule,
+    )
+
+
+def evaluations_per_tick(monkeypatch, scenario):
+    """Poses evaluated between consecutive plant steps of object 1, and the
+    (start, end) view factors each plant step of object 1 saw."""
+    count = [0]
+    marks, ends = [], []
+
+    def counting(poses, *args, **kwargs):
+        count[0] += len(poses)
+        return vf_batch(poses, *args, **kwargs)
+
+    integrate = simulator_module.integrate_thermal
+
+    def plant(state, f_of_time, lam, dt, steps, t0=0.0):
+        marks.append(count[0])
+        ends.append((f_of_time(t0), f_of_time(t0 + dt * steps)))
+        return integrate(state, f_of_time, lam, dt, steps, t0=t0)
+
+    monkeypatch.setattr(simulator_module, "vf_batch", counting)
+    monkeypatch.setattr("thermoservo.interaction.vf_batch", counting)
+    monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
+    log = run_simulation(scenario)
+    n_obj = len(scenario.objects)
+    first_object = np.array(marks[::n_obj])
+    return np.diff(first_object), ends[::n_obj], log
+
+
+def assert_logged_view_factors_are_fresh(log, scenario):
+    """The value carried over from the plant step is exactly a fresh
+    evaluation at the logged pose and time."""
+    poses = np.stack([log.column(c) for c in ("p1_m", "p2_m", "p3_m")], axis=1)
+    schedule = scenario.source_schedule
+    for i, obj in enumerate(scenario.objects):
+        fresh = [
+            _general_value(
+                Pose(*(p + obj.displacement - (schedule.position(t) if schedule else 0.0))),
+                SOURCE_RADIUS,
+                obj.contour,
+                scenario.quadrature,
+            )
+            for p, t in zip(poses, log.column("time_s"))
+        ]
+        assert np.array_equal(log.column(f"F21_{i + 1}"), fresh)
+
+
+@pytest.mark.parametrize("n_objects", [1, 3])
+def test_static_source_evaluates_four_per_object_per_tick(monkeypatch, n_objects):
+    scenario = sheet_scenario(n_objects)
+    per_tick, _, log = evaluations_per_tick(monkeypatch, scenario)
+    # The estimator windows fill at the 10th sample (tick index 9).
+    assert np.all(per_tick[:8] == n_objects)
+    assert np.all(per_tick[9:] == 4 * n_objects)
+    assert_logged_view_factors_are_fresh(log, scenario)
+
+
+def test_moving_source_evaluates_both_plant_ends(monkeypatch):
+    schedule = SourceSchedule(
+        times=np.array([0.0, 40.0]), centers=np.array([[0.0, 0.0, 0.0], [0.02, 0.0, 0.0]])
+    )
+    scenario = sheet_scenario(3, schedule)
+    per_tick, ends, log = evaluations_per_tick(monkeypatch, scenario)
+    assert np.all(per_tick[9:] == 5 * 3)
+    assert all(start != end for start, end in ends)
+    assert_logged_view_factors_are_fresh(log, scenario)
+
