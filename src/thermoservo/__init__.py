@@ -21,6 +21,7 @@ from .feasibility import (
     FeasibilityReport,
     GridSpec,
     ScalarField,
+    export_field,
     isosurface_grid,
     pairwise_feasibility,
     required_view_factor,
@@ -57,7 +58,6 @@ from .simulator import (
     SourceSchedule,
     Workspace,
     aluminum_reference_params,
-    export_field,
     load_scenario,
     run_simulation,
     scenario_from_dict,

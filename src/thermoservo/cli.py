@@ -19,12 +19,13 @@ from .feasibility import (
     ROTATION_GRID,
     TRANSLATION_GRID,
     GridSpec,
+    export_field,
     isosurface_grid,
     pairwise_feasibility,
     target_bounds,
 )
 from .geometry import CircleContour, DegeneratePoseError, Pose, fourier_fit
-from .simulator import ScenarioError, export_field, load_scenario, run_simulation
+from .simulator import ScenarioError, load_scenario, run_simulation
 from .thermal import ThermalDivergenceError, lambdas
 from .units import cm_to_m, kelvin_to_celsius, m_to_cm
 from .viewfactor import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,22 @@ class ScalarField:
     @property
     def n_cells(self) -> int:
         return int(self.values.size)
+
+
+def write_csv(path: str | Path, header: str, rows: np.ndarray) -> None:
+    """Write a header line and one line per row of a 2-D array: values with
+    nine significant digits, `nan` for unavailable ones."""
+    np.savetxt(path, rows, fmt="%.9g", delimiter=",", header=header, comments="")
+
+
+def export_field(field: ScalarField, path: str | Path) -> None:
+    """Write a scalar field as CSV: header `p1,p2,p3,value` (or tx/ty/tz),
+    row-major cell order, nine significant digits. Deterministic: identical
+    fields export byte-identically."""
+    if field.n_cells == 0:
+        raise ValueError("cannot export an empty field")
+    cells = np.column_stack([_grid_cells(field.axis_values), field.values.reshape(-1)])
+    write_csv(path, ",".join(field.axis_names) + ",value", cells)
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:

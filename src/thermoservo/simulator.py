@@ -20,7 +20,6 @@ import yaml
 
 from .control import (
     AdaptiveState,
-    ControlOutput,
     Gains,
     VelocityLimits,
     adaptive_control,
@@ -29,7 +28,7 @@ from .control import (
     model_based_control,
 )
 from .estimation import SampleWindow
-from .feasibility import ScalarField
+from .feasibility import write_csv
 from .geometry import CircleContour, Contour, DegeneratePoseError, Pose, fourier_fit
 from .interaction import view_factor_gradient
 from .thermal import (
@@ -201,6 +200,9 @@ class Scenario:
             raise ScenarioError(
                 "objects with unknown parameters require the adaptive controller"
             )
+        init = self.adaptive_init
+        if init.mode == "values" and not len(init.a1) == len(init.a2) == len(self.objects):
+            raise ScenarioError("adaptive init 'values' needs one a1 and one a2 per object")
 
     @property
     def n_objects(self) -> int:
@@ -229,17 +231,7 @@ class RunLog:
         return self.rows[:, self.columns.index(name)]
 
     def to_csv(self, path: str | Path) -> None:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _fmt(value: float) -> str:
-    """Nine significant digits; NaN for unavailable diagnostics."""
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.9g}"
+        write_csv(path, ",".join(self.columns), self.rows)
 
 
 def _log_columns(scenario: Scenario) -> list[str]:
@@ -280,17 +272,18 @@ def run_simulation(scenario: Scenario) -> RunLog:
     """Run the closed loop and return the per-tick log.
 
     Loop per tick: sample true temperatures, add seeded sensor noise, push
-    into the estimator windows, build the interaction matrix at the current
-    source-relative pose, compute the velocity command, Euler-step the pose
-    over one period, then integrate the thermal plant across the period.
-    The robot holds still until every estimator window has 10 samples.
+    them into the estimator window, build the interaction matrix at the
+    current source-relative pose, compute the velocity command, Euler-step
+    the pose over one period, then integrate the thermal plant across the
+    period. The robot holds still until the estimator window has 10 samples.
 
     Returns a partial log with the violation flag set if the pose leaves
     the configured workspace box.
     """
     n_obj = scenario.n_objects
     dof = scenario.dof
-    dof_indices = tuple(range(3)) if dof == 3 else tuple(range(6))
+    dof_indices = tuple(range(dof))
+    adaptive = scenario.controller == "adaptive"
     env = scenario.environment
     lams = [lambdas(o.material, env) for o in scenario.objects]
     lambda1s = np.array([l.lambda1 for l in lams])
@@ -300,94 +293,78 @@ def run_simulation(scenario: Scenario) -> RunLog:
     targets = np.array(scenario.targets)
 
     rng = np.random.default_rng(scenario.sensor.seed)
-    windows = [SampleWindow() for _ in range(n_obj)]
+    window = SampleWindow()
     adaptive_state = _initial_adaptive_state(scenario, lambdas(aluminum_reference_params(), env))
 
-    pose = scenario.initial_pose
+    x = scenario.initial_pose.as_vector()  # end-effector pose
     temps = np.array([o.initial_temp for o in scenario.objects])
     period = scenario.control_period
     n_ticks = scenario.n_ticks
     substeps = max(1, int(round(period / scenario.plant_dt)))
     schedule = scenario.source_schedule
     moving_source = schedule is not None and schedule.moves
+    offsets = np.zeros((n_obj, 6))  # object frames relative to the end effector
+    offsets[:, :3] = [o.displacement for o in scenario.objects]
 
-    def relative_pose(obj_index: int, p: Pose, t: float) -> Pose:
-        offset = scenario.objects[obj_index].displacement
-        src = schedule.position(t) if schedule is not None else np.zeros(3)
-        return Pose(
-            p.p1 + offset[0] - src[0],
-            p.p2 + offset[1] - src[1],
-            p.p3 + offset[2] - src[2],
-            p.theta_x,
-            p.theta_y,
-            p.theta_z,
-        )
+    def object_poses(times) -> np.ndarray:
+        """Source-relative poses of every object at pose x, (len(times), n_obj, 6)."""
+        src = np.zeros((len(times), 1, 6))
+        if schedule is not None:
+            src[:, 0, :3] = [schedule.position(tt) for tt in times]
+        return x + offsets - src
 
-    def view_factors(obj_index: int, p: Pose, times) -> np.ndarray:
-        """F21 of one object at pose p, relative to the source at each time."""
-        rel = np.array([relative_pose(obj_index, p, tt).as_vector() for tt in times])
-        values, degenerate = vf_batch(
-            rel,
-            scenario.source_radius,
-            scenario.objects[obj_index].contour,
-            scenario.quadrature,
-        )
-        if degenerate.any():
-            raise DegeneratePoseError(
-                f"object {obj_index + 1} touches the source plane at pose {p}"
+    def view_factors(rel: np.ndarray) -> np.ndarray:
+        """F21 of every object at the poses `object_poses` returned."""
+        values = np.empty(rel.shape[:2])
+        for i, obj in enumerate(scenario.objects):
+            values[:, i], degenerate = vf_batch(
+                rel[:, i], scenario.source_radius, obj.contour, scenario.quadrature
             )
+            if degenerate.any():
+                raise DegeneratePoseError(
+                    f"object {i + 1} touches the source plane at pose {Pose.from_vector(x)}"
+                )
         return values
 
     columns = _log_columns(scenario)
     rows = np.full((n_ticks + 1, len(columns)), np.nan)
+    # Per-object columns of every row, (ticks, n_obj, 8), in _log_columns order.
+    object_rows = rows[:, 1 : 1 + 8 * n_obj].reshape(n_ticks + 1, n_obj, 8)
     violation = False
-    # F21 at the current pose and time; each plant step below leaves the
-    # value at the next tick's pose and time here.
-    f_now = np.array([view_factors(i, pose, (0.0,))[0] for i in range(n_obj)])
+    # Relative poses and F21 at the current pose and time; each plant step
+    # below leaves their values at the next tick's pose and time here.
+    rel_now = object_poses((0.0,))[0]
+    f_now = view_factors(rel_now[None])[0]
 
     for tick in range(n_ticks + 1):
         t = tick * period
         measured = temps + rng.uniform(
             -scenario.sensor.noise_amplitude, scenario.sensor.noise_amplitude, n_obj
         )
-        estimates = [windows[i].push_and_estimate(t, measured[i]) for i in range(n_obj)]
+        estimate = window.push_and_estimate(t, measured)
 
         u = np.zeros(dof)
-        output: ControlOutput | None = None
-        t_hat = np.full(n_obj, np.nan)
-        v_hat = np.full(n_obj, np.nan)
-        dtau = np.full(n_obj, np.nan)
-        if all(e is not None for e in estimates):
-            t_hat = np.array([e[0] for e in estimates])
-            v_hat = np.array([e[1] for e in estimates])
+        lyap = np.nan
+        clamped = False
+        t_hat = v_hat = dtau = np.full(n_obj, np.nan)
+        if estimate is not None:
+            t_hat, v_hat = estimate
             dtau = t_hat - targets
             t_cubed = t_hat**3
             grads = np.array(
                 [
                     view_factor_gradient(
-                        relative_pose(i, pose, t),
+                        Pose.from_vector(rel_now[i]),
                         scenario.source_radius,
-                        scenario.objects[i].contour,
+                        obj.contour,
                         scenario.quadrature,
                         indices=dof_indices,
                         base_value=f_now[i],
-                    )[: dof]
-                    for i in range(n_obj)
+                    )[:dof]
+                    for i, obj in enumerate(scenario.objects)
                 ]
             )
-            if scenario.controller == "model_based":
-                l_matrix = lambda1s[:, None] * grads
-                output = model_based_control(
-                    l_matrix,
-                    v_hat,
-                    dtau,
-                    t_cubed,
-                    lambda2s,
-                    scenario.gains,
-                    scenario.pinv_damping,
-                    scenario.limits,
-                )
-            else:
+            if adaptive:
                 output = adaptive_control(
                     grads,
                     v_hat,
@@ -404,38 +381,35 @@ def run_simulation(scenario: Scenario) -> RunLog:
                 lyap = adaptive_lyapunov(
                     output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
                 )
-                output = ControlOutput(
-                    u=output.u,
-                    lyapunov=lyap,
-                    error_norm=output.error_norm,
-                    rate_norm=output.rate_norm,
-                    clamped=output.clamped,
-                    zeta=output.zeta,
-                )
                 adaptive_state = AdaptiveState(
                     adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
                 )
-            u = output.u
+            else:
+                output = model_based_control(
+                    lambda1s[:, None] * grads,
+                    v_hat,
+                    dtau,
+                    t_cubed,
+                    lambda2s,
+                    scenario.gains,
+                    scenario.pinv_damping,
+                    scenario.limits,
+                )
+                lyap = output.lyapunov
+            u, clamped = output.u, output.clamped
 
-        row = [t]
-        for i in range(n_obj):
-            row += [
-                kelvin_to_celsius(temps[i]),
-                kelvin_to_celsius(measured[i]),
-                kelvin_to_celsius(t_hat[i]) if math.isfinite(t_hat[i]) else np.nan,
-                v_hat[i],
-                dtau[i],
-                f_now[i],
-                adaptive_state.a1_hat[i] if scenario.controller == "adaptive" else np.nan,
-                adaptive_state.a2_hat[i] if scenario.controller == "adaptive" else np.nan,
-            ]
-        row += list(u)
-        row += list(pose.as_vector())
-        row += [
-            output.lyapunov if output is not None and output.lyapunov is not None else np.nan,
-            1.0 if output is not None and output.clamped else 0.0,
-        ]
-        rows[tick] = row
+        rows[tick, 0] = t
+        obj_row = object_rows[tick]
+        obj_row[:, 0] = kelvin_to_celsius(temps)
+        obj_row[:, 1] = kelvin_to_celsius(measured)
+        obj_row[:, 2] = kelvin_to_celsius(t_hat)
+        obj_row[:, 3] = v_hat
+        obj_row[:, 4] = dtau
+        obj_row[:, 5] = f_now
+        if adaptive:
+            obj_row[:, 6] = adaptive_state.a1_hat
+            obj_row[:, 7] = adaptive_state.a2_hat
+        rows[tick, 1 + 8 * n_obj :] = (*u, *x, lyap, 1.0 if clamped else 0.0)
 
         if tick == n_ticks:
             break
@@ -444,8 +418,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
         # In clip mode the driver saturates steps at its range limits (what a
         # real position controller does); in terminate mode leaving the box
         # ends the run with the violation flag.
-        x = pose.as_vector()
-        x[: dof] += u * period
+        x[:dof] += u * period
         if scenario.boundary_mode == "clip":
             x[:3] = scenario.workspace.clip(x[:3])
         pose = Pose.from_vector(x)
@@ -453,14 +426,16 @@ def run_simulation(scenario: Scenario) -> RunLog:
             violation = True
             rows = rows[: tick + 1]
             break
+        x = pose.as_vector()
 
         # Heat at the new pose; for a moving source the view factor is
-        # interpolated linearly across the period. The value at the end of
-        # the period is the next tick's f_now: for a static source the
-        # relative pose does not change over the period.
-        ends = (t, (tick + 1) * period) if moving_source else (t,)
+        # interpolated linearly across the period. The values at the end of
+        # the period are the next tick's: for a static source the relative
+        # pose does not change over the period.
+        rel = object_poses((t, (tick + 1) * period) if moving_source else (t,))
+        f_ends = view_factors(rel)
         for i in range(n_obj):
-            f_start, f_end = (float(v) for v in view_factors(i, pose, ends)[[0, -1]])
+            f_start, f_end = float(f_ends[0, i]), float(f_ends[-1, i])
 
             def f_of_time(tt: float, a=f_start, b=f_end, t0=t) -> float:
                 return a + (b - a) * (tt - t0) / period
@@ -474,32 +449,9 @@ def run_simulation(scenario: Scenario) -> RunLog:
                 t0=t,
             )
             temps[i] = traj[-1]
-            f_now[i] = f_end
+        rel_now, f_now = rel[-1], f_ends[-1]
 
     return RunLog(columns=columns, rows=rows, violation=violation)
-
-
-# ---------------------------------------------------------------------------
-# Scalar-field export
-# ---------------------------------------------------------------------------
-
-
-def export_field(field: ScalarField, path: str | Path) -> None:
-    """Write a scalar field as CSV: header `p1,p2,p3,value` (or tx/ty/tz),
-    row-major cell order, nine significant digits. Deterministic: identical
-    fields export byte-identically."""
-    if field.n_cells == 0:
-        raise ValueError("cannot export an empty field")
-    a0, a1, a2 = field.axis_values
-    lines = [",".join(field.axis_names) + ",value"]
-    values = field.values
-    for i, x in enumerate(a0):
-        for j, y in enumerate(a1):
-            for k, z in enumerate(a2):
-                lines.append(
-                    f"{_fmt(float(x))},{_fmt(float(y))},{_fmt(float(z))},{_fmt(float(values[i, j, k]))}"
-                )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -182,16 +182,17 @@ def integrate_thermal(
 
     times = t0 + dt * np.arange(steps + 1)
     temps = np.empty(steps + 1)
-    temps[0] = state.temperature
-    temp = state.temperature
+    temp = temps[0] = float(state.temperature)
+    # Stages run on Python floats, which are several times cheaper than numpy
+    # scalars here; t equals times[k] bitwise.
     for k in range(steps):
-        t = times[k]
+        t = t0 + dt * k
         try:
             k1 = rate(f21_of_t(t), temp)
             k2 = rate(f21_of_t(t + 0.5 * dt), temp + 0.5 * dt * k1)
             k3 = rate(f21_of_t(t + 0.5 * dt), temp + 0.5 * dt * k2)
             k4 = rate(f21_of_t(t + dt), temp + dt * k3)
-            temp += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            temp = float(temp + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         except OverflowError:
             temp = math.inf
         if not math.isfinite(temp) or temp <= 0.0:

@@ -414,9 +414,14 @@ def _fourier_facets(contour: FourierContour, n_facets: int) -> tuple[np.ndarray,
     return centers, areas
 
 
+#: Facet pairs (object facet x source facet) per chunk of the DSI sum.
+#: Bounds each of its temporary arrays to about 2 MB.
+DSI_BLOCK_PAIRS = 2**18
+
+
 def _dsi_sum(obj_centers, obj_areas, src_centers, src_areas, normal) -> float:
     total = 0.0
-    chunk = max(1, int(8e6 // max(len(src_centers), 1)))
+    chunk = max(1, DSI_BLOCK_PAIRS // max(len(src_centers), 1))
     sx, sy = src_centers[:, 0], src_centers[:, 1]
     for lo in range(0, len(obj_centers), chunk):
         oc = obj_centers[lo : lo + chunk]

@@ -110,3 +110,49 @@ class TestInvariances:
             result = window.push_and_estimate(float(k), 2.0 * k + 300.0)
         assert len(window) == 10
         assert result[1] == pytest.approx(2.0, abs=1e-10)
+
+
+class TestVectorWindow:
+    """One window over K columns sampled at shared times."""
+
+    def test_columns_equal_scalar_windows(self):
+        rng = np.random.default_rng(5)
+        k_cols = 3
+        vector = SampleWindow()
+        scalars = [SampleWindow() for _ in range(k_cols)]
+        times = 1234.5 + np.cumsum(rng.uniform(0.5, 1.5, 40))
+        samples = 300.0 + np.cumsum(rng.uniform(-0.5, 0.5, (40, k_cols)), axis=0)
+        for t, row in zip(times, samples):
+            got = vector.push_and_estimate(float(t), row)
+            expected = [w.push_and_estimate(float(t), float(v)) for w, v in zip(scalars, row)]
+            if got is None:
+                assert all(e is None for e in expected)
+                continue
+            t_hat, v_hat = got
+            assert t_hat.shape == v_hat.shape == (k_cols,)
+            np.testing.assert_allclose(t_hat, [e[0] for e in expected], rtol=1e-12)
+            np.testing.assert_allclose(v_hat, [e[1] for e in expected], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k_cols", [None, 1, 4])
+    def test_cubic_exact_for_both_shapes(self, k_cols):
+        rng = np.random.default_rng(11)
+        shape = (4,) if k_cols is None else (4, k_cols)
+        c = rng.uniform(-5.0, 5.0, shape)
+        window = SampleWindow()
+        times = 5e3 + np.arange(10) * 0.7
+        result = None
+        for t in times:
+            dt = t - times[0]
+            value = 300.0 + c[0] + c[1] * dt + c[2] * dt**2 + c[3] * dt**3
+            result = window.push_and_estimate(float(t), value)
+        dt = times[-1] - times[0]
+        expected_t = 300.0 + c[0] + c[1] * dt + c[2] * dt**2 + c[3] * dt**3
+        expected_v = c[1] + 2 * c[2] * dt + 3 * c[3] * dt**2
+        np.testing.assert_allclose(result[0], expected_t, rtol=1e-9, atol=1e-7)
+        np.testing.assert_allclose(result[1], expected_v, rtol=1e-9, atol=1e-7)
+
+    def test_scalar_input_gives_python_floats(self):
+        window = SampleWindow()
+        for k in range(10):
+            result = window.push_and_estimate(float(k), np.float64(300.0 + k))
+        assert type(result[0]) is float and type(result[1]) is float

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from thermoservo import (
+    AdaptiveInit,
     CircleContour,
     Environment,
     Gains,
@@ -13,6 +14,8 @@ from thermoservo import (
     ObjectSpec,
     Pose,
     QuadratureSpec,
+    RunLog,
+    ScalarField,
     Scenario,
     ScenarioError,
     SensorSpec,
@@ -79,6 +82,18 @@ class TestScenarioValidation:
     def test_bad_boundary_mode(self):
         with pytest.raises(ScenarioError):
             quick_scenario(boundary_mode="bounce")
+
+    def test_adaptive_values_need_one_entry_per_object(self):
+        sheet = ThermoParams.from_disk(0.9, 0.9, 1800.0, 1250.0, 0.015, 0.001)
+        objs = tuple(
+            ObjectSpec(f"s{i}", CircleContour(0.015), sheet, np.zeros(3), 300.0)
+            for i in range(3)
+        )
+        common = dict(objects=objs, targets=(310.0,) * 3, controller="adaptive")
+        quick_scenario(**common, adaptive_init=AdaptiveInit("values", a1=(1.0,) * 3, a2=(1.0,) * 3))
+        for a1, a2 in (((1.0, 2.0), (1.0,) * 3), ((1.0,) * 3, (1.0, 2.0))):
+            with pytest.raises(ScenarioError):
+                quick_scenario(**common, adaptive_init=AdaptiveInit("values", a1=a1, a2=a2))
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +262,51 @@ class TestExportField:
         )
         with pytest.raises(ValueError):
             export_field(empty, "/tmp/unused.csv")
+
+
+def _nine_digit_csv(header: str, rows) -> bytes:
+    """The CSV text of a line-per-row formatter with nine significant digits."""
+
+    def fmt(value: float) -> str:
+        return "nan" if math.isnan(value) else f"{value:.9g}"
+
+    lines = [header] + [",".join(fmt(float(v)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvBytes:
+    SPECIALS = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2e-308, 1e-310, 1.0, -1.5e300]
+
+    def test_log_matches_line_formatter(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = np.concatenate(
+            [
+                self.SPECIALS,
+                rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.integers(-320, 300, 2000),
+                rng.uniform(-100.0, 100.0, 2000),
+            ]
+        )
+        columns = ["a", "b", "c", "d"]
+        log = RunLog(columns=columns, rows=values[: len(values) // 4 * 4].reshape(-1, 4))
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        assert path.read_bytes() == _nine_digit_csv("a,b,c,d", log.rows)
+
+    def test_field_matches_line_formatter(self, tmp_path):
+        rng = np.random.default_rng(4)
+        axes = (np.array([-0.0, 1e-310, 2.5]), np.array([-3.0, 0.1]), rng.normal(0.0, 1e5, 3))
+        values = rng.uniform(0.0, 1.0, (3, 2, 3))
+        values[0, 0, 0], values[0, 0, 1] = 0.0, 5e-324
+        field = ScalarField(("p1", "p2", "p3"), axes, values, np.zeros((3, 2, 3), dtype=bool))
+        path = tmp_path / "field.csv"
+        export_field(field, path)
+        cells = [
+            (x, y, z, values[i, j, k])
+            for i, x in enumerate(axes[0])
+            for j, y in enumerate(axes[1])
+            for k, z in enumerate(axes[2])
+        ]
+        assert path.read_bytes() == _nine_digit_csv("p1,p2,p3,value", cells)
 
 
 class TestScenarioLoading:

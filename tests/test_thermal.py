@@ -178,3 +178,40 @@ class TestIntegrateThermal:
             )
         for a, b in zip(separate, joint):
             assert np.array_equal(a, b)
+
+    def test_float_stages_match_numpy_scalar_stages_bitwise(self, printed_sheet, bench_env):
+        """The stage loop equals, bit for bit, a loop whose times and
+        temperatures are numpy scalars, as the loop's view factor is fed."""
+        lam = lambdas(printed_sheet, bench_env)
+
+        def numpy_scalar_loop(temp, f21_of_t, dt, steps, t0):
+            def rate(f21, temp_k):
+                return lam.lambda1 * f21 - lam.lambda2 * temp_k**4 + lam.lambda3
+
+            times = t0 + dt * np.arange(steps + 1)
+            temps = np.empty(steps + 1)
+            temps[0] = temp
+            for k in range(steps):
+                t = times[k]
+                k1 = rate(f21_of_t(t), temp)
+                k2 = rate(f21_of_t(t + 0.5 * dt), temp + 0.5 * dt * k1)
+                k3 = rate(f21_of_t(t + 0.5 * dt), temp + 0.5 * dt * k2)
+                k4 = rate(f21_of_t(t + dt), temp + dt * k3)
+                temp += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                temps[k + 1] = temp
+            return times, temps
+
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            t0 = float(rng.integers(0, 4000)) * 0.7
+            a, b = (float(v) for v in rng.uniform(0.0, 0.6, 2))
+
+            def f_of_time(t, a=a, b=b, t0=t0):
+                return a + (b - a) * (t - t0) / 0.7
+
+            temp = np.float64(rng.uniform(280.0, 420.0))
+            dt, steps = 0.7 / 7, 7
+            expected = numpy_scalar_loop(temp, f_of_time, dt, steps, t0)
+            got = integrate_thermal(ThermalState(temp), f_of_time, lam, dt, steps, t0=t0)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])

@@ -249,3 +249,13 @@ class TestDsiOracle:
     def test_minimum_facets(self):
         with pytest.raises(ValueError):
             vf_dsi_oracle(Pose(0, 0, 0.05), 0.10, CircleContour(0.015), 8)
+
+    def test_chunk_budget_does_not_change_value(self, monkeypatch):
+        """A chunk of a few facet pairs gives the one-chunk value."""
+        from thermoservo import viewfactor
+
+        pose = Pose(0.01, -0.02, 0.05, 0.3, 0.2, 0.0)
+        whole = vf_dsi_oracle(pose, 0.04, CircleContour(0.015), 600).value
+        monkeypatch.setattr(viewfactor, "DSI_BLOCK_PAIRS", 7)
+        chunked = vf_dsi_oracle(pose, 0.04, CircleContour(0.015), 600).value
+        assert chunked == pytest.approx(whole, rel=1e-12, abs=1e-12)
