@@ -47,7 +47,13 @@ from .geometry import (
     rotation_from_euler,
     wrap_angle,
 )
-from .interaction import assemble, l_finite_diff, l_parallel, view_factor_gradient
+from .interaction import (
+    assemble,
+    l_finite_diff,
+    l_parallel,
+    view_factor_gradient,
+    view_factor_gradients,
+)
 from .simulator import (
     AdaptiveInit,
     ObjectSpec,

@@ -138,7 +138,14 @@ class ScalarField:
 def write_csv(path: str | Path, header: str, rows: np.ndarray) -> None:
     """Write a header line and one line per row of a 2-D array: values with
     nine significant digits, `nan` for unavailable ones."""
-    np.savetxt(path, rows, fmt="%.9g", delimiter=",", header=header, comments="")
+    # One row format over each row's Python floats: np.savetxt formats
+    # numpy scalars and takes about half as long again. Rows are converted
+    # one at a time; the whole array as Python floats would take about six
+    # times its own size in memory.
+    line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        out.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def export_field(field: ScalarField, path: str | Path) -> None:

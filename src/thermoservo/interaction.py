@@ -70,6 +70,73 @@ def l_parallel(
     )
 
 
+def view_factor_gradients(
+    poses,
+    source_radius: float,
+    contours,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    translation_step: float = DEFAULT_TRANSLATION_STEP,
+    rotation_step: float = DEFAULT_ROTATION_STEP,
+    indices: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
+    base_values=None,
+) -> np.ndarray:
+    """Forward-difference gradients of F21 for K objects, from one kernel call.
+
+    Row k of `poses` is the pose of the object bounded by `contours[k]`.
+    Each component is independently computable; `indices` restricts which
+    components are evaluated (the rest stay zero). A component whose forward
+    pose is degenerate falls back to a backward difference.
+
+    Args:
+        poses: (K, 6) array of object poses.
+        contours: K contours.
+        base_values: (K,) F21 at the poses, if the caller already has them.
+
+    Returns:
+        (K, 6) array, row k = d(F21_k)/d(p1, p2, p3, theta_x, theta_y, theta_z).
+
+    Raises:
+        DegeneratePoseError: A base pose degenerate, or both one-sided
+            differences of a component degenerate.
+    """
+    poses = np.asarray(poses, dtype=float)
+    contours = tuple(contours)
+    idx = np.asarray(indices, dtype=int)
+    steps = np.where(idx < 3, translation_step, rotation_step)
+    # forward[d, k] is object k's pose with coordinate idx[d] stepped.
+    forward = np.repeat(poses[None], len(idx), axis=0)
+    forward[np.arange(len(idx)), :, idx] += steps[:, None]
+    # One kernel call for the base poses (if needed) and every forward pose.
+    batch = forward if base_values is not None else np.concatenate([poses[None], forward])
+    values, degenerate = vf_batch(batch.reshape(-1, 6), source_radius, contours, spec)
+    values = values.reshape(-1, len(contours))
+    degenerate = degenerate.reshape(values.shape)
+    if base_values is None:
+        if degenerate[0].any():
+            k = int(np.argmax(degenerate[0]))
+            raise DegeneratePoseError(f"base pose in row {k} is degenerate")
+        f0, values, degenerate = values[0], values[1:], degenerate[1:]
+    else:
+        f0 = np.asarray(base_values, dtype=float)
+    grads = np.zeros((len(contours), 6))
+    grads[:, idx] = ((values - f0) / steps[:, None]).T
+    for k, d in zip(*np.nonzero(degenerate.T)):
+        # Forward pose degenerate: fall back to a backward difference.
+        i, h = int(idx[d]), float(steps[d])
+        backward = poses[k].copy()
+        backward[i] -= h
+        try:
+            f_bwd = _general_value(
+                Pose.from_vector(backward), source_radius, contours[k], spec
+            )
+        except DegeneratePoseError as exc:
+            raise DegeneratePoseError(
+                f"both perturbations of pose coordinate {i} are degenerate"
+            ) from exc
+        grads[k, i] = (f0[k] - f_bwd) / h
+    return grads
+
+
 def view_factor_gradient(
     pose: Pose,
     source_radius: float,
@@ -80,11 +147,8 @@ def view_factor_gradient(
     indices: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
     base_value: float | None = None,
 ) -> np.ndarray:
-    """Forward-difference gradient of F21 over the 6 pose coordinates.
-
-    Each component is independently computable; `indices` restricts which
-    components are evaluated (the rest stay zero). A component whose forward
-    pose is degenerate falls back to a backward difference.
+    """Forward-difference gradient of F21 over the 6 pose coordinates: a
+    batch of one `view_factor_gradients`.
 
     Args:
         base_value: F21 at the base pose, if the caller already has it.
@@ -96,32 +160,16 @@ def view_factor_gradient(
         DegeneratePoseError: Base pose degenerate, or both one-sided
             differences of a component degenerate.
     """
-    x = pose.as_vector()
-    idx = np.asarray(indices, dtype=int)
-    steps = np.where(idx < 3, translation_step, rotation_step)
-    forward = np.repeat(x[None, :], len(idx), axis=0)
-    forward[np.arange(len(idx)), idx] += steps
-    # One kernel call for the base pose (if needed) and every forward pose.
-    batch = forward if base_value is not None else np.vstack([x, forward])
-    values, degenerate = vf_batch(batch, source_radius, contour, spec)
-    f0 = base_value
-    if f0 is None:
-        if degenerate[0]:
-            raise DegeneratePoseError("base pose is degenerate")
-        f0, values, degenerate = values[0], values[1:], degenerate[1:]
-    grad = np.zeros(6)
-    grad[idx] = (values - f0) / steps
-    for k in np.flatnonzero(degenerate):
-        # Forward pose degenerate: fall back to a backward difference.
-        i, h = int(idx[k]), float(steps[k])
-        try:
-            f_bwd = _general_value(pose.perturbed(i, -h), source_radius, contour, spec)
-        except DegeneratePoseError as exc:
-            raise DegeneratePoseError(
-                f"both perturbations of pose coordinate {i} are degenerate"
-            ) from exc
-        grad[i] = (f0 - f_bwd) / h
-    return grad
+    return view_factor_gradients(
+        pose.as_vector()[None, :],
+        source_radius,
+        (contour,),
+        spec,
+        translation_step,
+        rotation_step,
+        indices,
+        None if base_value is None else (base_value,),
+    )[0]
 
 
 def l_finite_diff(

@@ -30,7 +30,7 @@ from .control import (
 from .estimation import SampleWindow
 from .feasibility import write_csv
 from .geometry import CircleContour, Contour, DegeneratePoseError, Pose, fourier_fit
-from .interaction import view_factor_gradient
+from .interaction import view_factor_gradients
 from .thermal import (
     Environment,
     LambdaParams,
@@ -305,6 +305,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
     moving_source = schedule is not None and schedule.moves
     offsets = np.zeros((n_obj, 6))  # object frames relative to the end effector
     offsets[:, :3] = [o.displacement for o in scenario.objects]
+    contours = tuple(o.contour for o in scenario.objects)
 
     def object_poses(times) -> np.ndarray:
         """Source-relative poses of every object at pose x, (len(times), n_obj, 6)."""
@@ -314,17 +315,18 @@ def run_simulation(scenario: Scenario) -> RunLog:
         return x + offsets - src
 
     def view_factors(rel: np.ndarray) -> np.ndarray:
-        """F21 of every object at the poses `object_poses` returned."""
-        values = np.empty(rel.shape[:2])
-        for i, obj in enumerate(scenario.objects):
-            values[:, i], degenerate = vf_batch(
-                rel[:, i], scenario.source_radius, obj.contour, scenario.quadrature
+        """F21 of every object at the poses `object_poses` returned, from
+        one kernel call over the (times x objects) pose groups."""
+        values, degenerate = vf_batch(
+            rel.reshape(-1, 6), scenario.source_radius, contours, scenario.quadrature
+        )
+        if degenerate.any():
+            # The first object with any degenerate pose, whatever the time.
+            i = int(np.argmax(degenerate.reshape(rel.shape[:2]).any(axis=0)))
+            raise DegeneratePoseError(
+                f"object {i + 1} touches the source plane at pose {Pose.from_vector(x)}"
             )
-            if degenerate.any():
-                raise DegeneratePoseError(
-                    f"object {i + 1} touches the source plane at pose {Pose.from_vector(x)}"
-                )
-        return values
+        return values.reshape(rel.shape[:2])
 
     columns = _log_columns(scenario)
     rows = np.full((n_ticks + 1, len(columns)), np.nan)
@@ -351,19 +353,14 @@ def run_simulation(scenario: Scenario) -> RunLog:
             t_hat, v_hat = estimate
             dtau = t_hat - targets
             t_cubed = t_hat**3
-            grads = np.array(
-                [
-                    view_factor_gradient(
-                        Pose.from_vector(rel_now[i]),
-                        scenario.source_radius,
-                        obj.contour,
-                        scenario.quadrature,
-                        indices=dof_indices,
-                        base_value=f_now[i],
-                    )[:dof]
-                    for i, obj in enumerate(scenario.objects)
-                ]
-            )
+            grads = view_factor_gradients(
+                rel_now,
+                scenario.source_radius,
+                contours,
+                scenario.quadrature,
+                indices=dof_indices,
+                base_values=f_now,
+            )[:, :dof]
             if adaptive:
                 output = adaptive_control(
                     grads,

@@ -142,24 +142,35 @@ def _cached(key, build):
     return hit
 
 
-def _object_nodes(contour: Contour, n: int):
-    """Local boundary samples over one period, cached per (contour, n).
-
-    Returns (points, tangents, weights): (2, m) local (x, y) points, (2, m)
-    tangents d(point)/d(param) and the (m,) Simpson weights, m = n + 1.
-    """
+def _contour_key(contour: Contour) -> tuple:
+    """Cache key of a contour by content: equal contours share entries, and
+    unlike id(), which a collected contour hands on, a key names one shape."""
     if isinstance(contour, CircleContour):
-        key = ("circle", contour.radius, n)
-    else:
-        key = ("fourier", contour.harmonics, contour.beta.tobytes(), contour.b.tobytes(), n)
+        return ("circle", contour.radius)
+    return ("fourier", contour.harmonics, contour.beta.tobytes(), contour.b.tobytes())
+
+
+def _object_nodes(contours: tuple[Contour, ...], n: int):
+    """Local boundary samples of K contours over one period each, stacked
+    and cached per (contents, n).
+
+    Returns (along_x, along_y, weights, areas): the local x and y
+    coordinates of the m = n + 1 points followed by those of their tangents
+    d(point)/d(param), each (K, 1, 2m), the (K, m) Simpson weights and the
+    (K,) enclosed areas.
+    """
 
     def build():
-        t, w = _simpson_nodes(0.0, contour.period, n)
-        points = np.ascontiguousarray(contour.local_point(t).T)
-        tangents = np.ascontiguousarray(contour.local_tangent(t).T)
-        return points, tangents, w
+        columns = []
+        for contour in contours:
+            t, w = _simpson_nodes(0.0, contour.period, n)
+            (x, y), (tx, ty) = contour.local_point(t).T, contour.local_tangent(t).T
+            columns.append((np.concatenate([x, tx]), np.concatenate([y, ty]), w))
+        along_x, along_y, w = (np.stack(c) for c in zip(*columns))
+        areas = np.array([contour.area for contour in contours])
+        return along_x[:, None], along_y[:, None], w, areas
 
-    return _cached(key, build)
+    return _cached(("object", n, *map(_contour_key, contours)), build)
 
 
 def _unit_nodes(n: int):
@@ -183,11 +194,12 @@ def _source_circle(radius: float, n: int):
 def _pair_values(points, tangents, source, w_obj, w_src) -> np.ndarray:
     """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block.
 
-    points: (rows, 3, m_obj) world object samples; tangents: (rows, 2,
-    m_obj) their x and y components. source: (x, y, tx, ty), each (rows,
-    m_src) or (1, m_src). Source curves lie in z = 0, so the z component of
-    the object tangent drops out. Each row is reduced on its own in a fixed
-    order, so its value does not depend on the other rows of the block.
+    points: (rows, 3, m_obj) world object samples; tangents: (rows, 3,
+    m_obj) their tangents; w_obj: (rows, m_obj) their weights.
+    source: (x, y, tx, ty), each (rows, m_src) or (1, m_src). Source curves
+    lie in z = 0, so the z component of the object tangent drops out. Each
+    row is reduced on its own in a fixed order, so its value does not depend
+    on the other rows of the block.
     """
     ox, oy, oz = (points[:, k, :, None] for k in range(3))
     otx, oty = tangents[:, 0, :, None], tangents[:, 1, :, None]
@@ -204,20 +216,25 @@ def _pair_values(points, tangents, source, w_obj, w_src) -> np.ndarray:
     kernel *= dot
     # ln s = ln(s^2) / 2. einsum reduces each row alone; a stacked matmul
     # such as (kernel @ w_src) @ w_obj does not give batch-independent bits.
-    return 0.5 * np.einsum("bij,i,j->b", kernel, w_obj, w_src)
+    return 0.5 * np.einsum("bij,bi,j->b", kernel, w_obj, w_src)
 
 
-def _block_values(poses, source_radius, nodes, circle, unit, area):
-    """View factors and degenerate flags of one block of poses."""
-    (lx, ly), (ltx, lty), w_obj = nodes
+def _block_values(poses, source_radius, nodes, circle, unit):
+    """View factors and degenerate flags of one block of whole pose groups."""
+    along_x, along_y, w_obj, areas = nodes
     u, w_src = unit
+    groups = len(poses) // len(areas)
     translations = poses[:, :3]
     rotations = rotations_from_euler(poses[:, 3:])
-    axis_x, axis_y = rotations[:, :, 0, None], rotations[:, :, 1, None]
-    # World-frame boundary samples: (B, 3, m) points and the x and y
-    # components (B, 2, m) of the tangents.
-    points = axis_x * lx + axis_y * ly + translations[:, :, None]
-    tangents = axis_x[:, :2] * ltx + axis_y[:, :2] * lty
+    # Frame axes and origins as (groups, K, 3, 1), against the (K, 1, 2m)
+    # contour tables: one product per axis rotates points and tangents.
+    frames = rotations.reshape(groups, -1, 3, 3)
+    rotated = frames[..., 0, None] * along_x + frames[..., 1, None] * along_y
+    m = w_obj.shape[1]
+    # World-frame boundary samples: (B, 3, m) points and tangents.
+    points = (rotated[..., :m] + translations.reshape(groups, -1, 3, 1)).reshape(len(poses), 3, m)
+    tangents = rotated[..., m:].reshape(len(poses), 3, m)
+    w_obj = w_obj[None].repeat(groups, axis=0).reshape(len(poses), -1)
 
     occ = classify_occlusions(rotations, translations, source_radius)
     near_contact = points[:, 2].min(axis=1) < MIN_SURFACE_CLEARANCE
@@ -225,7 +242,9 @@ def _block_values(poses, source_radius, nodes, circle, unit, area):
     values = np.zeros(len(poses))
     common = ~(occ.partial | occ.complete | degenerate)
     if np.count_nonzero(common):
-        values[common] = _pair_values(points[common], tangents[common], circle, w_obj, w_src)
+        values[common] = _pair_values(
+            points[common], tangents[common], circle, w_obj[common], w_src
+        )
 
     partial = occ.partial & ~degenerate
     if np.count_nonzero(partial):
@@ -237,11 +256,12 @@ def _block_values(poses, source_radius, nodes, circle, unit, area):
         end_x, end_y = rc[:, -1:], rs[:, -1:]
         edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
         chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
-        pts, tans = points[partial], tangents[partial]
-        arc_total = _pair_values(pts, tans, arc, w_obj, w_src)
-        values[partial] = arc_total + _pair_values(pts, tans, chord, w_obj, w_src)
+        pts, tans, w = points[partial], tangents[partial], w_obj[partial]
+        arc_total = _pair_values(pts, tans, arc, w, w_src)
+        values[partial] = arc_total + _pair_values(pts, tans, chord, w, w_src)
 
-    values /= -(TWO_PI * area)
+    by_group = values.reshape(groups, -1)  # a view of values
+    by_group /= -(TWO_PI * areas)
     values[occ.complete] = 0.0  # not -0.0
     values[degenerate] = np.nan
     return values, degenerate
@@ -250,47 +270,59 @@ def _block_values(poses, source_radius, nodes, circle, unit, area):
 def vf_batch(
     poses,
     source_radius: float,
-    contour: Contour,
+    contour: Contour | tuple[Contour, ...],
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """View factors F21 of one contour at B poses, with degenerate flags.
+    """View factors F21 of B posed contours, with degenerate flags.
 
     The batched contour-integral kernel behind every view-factor caller.
-    Poses are processed in blocks of about BLOCK_PAIRS quadrature node
-    pairs; each pose's value is computed independently of the others, so
-    it is bitwise identical alone, in any batch, at any block split and in
-    any order. Complete self-obstruction gives exactly 0. Degenerate poses
-    (coplanar with the source, or with the boundary within
-    MIN_SURFACE_CLEARANCE of the source plane) are flagged and get NaN.
+    `contour` is one contour for every pose, or a group of K contours: then
+    row r of `poses` belongs to `contour[r % K]`, so a (G, K, 6) array of G
+    pose groups, reshaped to (G * K, 6), evaluates every contour of the
+    group at each of its G poses in one call. One contour is a group of one.
+
+    Poses are processed in blocks of whole groups, about BLOCK_PAIRS
+    quadrature node pairs each; each pose's value is computed independently
+    of the others, so it is bitwise identical alone, in any batch or group,
+    at any block split and in any order. Complete self-obstruction gives
+    exactly 0. Degenerate poses (coplanar with the source, or with the
+    boundary within MIN_SURFACE_CLEARANCE of the source plane) are flagged
+    and get NaN.
 
     Args:
-        poses: (B, 6) array of [p1, p2, p3, theta_x, theta_y, theta_z].
+        poses: (B, 6) array of [p1, p2, p3, theta_x, theta_y, theta_z]; B
+            a multiple of the group size K.
 
     Returns:
         (values, degenerate): float and bool arrays of shape (B,).
 
     Raises:
-        ValueError: Malformed or non-finite poses, non-positive radius.
+        ValueError: Malformed or non-finite poses, a row count that is not
+            a multiple of K, non-positive radius.
     """
+    contours = contour if isinstance(contour, tuple) else (contour,)
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 2 or poses.shape[1] != 6:
         raise ValueError(f"poses must have shape (B, 6), got {poses.shape}")
+    if not contours or len(poses) % len(contours):
+        raise ValueError(
+            f"{len(poses)} poses do not split into groups of {len(contours)} contours"
+        )
     if not np.isfinite(poses).all():
         raise ValueError("pose coordinates must be finite")
     if not source_radius > 0.0:
         raise ValueError("source_radius must be positive")
     n = spec.n_per_dim
-    nodes = _object_nodes(contour, n)
+    nodes = _object_nodes(contours, n)
     circle = _source_circle(source_radius, n)
     unit = _unit_nodes(n)
-    area = contour.area
-    per_block = max(1, BLOCK_PAIRS // (n + 1) ** 2)
+    per_block = len(contours) * max(1, BLOCK_PAIRS // (len(contours) * (n + 1) ** 2))
     values = np.empty(len(poses))
     degenerate = np.empty(len(poses), dtype=bool)
     for lo in range(0, len(poses), per_block):
         block = slice(lo, lo + per_block)
         values[block], degenerate[block] = _block_values(
-            poses[block], source_radius, nodes, circle, unit, area
+            poses[block], source_radius, nodes, circle, unit
         )
     return values, degenerate
 

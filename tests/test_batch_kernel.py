@@ -1,6 +1,8 @@
 """The batched view-factor kernel against the per-pose contour integral it
-replaced, plus the batched callers: feasibility search and the simulator's
-evaluation count."""
+replaced, contour groups against single-contour calls, plus the batched
+callers: gradients, feasibility search and the simulator's evaluation and
+kernel-call counts."""
+import dataclasses
 import math
 from unittest import mock
 
@@ -32,6 +34,7 @@ from thermoservo import (
     run_simulation,
     steady_state_temperature,
     view_factor_gradient,
+    view_factor_gradients,
 )
 from thermoservo import feasibility as feasibility_module
 from thermoservo import simulator as simulator_module
@@ -306,6 +309,72 @@ class TestInputChecks:
 
 
 # ---------------------------------------------------------------------------
+# Contour groups: one call for K contours, each pose as in a single-contour call
+# ---------------------------------------------------------------------------
+
+GROUP_CONTOURS = (CONTOURS["circle"], CONTOURS["fourier"], CircleContour(0.02))
+
+
+@st.composite
+def pose_groups(draw):
+    """(contours, n, poses): a mixed group of K contours and G * K poses,
+    row r belonging to contour r % K."""
+    members = draw(st.lists(st.sampled_from(range(len(GROUP_CONTOURS))), min_size=1, max_size=4))
+    n = draw(st.sampled_from((16, 64)))
+    rows = draw(st.integers(1, 4)) * len(members)
+    poses = draw(st.lists(any_pose, min_size=rows, max_size=rows))
+    return tuple(GROUP_CONTOURS[m] for m in members), n, as_array(poses)
+
+
+def assert_group_matches_single_calls(contours, n, poses):
+    spec = QuadratureSpec(n)
+    values, degenerate = vf_batch(poses, SOURCE_RADIUS, contours, spec)
+    k_obj = len(contours)
+    for k, contour in enumerate(contours):
+        alone, alone_deg = vf_batch(poses[k::k_obj], SOURCE_RADIUS, contour, spec)
+        assert values[k::k_obj].tobytes() == alone.tobytes()
+        assert np.array_equal(degenerate[k::k_obj], alone_deg)
+
+
+@given(group=pose_groups())
+@settings(max_examples=60, deadline=None)
+def test_group_matches_single_contour_calls_bitwise(group):
+    assert_group_matches_single_calls(*group)
+
+
+@given(group=pose_groups(), slack=st.sampled_from((-1, 0, 1)))
+@settings(max_examples=30, deadline=None)
+def test_group_matches_single_contour_calls_when_a_group_barely_fits_a_block(group, slack):
+    contours, n, poses = group
+    # One group's node pairs, give or take one: blocks of one group each,
+    # and a budget too small for one group, which still takes whole groups.
+    budget = len(contours) * (n + 1) ** 2 + slack
+    with mock.patch.object(viewfactor_module, "BLOCK_PAIRS", budget):
+        assert_group_matches_single_calls(contours, n, poses)
+
+
+def test_group_rejects_rows_not_a_multiple_of_its_size():
+    poses = np.array([[0.0, 0.0, 0.05, 0.0, 0.0, 0.0]] * 4)
+    with pytest.raises(ValueError):
+        vf_batch(poses, SOURCE_RADIUS, GROUP_CONTOURS, QuadratureSpec(16))
+    with pytest.raises(ValueError):
+        vf_batch(poses, SOURCE_RADIUS, (), QuadratureSpec(16))
+
+
+def test_equal_contours_share_one_cache_entry(monkeypatch):
+    monkeypatch.setattr(viewfactor_module, "_NODE_CACHE", {})
+    poses = np.array([[0.0, 0.0, 0.05, 0.0, 0.0, 0.0]] * 2)
+    spec = QuadratureSpec(16)
+    first = vf_batch(poses, SOURCE_RADIUS, (CircleContour(0.015), CONTOURS["fourier"]), spec)
+    entries = len(viewfactor_module._NODE_CACHE)
+    twin = fourier_fit(star_polyline(0.018, BUNNY_BUMPS), 5)
+    assert twin is not CONTOURS["fourier"]
+    second = vf_batch(poses, SOURCE_RADIUS, (CircleContour(0.015), twin), spec)
+    assert len(viewfactor_module._NODE_CACHE) == entries
+    assert first[0].tobytes() == second[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Gradient: one batched call, backward fallback for degenerate forward poses
 # ---------------------------------------------------------------------------
 
@@ -358,6 +427,47 @@ def test_gradient_raises_when_both_sides_degenerate():
         view_factor_gradient(level, SOURCE_RADIUS, contour, spec, indices=(3,))
     with pytest.raises(DegeneratePoseError):
         view_factor_gradient(Pose(0.0, 0.0, 0.0), SOURCE_RADIUS, contour, spec)
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+def test_batched_gradients_equal_stacked_single_gradients(with_base):
+    spec = QuadratureSpec(16)
+    # The second object's forward theta_x pose is degenerate: it falls back.
+    objects = [
+        (Pose(0.01, -0.02, 0.05, 0.2, -0.1, 0.4), CONTOURS["circle"]),
+        (tilted_near_contact(3e-7), CONTOURS["circle"]),
+        (Pose(0.0, 0.0, 0.03, 1.0, 0.0, 0.0), CONTOURS["fourier"]),
+    ]
+    poses = as_array([pose for pose, _ in objects])
+    contours = tuple(contour for _, contour in objects)
+    indices = (0, 2, 3, 5)
+    bases = [_general_value(pose, SOURCE_RADIUS, c, spec) for pose, c in objects]
+    batched = view_factor_gradients(
+        poses, SOURCE_RADIUS, contours, spec, indices=indices,
+        base_values=bases if with_base else None,
+    )
+    stacked = np.array([
+        view_factor_gradient(
+            pose, SOURCE_RADIUS, c, spec, indices=indices,
+            base_value=base if with_base else None,
+        )
+        for (pose, c), base in zip(objects, bases)
+    ])
+    assert batched.tobytes() == stacked.tobytes()
+    backward = objects[1][0].perturbed(3, -DEFAULT_ROTATION_STEP)
+    f_bwd = _general_value(backward, SOURCE_RADIUS, contours[1], spec)
+    assert batched[1, 3] == (bases[1] - f_bwd) / DEFAULT_ROTATION_STEP
+
+
+def test_batched_gradients_raise_when_both_sides_degenerate():
+    contour, spec = CONTOURS["circle"], QuadratureSpec(16)
+    level = Pose(0.0, 0.0, MIN_SURFACE_CLEARANCE + 3e-7)
+    poses = as_array([Pose(0.01, 0.0, 0.05), level])
+    with pytest.raises(DegeneratePoseError, match="coordinate 3"):
+        view_factor_gradients(poses, SOURCE_RADIUS, (contour, contour), spec, indices=(2, 3))
+    with pytest.raises(DegeneratePoseError):
+        view_factor_gradients(as_array([Pose(0.01, 0.0, 0.05), Pose(0.0, 0.0, 0.0)]),
+                              SOURCE_RADIUS, (contour, contour), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -521,3 +631,58 @@ def test_moving_source_evaluates_both_plant_ends(monkeypatch):
     assert all(start != end for start, end in ends)
     assert_logged_view_factors_are_fresh(log, scenario)
 
+
+def kernel_calls_per_tick(monkeypatch, scenario):
+    """Kernel calls between consecutive plant steps of object 1."""
+    calls, marks = [0], []
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return vf_batch(*args, **kwargs)
+
+    integrate = simulator_module.integrate_thermal
+
+    def plant(*args, **kwargs):
+        marks.append(calls[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "vf_batch", counting)
+    monkeypatch.setattr("thermoservo.interaction.vf_batch", counting)
+    monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
+    run_simulation(scenario)
+    return np.diff(marks[:: len(scenario.objects)])
+
+
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("n_objects", [1, 3])
+def test_one_gradient_and_one_plant_call_per_tick(monkeypatch, n_objects, moving):
+    schedule = SourceSchedule(
+        times=np.array([0.0, 40.0]), centers=np.array([[0.0, 0.0, 0.0], [0.02, 0.0, 0.0]])
+    )
+    scenario = sheet_scenario(n_objects, schedule if moving else None)
+    per_tick = kernel_calls_per_tick(monkeypatch, scenario)
+    # Ticks 1-8 only step the plant; from tick 9 on, the estimator window is
+    # full and each tick adds one gradient call.
+    assert np.all(per_tick[:8] == 1)
+    assert np.all(per_tick[8:] == 2)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_degenerate_pose_names_the_object_that_touches(moving):
+    """Object 2 alone reaches the source plane; the error names it."""
+    scenario = sheet_scenario(3)
+    # The end effector starts 8 cm above the source. Object 2 hangs 1 cm
+    # below the others and meets the rising source at 7 s, or 8 cm below
+    # them and touches the static source from the start.
+    drop = 0.01 if moving else 0.08
+    schedule = SourceSchedule(
+        times=np.array([0.0, 10.0]), centers=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.1]])
+    )
+    objects = list(scenario.objects)
+    lowered = objects[1].displacement - [0.0, 0.0, drop]
+    objects[1] = dataclasses.replace(objects[1], displacement=lowered)
+    scenario = dataclasses.replace(
+        scenario, objects=tuple(objects), source_schedule=schedule if moving else None
+    )
+    with pytest.raises(DegeneratePoseError, match="^object 2 touches"):
+        run_simulation(scenario)
