@@ -2,7 +2,9 @@
 
 Subcommands: simulate, viewfactor, isosurface, feasibility, estimate-bench.
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 workspace violation,
-4 numerical failure.
+4 numerical failure. A simulation that ends early still writes the log of
+the ticks it finished: its termination reason gives exit 3 for
+workspace_violation and 4 for degenerate_pose or thermal_divergence.
 """
 from __future__ import annotations
 
@@ -62,22 +64,34 @@ def _object_contour(args):
     return CircleContour(cm_to_m(args.object_radius_cm))
 
 
+_TERMINATION_EXIT = {
+    "completed": EXIT_OK,
+    "workspace_violation": EXIT_WORKSPACE_VIOLATION,
+    "degenerate_pose": EXIT_NUMERICAL_FAILURE,
+    "thermal_divergence": EXIT_NUMERICAL_FAILURE,
+}
+
+
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     log = run_simulation(scenario)
     log.to_csv(args.out)
-    last = log.rows[-1]
-    t_end = last[log.columns.index("time_s")]
-    errors = [
-        abs(last[log.columns.index(f"dtau_K_{i + 1}")])
-        for i in range(scenario.n_objects)
-    ]
-    print(f"simulated {t_end:.9g} s, log written to {args.out}")
-    print("final |dtau| per object [K]: " + ", ".join(f"{e:.3f}" for e in errors))
-    if log.violation:
-        print("workspace violation: run terminated early", file=sys.stderr)
-        return EXIT_WORKSPACE_VIOLATION
-    return EXIT_OK
+    if len(log.rows):
+        last = log.rows[-1]
+        t_end = last[log.columns.index("time_s")]
+        errors = [
+            abs(last[log.columns.index(f"dtau_K_{i + 1}")])
+            for i in range(scenario.n_objects)
+        ]
+        print(f"simulated {t_end:.9g} s, log written to {args.out}")
+        print("final |dtau| per object [K]: " + ", ".join(f"{e:.3f}" for e in errors))
+    if log.termination != "completed":
+        print(
+            f"{log.termination}: run terminated early ({log.detail}); "
+            f"{len(log.rows)} ticks written to {args.out}",
+            file=sys.stderr,
+        )
+    return _TERMINATION_EXIT[log.termination]
 
 
 def _cmd_viewfactor(args) -> int:

@@ -101,11 +101,7 @@ def view_factor_gradients(
     """
     poses = np.asarray(poses, dtype=float)
     contours = tuple(contours)
-    idx = np.asarray(indices, dtype=int)
-    steps = np.where(idx < 3, translation_step, rotation_step)
-    # forward[d, k] is object k's pose with coordinate idx[d] stepped.
-    forward = np.repeat(poses[None], len(idx), axis=0)
-    forward[np.arange(len(idx)), :, idx] += steps[:, None]
+    forward, steps = _forward_poses(poses, indices, translation_step, rotation_step)
     # One kernel call for the base poses (if needed) and every forward pose.
     batch = forward if base_values is not None else np.concatenate([poses[None], forward])
     values, degenerate = vf_batch(batch.reshape(-1, 6), source_radius, contours, spec)
@@ -115,9 +111,49 @@ def view_factor_gradients(
         if degenerate[0].any():
             k = int(np.argmax(degenerate[0]))
             raise DegeneratePoseError(f"base pose in row {k} is degenerate")
-        f0, values, degenerate = values[0], values[1:], degenerate[1:]
-    else:
-        f0 = np.asarray(base_values, dtype=float)
+        base_values, values, degenerate = values[0], values[1:], degenerate[1:]
+    return _finite_differences(
+        poses, base_values, values, degenerate, indices, steps, source_radius, contours, spec
+    )
+
+
+def _forward_poses(
+    poses: np.ndarray, indices, translation_step: float, rotation_step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-difference poses of K objects and their steps.
+
+    Returns:
+        (forward, steps): forward[d, k] is poses[k] with coordinate
+        indices[d] stepped by steps[d]; shapes (D, K, 6) and (D,).
+    """
+    idx = np.asarray(indices, dtype=int)
+    steps = np.where(idx < 3, translation_step, rotation_step)
+    forward = np.repeat(poses[None], len(idx), axis=0)
+    forward[np.arange(len(idx)), :, idx] += steps[:, None]
+    return forward, steps
+
+
+def _finite_differences(
+    poses: np.ndarray,
+    base_values,
+    values: np.ndarray,
+    degenerate: np.ndarray,
+    indices,
+    steps: np.ndarray,
+    source_radius: float,
+    contours: tuple,
+    spec: QuadratureSpec,
+) -> np.ndarray:
+    """(K, 6) gradients from the kernel's values and degenerate flags at the
+    `_forward_poses` poses, both (D, K). A degenerate forward pose falls
+    back to a backward difference from `base_values`, F21 at `poses`.
+
+    Raises:
+        DegeneratePoseError: Both one-sided differences of a component
+            degenerate.
+    """
+    idx = np.asarray(indices, dtype=int)
+    f0 = np.asarray(base_values, dtype=float)
     grads = np.zeros((len(contours), 6))
     grads[:, idx] = ((values - f0) / steps[:, None]).T
     for k, d in zip(*np.nonzero(degenerate.T)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import yaml
@@ -27,13 +28,19 @@ from .control import (
     adaptive_update,
     model_based_control,
 )
-from .estimation import SampleWindow
+from .estimation import WINDOW_SIZE, SampleWindow
 from .feasibility import write_csv
 from .geometry import CircleContour, Contour, DegeneratePoseError, Pose, fourier_fit
-from .interaction import view_factor_gradients
+from .interaction import (
+    DEFAULT_ROTATION_STEP,
+    DEFAULT_TRANSLATION_STEP,
+    _finite_differences,
+    _forward_poses,
+)
 from .thermal import (
     Environment,
     LambdaParams,
+    ThermalDivergenceError,
     ThermalState,
     ThermoParams,
     integrate_thermal,
@@ -221,11 +228,23 @@ class RunLog:
     dtau_K, F21, a1_hat, a2_hat; then u_1..u_dof (m/s, rad/s), pose
     (p1_m, p2_m, p3_m, theta_x, theta_y, theta_z), lyapunov, clamped.
     Temperatures are logged in Celsius; everything else is SI.
+
+    `termination` says why the run ended and `detail` describes any reason
+    but "completed". A run that ends early keeps the rows of every tick it
+    finished.
     """
 
     columns: list[str]
     rows: np.ndarray
-    violation: bool = False
+    termination: Literal[
+        "completed", "workspace_violation", "degenerate_pose", "thermal_divergence"
+    ] = "completed"
+    detail: str = ""
+
+    @property
+    def violation(self) -> bool:
+        """The pose left the workspace box."""
+        return self.termination == "workspace_violation"
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
@@ -277,8 +296,14 @@ def run_simulation(scenario: Scenario) -> RunLog:
     the pose over one period, then integrate the thermal plant across the
     period. The robot holds still until the estimator window has 10 samples.
 
-    Returns a partial log with the violation flag set if the pose leaves
-    the configured workspace box.
+    Each plant step makes one view-factor kernel call. It evaluates the
+    period's ends and, when the next tick will have an estimate, the
+    forward-difference poses of that tick's gradient: the period's end pose
+    is the next tick's pose.
+
+    A run that leaves the configured workspace box, reaches a degenerate
+    pose or whose temperature diverges ends early. Its log keeps the rows
+    of the finished ticks and names the reason in `termination`.
     """
     n_obj = scenario.n_objects
     dof = scenario.dof
@@ -314,141 +339,165 @@ def run_simulation(scenario: Scenario) -> RunLog:
             src[:, 0, :3] = [schedule.position(tt) for tt in times]
         return x + offsets - src
 
-    def view_factors(rel: np.ndarray) -> np.ndarray:
-        """F21 of every object at the poses `object_poses` returned, from
-        one kernel call over the (times x objects) pose groups."""
+    def view_factors(rel: np.ndarray, forward: np.ndarray | None = None):
+        """F21 of every object at the poses `object_poses` returned, plus
+        the kernel's values and degenerate flags at the (D, n_obj, 6)
+        forward-difference poses `forward`, from one kernel call. Only a
+        degenerate pose in `rel` raises."""
+        batch = rel if forward is None else np.concatenate([rel, forward])
         values, degenerate = vf_batch(
-            rel.reshape(-1, 6), scenario.source_radius, contours, scenario.quadrature
+            batch.reshape(-1, 6), scenario.source_radius, contours, scenario.quadrature
         )
-        if degenerate.any():
+        values = values.reshape(batch.shape[:2])
+        degenerate = degenerate.reshape(batch.shape[:2])
+        n_times = len(rel)
+        if degenerate[:n_times].any():
             # The first object with any degenerate pose, whatever the time.
-            i = int(np.argmax(degenerate.reshape(rel.shape[:2]).any(axis=0)))
+            i = int(np.argmax(degenerate[:n_times].any(axis=0)))
             raise DegeneratePoseError(
                 f"object {i + 1} touches the source plane at pose {Pose.from_vector(x)}"
             )
-        return values.reshape(rel.shape[:2])
+        return values[:n_times], values[n_times:], degenerate[n_times:]
 
     columns = _log_columns(scenario)
     rows = np.full((n_ticks + 1, len(columns)), np.nan)
     # Per-object columns of every row, (ticks, n_obj, 8), in _log_columns order.
     object_rows = rows[:, 1 : 1 + 8 * n_obj].reshape(n_ticks + 1, n_obj, 8)
-    violation = False
-    # Relative poses and F21 at the current pose and time; each plant step
-    # below leaves their values at the next tick's pose and time here.
-    rel_now = object_poses((0.0,))[0]
-    f_now = view_factors(rel_now[None])[0]
+    logged = 0  # rows of finished ticks
+    termination, detail = "completed", ""
+    try:
+        # Relative poses and F21 at the current pose and time, and the
+        # kernel's values and flags at the current gradient's forward poses;
+        # each plant step below leaves them at the next tick's pose and time.
+        rel_now = object_poses((0.0,))[0]
+        f_now = view_factors(rel_now[None])[0][0]
+        f_forward = forward_degenerate = steps = None
 
-    for tick in range(n_ticks + 1):
-        t = tick * period
-        measured = temps + rng.uniform(
-            -scenario.sensor.noise_amplitude, scenario.sensor.noise_amplitude, n_obj
-        )
-        estimate = window.push_and_estimate(t, measured)
-
-        u = np.zeros(dof)
-        lyap = np.nan
-        clamped = False
-        t_hat = v_hat = dtau = np.full(n_obj, np.nan)
-        if estimate is not None:
-            t_hat, v_hat = estimate
-            dtau = t_hat - targets
-            t_cubed = t_hat**3
-            grads = view_factor_gradients(
-                rel_now,
-                scenario.source_radius,
-                contours,
-                scenario.quadrature,
-                indices=dof_indices,
-                base_values=f_now,
-            )[:, :dof]
-            if adaptive:
-                output = adaptive_control(
-                    grads,
-                    v_hat,
-                    dtau,
-                    t_cubed,
-                    adaptive_state,
-                    scenario.gains,
-                    scenario.pinv_damping,
-                    scenario.limits,
-                )
-                da1, da2 = adaptive_update(
-                    v_hat, output.zeta, t_cubed, scenario.gains, period
-                )
-                lyap = adaptive_lyapunov(
-                    output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
-                )
-                adaptive_state = AdaptiveState(
-                    adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
-                )
-            else:
-                output = model_based_control(
-                    lambda1s[:, None] * grads,
-                    v_hat,
-                    dtau,
-                    t_cubed,
-                    lambda2s,
-                    scenario.gains,
-                    scenario.pinv_damping,
-                    scenario.limits,
-                )
-                lyap = output.lyapunov
-            u, clamped = output.u, output.clamped
-
-        rows[tick, 0] = t
-        obj_row = object_rows[tick]
-        obj_row[:, 0] = kelvin_to_celsius(temps)
-        obj_row[:, 1] = kelvin_to_celsius(measured)
-        obj_row[:, 2] = kelvin_to_celsius(t_hat)
-        obj_row[:, 3] = v_hat
-        obj_row[:, 4] = dtau
-        obj_row[:, 5] = f_now
-        if adaptive:
-            obj_row[:, 6] = adaptive_state.a1_hat
-            obj_row[:, 7] = adaptive_state.a2_hat
-        rows[tick, 1 + 8 * n_obj :] = (*u, *x, lyap, 1.0 if clamped else 0.0)
-
-        if tick == n_ticks:
-            break
-
-        # Position-stepping robot: apply the commanded velocity for one period.
-        # In clip mode the driver saturates steps at its range limits (what a
-        # real position controller does); in terminate mode leaving the box
-        # ends the run with the violation flag.
-        x[:dof] += u * period
-        if scenario.boundary_mode == "clip":
-            x[:3] = scenario.workspace.clip(x[:3])
-        pose = Pose.from_vector(x)
-        if not scenario.workspace.contains(pose):
-            violation = True
-            rows = rows[: tick + 1]
-            break
-        x = pose.as_vector()
-
-        # Heat at the new pose; for a moving source the view factor is
-        # interpolated linearly across the period. The values at the end of
-        # the period are the next tick's: for a static source the relative
-        # pose does not change over the period.
-        rel = object_poses((t, (tick + 1) * period) if moving_source else (t,))
-        f_ends = view_factors(rel)
-        for i in range(n_obj):
-            f_start, f_end = float(f_ends[0, i]), float(f_ends[-1, i])
-
-            def f_of_time(tt: float, a=f_start, b=f_end, t0=t) -> float:
-                return a + (b - a) * (tt - t0) / period
-
-            _, traj = integrate_thermal(
-                ThermalState(temps[i]),
-                f_of_time,
-                lams[i],
-                period / substeps,
-                substeps,
-                t0=t,
+        for tick in range(n_ticks + 1):
+            t = tick * period
+            measured = temps + rng.uniform(
+                -scenario.sensor.noise_amplitude, scenario.sensor.noise_amplitude, n_obj
             )
-            temps[i] = traj[-1]
-        rel_now, f_now = rel[-1], f_ends[-1]
+            estimate = window.push_and_estimate(t, measured)
 
-    return RunLog(columns=columns, rows=rows, violation=violation)
+            u = np.zeros(dof)
+            lyap = np.nan
+            clamped = False
+            t_hat = v_hat = dtau = np.full(n_obj, np.nan)
+            if estimate is not None:
+                t_hat, v_hat = estimate
+                dtau = t_hat - targets
+                t_cubed = t_hat**3
+                grads = _finite_differences(
+                    rel_now,
+                    f_now,
+                    f_forward,
+                    forward_degenerate,
+                    dof_indices,
+                    steps,
+                    scenario.source_radius,
+                    contours,
+                    scenario.quadrature,
+                )[:, :dof]
+                if adaptive:
+                    output = adaptive_control(
+                        grads,
+                        v_hat,
+                        dtau,
+                        t_cubed,
+                        adaptive_state,
+                        scenario.gains,
+                        scenario.pinv_damping,
+                        scenario.limits,
+                    )
+                    da1, da2 = adaptive_update(
+                        v_hat, output.zeta, t_cubed, scenario.gains, period
+                    )
+                    lyap = adaptive_lyapunov(
+                        output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
+                    )
+                    adaptive_state = AdaptiveState(
+                        adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
+                    )
+                else:
+                    output = model_based_control(
+                        lambda1s[:, None] * grads,
+                        v_hat,
+                        dtau,
+                        t_cubed,
+                        lambda2s,
+                        scenario.gains,
+                        scenario.pinv_damping,
+                        scenario.limits,
+                    )
+                    lyap = output.lyapunov
+                u, clamped = output.u, output.clamped
+
+            rows[tick, 0] = t
+            obj_row = object_rows[tick]
+            obj_row[:, 0] = kelvin_to_celsius(temps)
+            obj_row[:, 1] = kelvin_to_celsius(measured)
+            obj_row[:, 2] = kelvin_to_celsius(t_hat)
+            obj_row[:, 3] = v_hat
+            obj_row[:, 4] = dtau
+            obj_row[:, 5] = f_now
+            if adaptive:
+                obj_row[:, 6] = adaptive_state.a1_hat
+                obj_row[:, 7] = adaptive_state.a2_hat
+            rows[tick, 1 + 8 * n_obj :] = (*u, *x, lyap, 1.0 if clamped else 0.0)
+            logged = tick + 1
+
+            if tick == n_ticks:
+                break
+
+            # Position-stepping robot: apply the commanded velocity for one
+            # period. In clip mode the driver saturates steps at its range
+            # limits (what a real position controller does); in terminate
+            # mode leaving the box ends the run.
+            x[:dof] += u * period
+            if scenario.boundary_mode == "clip":
+                x[:3] = scenario.workspace.clip(x[:3])
+            pose = Pose.from_vector(x)
+            if not scenario.workspace.contains(pose):
+                termination = "workspace_violation"
+                detail = f"pose {pose} left the workspace"
+                break
+            x = pose.as_vector()
+
+            # Heat at the new pose; for a moving source the view factor is
+            # interpolated linearly across the period. The values at the end
+            # of the period are the next tick's: for a static source the
+            # relative pose does not change over the period. If the next tick
+            # has an estimate, its gradient's forward steps from that end
+            # pose go into the same kernel call.
+            rel = object_poses((t, (tick + 1) * period) if moving_source else (t,))
+            forward = None
+            if len(window) >= WINDOW_SIZE - 1:
+                forward, steps = _forward_poses(
+                    rel[-1], dof_indices, DEFAULT_TRANSLATION_STEP, DEFAULT_ROTATION_STEP
+                )
+            f_ends, f_forward, forward_degenerate = view_factors(rel, forward)
+            for i in range(n_obj):
+                f_start, f_end = float(f_ends[0, i]), float(f_ends[-1, i])
+
+                def f_of_time(tt: float, a=f_start, b=f_end, t0=t) -> float:
+                    return a + (b - a) * (tt - t0) / period
+
+                _, traj = integrate_thermal(
+                    ThermalState(temps[i]),
+                    f_of_time,
+                    lams[i],
+                    period / substeps,
+                    substeps,
+                    t0=t,
+                )
+                temps[i] = traj[-1]
+            rel_now, f_now = rel[-1], f_ends[-1]
+    except DegeneratePoseError as exc:
+        termination, detail = "degenerate_pose", str(exc)
+    except ThermalDivergenceError as exc:
+        termination, detail = "thermal_divergence", str(exc)
+    return RunLog(columns, rows[:logged], termination, detail)
 
 
 # ---------------------------------------------------------------------------

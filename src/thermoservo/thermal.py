@@ -175,24 +175,25 @@ def integrate_thermal(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    def rate(f21: float, temp_k: float) -> float:
-        # stage evaluations may transiently leave the physical range; the
-        # per-step divergence check below rejects such trajectories
-        return lam.lambda1 * f21 - lam.lambda2 * temp_k**4 + lam.lambda3
-
     times = t0 + dt * np.arange(steps + 1)
     temps = np.empty(steps + 1)
     temp = temps[0] = float(state.temperature)
+    l1, l2, l3 = lam.lambda1, lam.lambda2, lam.lambda3
+    half, sixth = 0.5 * dt, dt / 6.0
     # Stages run on Python floats, which are several times cheaper than numpy
-    # scalars here; t equals times[k] bitwise.
+    # scalars here; t equals times[k] bitwise. Each stage is the rate
+    # l1*F21 - l2*T^4 + l3 in that operation order; stage evaluations may
+    # transiently leave the physical range, and the per-step divergence check
+    # below rejects such trajectories.
     for k in range(steps):
         t = t0 + dt * k
         try:
-            k1 = rate(f21_of_t(t), temp)
-            k2 = rate(f21_of_t(t + 0.5 * dt), temp + 0.5 * dt * k1)
-            k3 = rate(f21_of_t(t + 0.5 * dt), temp + 0.5 * dt * k2)
-            k4 = rate(f21_of_t(t + dt), temp + dt * k3)
-            temp = float(temp + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            k1 = l1 * f21_of_t(t) - l2 * temp**4 + l3
+            f_mid = f21_of_t(t + half)
+            k2 = l1 * f_mid - l2 * (temp + half * k1) ** 4 + l3
+            k3 = l1 * f_mid - l2 * (temp + half * k2) ** 4 + l3
+            k4 = l1 * f21_of_t(t + dt) - l2 * (temp + dt * k3) ** 4 + l3
+            temp = float(temp + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         except OverflowError:
             temp = math.inf
         if not math.isfinite(temp) or temp <= 0.0:

@@ -567,20 +567,18 @@ def sheet_scenario(n_objects, schedule=None, duration=40.0):
     )
 
 
-def evaluations_per_tick(monkeypatch, scenario):
-    """Poses evaluated between consecutive plant steps of object 1, and the
-    (start, end) view factors each plant step of object 1 saw."""
-    count = [0]
-    marks, ends = [], []
+def poses_per_call(monkeypatch, scenario):
+    """Poses in each kernel call of a run, and the (start, end) view
+    factors each plant step of object 1 saw."""
+    sizes, ends = [], []
 
     def counting(poses, *args, **kwargs):
-        count[0] += len(poses)
+        sizes.append(len(poses))
         return vf_batch(poses, *args, **kwargs)
 
     integrate = simulator_module.integrate_thermal
 
     def plant(state, f_of_time, lam, dt, steps, t0=0.0):
-        marks.append(count[0])
         ends.append((f_of_time(t0), f_of_time(t0 + dt * steps)))
         return integrate(state, f_of_time, lam, dt, steps, t0=t0)
 
@@ -588,9 +586,7 @@ def evaluations_per_tick(monkeypatch, scenario):
     monkeypatch.setattr("thermoservo.interaction.vf_batch", counting)
     monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
     log = run_simulation(scenario)
-    n_obj = len(scenario.objects)
-    first_object = np.array(marks[::n_obj])
-    return np.diff(first_object), ends[::n_obj], log
+    return np.array(sizes), ends[:: len(scenario.objects)], log
 
 
 def assert_logged_view_factors_are_fresh(log, scenario):
@@ -611,13 +607,28 @@ def assert_logged_view_factors_are_fresh(log, scenario):
         assert np.array_equal(log.column(f"F21_{i + 1}"), fresh)
 
 
+# The estimator window fills at the 10th sample, tick 9. Kernel call 0
+# evaluates the start pose and call j the plant step of tick j - 1; from
+# call 9 on, the next tick has an estimate and its gradient's 3 forward
+# poses per object join the call.
+GRADIENT_CALLS = slice(9, None)
+
+
+def assert_poses_per_run_unchanged(per_call, scenario, n_times):
+    """One evaluation per object at the start, n_times per object per plant
+    step and 3 forward poses per object per tick with an estimate."""
+    n_obj, n_ticks = scenario.n_objects, scenario.n_ticks
+    assert per_call.sum() == n_obj * (1 + n_times * n_ticks + 3 * (n_ticks - 8))
+
+
 @pytest.mark.parametrize("n_objects", [1, 3])
 def test_static_source_evaluates_four_per_object_per_tick(monkeypatch, n_objects):
     scenario = sheet_scenario(n_objects)
-    per_tick, _, log = evaluations_per_tick(monkeypatch, scenario)
-    # The estimator windows fill at the 10th sample (tick index 9).
-    assert np.all(per_tick[:8] == n_objects)
-    assert np.all(per_tick[9:] == 4 * n_objects)
+    per_call, _, log = poses_per_call(monkeypatch, scenario)
+    assert len(per_call) == scenario.n_ticks + 1
+    assert np.all(per_call[:9] == n_objects)
+    assert np.all(per_call[GRADIENT_CALLS] == 4 * n_objects)
+    assert_poses_per_run_unchanged(per_call, scenario, 1)
     assert_logged_view_factors_are_fresh(log, scenario)
 
 
@@ -626,14 +637,17 @@ def test_moving_source_evaluates_both_plant_ends(monkeypatch):
         times=np.array([0.0, 40.0]), centers=np.array([[0.0, 0.0, 0.0], [0.02, 0.0, 0.0]])
     )
     scenario = sheet_scenario(3, schedule)
-    per_tick, ends, log = evaluations_per_tick(monkeypatch, scenario)
-    assert np.all(per_tick[9:] == 5 * 3)
+    per_call, ends, log = poses_per_call(monkeypatch, scenario)
+    assert per_call[0] == 3 and np.all(per_call[1:9] == 2 * 3)
+    assert np.all(per_call[GRADIENT_CALLS] == 5 * 3)
+    assert_poses_per_run_unchanged(per_call, scenario, 2)
     assert all(start != end for start, end in ends)
     assert_logged_view_factors_are_fresh(log, scenario)
 
 
 def kernel_calls_per_tick(monkeypatch, scenario):
-    """Kernel calls between consecutive plant steps of object 1."""
+    """Kernel calls between consecutive plant steps of object 1, and all
+    kernel calls of the run."""
     calls, marks = [0], []
 
     def counting(*args, **kwargs):
@@ -650,26 +664,29 @@ def kernel_calls_per_tick(monkeypatch, scenario):
     monkeypatch.setattr("thermoservo.interaction.vf_batch", counting)
     monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
     run_simulation(scenario)
-    return np.diff(marks[:: len(scenario.objects)])
+    return np.diff(marks[:: len(scenario.objects)]), calls[0]
+
+
+MOVING_SCHEDULE = SourceSchedule(
+    times=np.array([0.0, 40.0]), centers=np.array([[0.0, 0.0, 0.0], [0.02, 0.0, 0.0]])
+)
 
 
 @pytest.mark.parametrize("moving", [False, True])
 @pytest.mark.parametrize("n_objects", [1, 3])
 def test_one_gradient_and_one_plant_call_per_tick(monkeypatch, n_objects, moving):
-    schedule = SourceSchedule(
-        times=np.array([0.0, 40.0]), centers=np.array([[0.0, 0.0, 0.0], [0.02, 0.0, 0.0]])
-    )
-    scenario = sheet_scenario(n_objects, schedule if moving else None)
-    per_tick = kernel_calls_per_tick(monkeypatch, scenario)
-    # Ticks 1-8 only step the plant; from tick 9 on, the estimator window is
-    # full and each tick adds one gradient call.
-    assert np.all(per_tick[:8] == 1)
-    assert np.all(per_tick[8:] == 2)
+    """The plant ends and the next tick's gradient steps share one kernel
+    call: exactly one call per tick, whatever the object count."""
+    scenario = sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None)
+    per_tick, total = kernel_calls_per_tick(monkeypatch, scenario)
+    assert np.all(per_tick == 1)
+    assert total == scenario.n_ticks + 1
 
 
 @pytest.mark.parametrize("moving", [False, True])
 def test_degenerate_pose_names_the_object_that_touches(moving):
-    """Object 2 alone reaches the source plane; the error names it."""
+    """Object 2 alone reaches the source plane; the run ends with the
+    degenerate_pose reason naming it and keeps the ticks it finished."""
     scenario = sheet_scenario(3)
     # The end effector starts 8 cm above the source. Object 2 hangs 1 cm
     # below the others and meets the rising source at 7 s, or 8 cm below
@@ -684,5 +701,141 @@ def test_degenerate_pose_names_the_object_that_touches(moving):
     scenario = dataclasses.replace(
         scenario, objects=tuple(objects), source_schedule=schedule if moving else None
     )
-    with pytest.raises(DegeneratePoseError, match="^object 2 touches"):
-        run_simulation(scenario)
+    log = run_simulation(scenario)
+    assert log.termination == "degenerate_pose"
+    assert log.detail.startswith("object 2 touches")
+    assert not log.violation
+    # The plant step from 6 s to 7 s ends at the contact; ticks 0-6 are kept.
+    assert len(log.rows) == (7 if moving else 0)
+    if moving:
+        full = run_simulation(dataclasses.replace(scenario, duration=6.0))
+        assert np.array_equal(log.rows, full.rows, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Simulator: the carried gradient steps against view_factor_gradients
+# ---------------------------------------------------------------------------
+
+
+def received_gradients(monkeypatch, scenario):
+    """The matrix each control-law call received, in tick order."""
+    received = []
+    for name in ("adaptive_control", "model_based_control"):
+        law = getattr(simulator_module, name)
+
+        def recording(matrix, *args, law=law):
+            received.append(matrix.copy())
+            return law(matrix, *args)
+
+        monkeypatch.setattr(simulator_module, name, recording)
+    return received
+
+
+POSE_COLUMNS = ("p1_m", "p2_m", "p3_m", "theta_x", "theta_y", "theta_z")
+
+
+def slow_path_matrix(log, scenario, tick, fallback=None):
+    """`view_factor_gradients` at the logged pose, time and F21 of `tick`,
+    scaled as the scenario's control law receives it. `fallback` = (object,
+    coordinate) replaces that component by its backward difference."""
+    x = np.array([log.column(c)[tick] for c in POSE_COLUMNS])
+    offsets = np.zeros((scenario.n_objects, 6))
+    offsets[:, :3] = [o.displacement for o in scenario.objects]
+    src = np.zeros(6)
+    if scenario.source_schedule is not None:
+        src[:3] = scenario.source_schedule.position(log.column("time_s")[tick])
+    rel = x + offsets - src
+    f_now = np.array([log.column(f"F21_{i + 1}")[tick] for i in range(scenario.n_objects)])
+    contours = tuple(o.contour for o in scenario.objects)
+    dof = scenario.dof
+    grads = view_factor_gradients(
+        rel, SOURCE_RADIUS, contours, scenario.quadrature,
+        indices=tuple(range(dof)), base_values=f_now,
+    )
+    if fallback is not None:
+        k, i = fallback
+        h = DEFAULT_TRANSLATION_STEP if i < 3 else DEFAULT_ROTATION_STEP
+        backward = rel[k].copy()
+        backward[i] -= h
+        f_bwd = _general_value(
+            Pose.from_vector(backward), SOURCE_RADIUS, contours[k], scenario.quadrature
+        )
+        grads[k, i] = (f_now[k] - f_bwd) / h
+    grads = grads[:, :dof]
+    if scenario.controller == "adaptive":
+        return grads
+    env = scenario.environment
+    lambda1s = np.array([lambdas(o.material, env).lambda1 for o in scenario.objects])
+    return lambda1s[:, None] * grads
+
+
+@pytest.mark.parametrize("controller", ["model_based", "adaptive"])
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("n_objects", [1, 3])
+def test_carried_gradients_equal_view_factor_gradients(monkeypatch, n_objects, moving, controller):
+    scenario = dataclasses.replace(
+        sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None), controller=controller
+    )
+    received = received_gradients(monkeypatch, scenario)
+    log = run_simulation(scenario)
+    assert log.termination == "completed"
+    ticks = range(9, len(log.rows))
+    assert len(received) == len(ticks)
+    for tick, matrix in zip(ticks, received):
+        assert matrix.tobytes() == slow_path_matrix(log, scenario, tick).tobytes()
+
+
+@pytest.mark.parametrize("forced_call", [9, 20])
+def test_degenerate_forward_row_falls_back_at_the_tick_that_uses_it(monkeypatch, forced_call):
+    """A forward row flagged degenerate in kernel call j does not end the
+    run; tick j, which uses it, takes the backward difference. Call 9 is the
+    plant step of tick 8, while the estimator window is still filling."""
+    scenario = sheet_scenario(3)
+    obj, coordinate = 2, 2  # object 3, p3
+    calls = [0]
+
+    def forcing(poses, *args, **kwargs):
+        values, degenerate = vf_batch(poses, *args, **kwargs)
+        if calls[0] == forced_call:
+            # One time row per object, then the forward rows per coordinate.
+            row = (1 + coordinate) * scenario.n_objects + obj
+            values, degenerate = values.copy(), degenerate.copy()
+            values[row], degenerate[row] = np.nan, True
+        calls[0] += 1
+        return values, degenerate
+
+    monkeypatch.setattr(simulator_module, "vf_batch", forcing)
+    received = received_gradients(monkeypatch, scenario)
+    log = run_simulation(scenario)
+    assert log.termination == "completed"
+    assert len(log.rows) == scenario.n_ticks + 1
+    for tick, matrix in zip(range(9, len(log.rows)), received):
+        fallback = (obj, coordinate) if tick == forced_call else None
+        expected = slow_path_matrix(log, scenario, tick, fallback)
+        assert matrix.tobytes() == expected.tobytes()
+        if fallback is not None:
+            assert matrix[obj, coordinate] != slow_path_matrix(log, scenario, tick)[obj, coordinate]
+
+
+def test_thermal_divergence_keeps_the_finished_ticks(monkeypatch):
+    """A plant step that diverges ends the run with thermal_divergence; the
+    log keeps every tick up to and including the diverging step's tick."""
+    scenario = sheet_scenario(1)
+    integrate = simulator_module.integrate_thermal
+    steps_taken = [0]
+
+    def stiff_at_tick_12(state, f_of_time, lam, dt, steps, t0=0.0):
+        # From tick 12 on the step is far beyond RK4's stability limit.
+        steps_taken[0] += 1
+        scale = 1e6 if steps_taken[0] > 12 else 1.0
+        return integrate(state, f_of_time, lam, dt * scale, steps, t0=t0)
+
+    monkeypatch.setattr(simulator_module, "integrate_thermal", stiff_at_tick_12)
+    log = run_simulation(scenario)
+    assert log.termination == "thermal_divergence"
+    assert "temperature diverged" in log.detail
+    assert not log.violation
+    assert len(log.rows) == 13
+    monkeypatch.setattr(simulator_module, "integrate_thermal", integrate)
+    full = run_simulation(scenario)
+    assert np.array_equal(log.rows, full.rows[:13], equal_nan=True)

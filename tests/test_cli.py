@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from thermoservo import cli
+from thermoservo import cli, load_scenario, run_simulation
 from thermoservo.viewfactor import NonFiniteIntegrandError
 
 from conftest import coaxial_disk_view_factor
@@ -20,6 +20,13 @@ def quick_scenario_file(tmp_path):
     path = tmp_path / "quick.yaml"
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+def _csv_lines(log, tmp_path):
+    """The data lines `log` writes."""
+    path = tmp_path / "expected.csv"
+    log.to_csv(path)
+    return path.read_text().splitlines()[1:]
 
 
 class TestViewfactorCommand:
@@ -80,6 +87,46 @@ class TestSimulateCommand:
         path.write_text(yaml.safe_dump(raw))
         code = cli.main(["simulate", str(path), "--out", str(tmp_path / "v.csv")])
         assert code == cli.EXIT_WORKSPACE_VIOLATION
+
+    def test_workspace_violation_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        raw["boundary_mode"] = "terminate"
+        raw["workspace_cm"]["p3"] = [12.0, 45.0]  # dive crosses the floor
+        raw["duration_s"] = 400.0
+        path = tmp_path / "violating.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "v.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_WORKSPACE_VIOLATION
+        log = run_simulation(load_scenario(path))
+        assert log.termination == "workspace_violation"
+        assert 10 < len(log.rows) < 201
+        assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
+        assert "workspace_violation" in capsys.readouterr().err
+
+    def test_degenerate_pose_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
+        # The source rises to 0.5 um below the disk, which starts 15 cm up
+        # and all but holds still: inside the contact clearance from the
+        # end of tick 14's period.
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        raw["controller"]["limits"]["max_translation_m_s"] = 1e-9
+        raw["source"]["waypoints"] = [
+            {"time_s": 0.0, "center_cm": [0.0, 0.0, 0.0]},
+            {"time_s": 30.0, "center_cm": [0.0, 0.0, 14.99995]},
+        ]
+        path = tmp_path / "rising.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "d.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL_FAILURE
+        log = run_simulation(load_scenario(path))
+        assert log.termination == "degenerate_pose"
+        assert len(log.rows) == 15
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("time_s,")
+        assert lines[1:] == _csv_lines(log, tmp_path)
+        err = capsys.readouterr().err
+        assert "degenerate_pose" in err and "object 1 touches" in err
 
     def test_numerical_failure_exit_code(self, quick_scenario_file, tmp_path, monkeypatch):
         def boom(scenario):
