@@ -47,13 +47,7 @@ from .geometry import (
     rotation_from_euler,
     wrap_angle,
 )
-from .interaction import (
-    assemble,
-    l_finite_diff,
-    l_parallel,
-    view_factor_gradient,
-    view_factor_gradients,
-)
+from .interaction import assemble, l_parallel, view_factor_gradient
 from .simulator import (
     AdaptiveInit,
     ObjectSpec,

@@ -72,8 +72,6 @@ class ControlOutput:
 
     u: np.ndarray
     lyapunov: float | None
-    error_norm: float
-    rate_norm: float
     clamped: bool
     zeta: np.ndarray | None = None
 
@@ -143,13 +141,7 @@ def model_based_control(
     u_raw = damped_pseudoinverse(l_matrix, damping) @ rhs
     u, clamped = _clamp(u_raw, limits)
     q = 0.5 * float(v @ v) + 0.5 * gains.k * float(dtau @ dtau)
-    return ControlOutput(
-        u=u,
-        lyapunov=q,
-        error_norm=float(np.linalg.norm(dtau)),
-        rate_norm=float(np.linalg.norm(v)),
-        clamped=clamped,
-    )
+    return ControlOutput(u=u, lyapunov=q, clamped=clamped)
 
 
 def adaptive_control(
@@ -180,14 +172,7 @@ def adaptive_control(
     )
     u_raw = damped_pseudoinverse(j_matrix, damping) @ rhs
     u, clamped = _clamp(u_raw, limits)
-    return ControlOutput(
-        u=u,
-        lyapunov=None,
-        error_norm=float(np.linalg.norm(dtau)),
-        rate_norm=float(np.linalg.norm(v)),
-        clamped=clamped,
-        zeta=zeta,
-    )
+    return ControlOutput(u=u, lyapunov=None, clamped=clamped, zeta=zeta)
 
 
 def adaptive_update(

@@ -99,6 +99,31 @@ def rotations_from_euler(angles) -> np.ndarray:
     return r
 
 
+def rotation_derivatives_from_euler(angles) -> np.ndarray:
+    """Derivatives dR/dtheta_j of R = Rz @ Ry @ Rx for (..., 3) extrinsic
+    X-Y-Z angles, shape (..., 3, 3, 3): entry [..., j, :, :] is dR/dtheta_j.
+
+    Closed form, elementwise as in rotations_from_euler: dR/dtheta_x =
+    Rz @ Ry @ dRx, dR/dtheta_y = Rz @ dRy @ Rx, dR/dtheta_z = dRz @ Ry @ Rx.
+    """
+    a = np.ascontiguousarray(angles, dtype=float)
+    c, s = np.cos(a), np.sin(a)
+    cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
+    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    sy_sx, sy_cx, cy_sx, cy_cx = sy * sx, sy * cx, cy * sx, cy * cx
+    d = np.zeros(a.shape[:-1] + (3, 3, 3))
+    dx, dy, dz = d[..., 0, :, :], d[..., 1, :, :], d[..., 2, :, :]
+    dx[..., 0, 1], dx[..., 0, 2] = cz * sy_cx + sz * sx, sz * cx - cz * sy_sx
+    dx[..., 1, 1], dx[..., 1, 2] = sz * sy_cx - cz * sx, -(sz * sy_sx + cz * cx)
+    dx[..., 2, 1], dx[..., 2, 2] = cy_cx, -cy_sx
+    dy[..., 0, 0], dy[..., 0, 1], dy[..., 0, 2] = -cz * sy, cz * cy_sx, cz * cy_cx
+    dy[..., 1, 0], dy[..., 1, 1], dy[..., 1, 2] = -sz * sy, sz * cy_sx, sz * cy_cx
+    dy[..., 2, 0], dy[..., 2, 1], dy[..., 2, 2] = -cy, -sy_sx, -sy_cx
+    dz[..., 0, 0], dz[..., 0, 1], dz[..., 0, 2] = -sz * cy, -(sz * sy_sx + cz * cx), cz * sx - sz * sy_cx
+    dz[..., 1, 0], dz[..., 1, 1], dz[..., 1, 2] = cz * cy, cz * sy_sx - sz * cx, cz * sy_cx + sz * sx
+    return d
+
+
 def rotation_from_euler(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
     """Rotation matrix for extrinsic X-Y-Z angles, R = Rz @ Ry @ Rx."""
     return rotations_from_euler((theta_x, theta_y, theta_z))

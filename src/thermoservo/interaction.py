@@ -4,6 +4,11 @@ A row l = lambda1 * d(F21)/dx maps end-effector velocity to the object's
 temperature-rate change. Rows are stacked into L for the model-based
 controller; dividing each row by its lambda1 gives the parameter-free
 matrix J built from view-factor gradients alone.
+
+The gradient d(F21)/dx comes from the view-factor kernel itself,
+`vf_batch(..., dof=3 or 6)`, which differentiates its contour integral;
+`view_factor_gradient` is its batch of one. `l_parallel` is the
+independent analytic-integrand row for parallel disks.
 """
 from __future__ import annotations
 
@@ -12,19 +17,7 @@ import math
 import numpy as np
 
 from .geometry import DegeneratePoseError, Pose, TWO_PI
-from .viewfactor import (
-    DEFAULT_SPEC,
-    MIN_KERNEL_DISTANCE,
-    QuadratureSpec,
-    _general_value,
-    simpson_2d,
-    vf_batch,
-)
-
-# Forward-difference perturbations: balance quadrature noise against
-# truncation at the centimeter geometry scale of the setup.
-DEFAULT_TRANSLATION_STEP = 5e-6  # m
-DEFAULT_ROTATION_STEP = 5e-5  # rad
+from .viewfactor import DEFAULT_SPEC, MIN_KERNEL_DISTANCE, QuadratureSpec, simpson_2d, vf_batch
 
 
 def l_parallel(
@@ -70,168 +63,38 @@ def l_parallel(
     )
 
 
-def view_factor_gradients(
-    poses,
-    source_radius: float,
-    contours,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    translation_step: float = DEFAULT_TRANSLATION_STEP,
-    rotation_step: float = DEFAULT_ROTATION_STEP,
-    indices: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
-    base_values=None,
-) -> np.ndarray:
-    """Forward-difference gradients of F21 for K objects, from one kernel call.
-
-    Row k of `poses` is the pose of the object bounded by `contours[k]`.
-    Each component is independently computable; `indices` restricts which
-    components are evaluated (the rest stay zero). A component whose forward
-    pose is degenerate falls back to a backward difference.
-
-    Args:
-        poses: (K, 6) array of object poses.
-        contours: K contours.
-        base_values: (K,) F21 at the poses, if the caller already has them.
-
-    Returns:
-        (K, 6) array, row k = d(F21_k)/d(p1, p2, p3, theta_x, theta_y, theta_z).
-
-    Raises:
-        DegeneratePoseError: A base pose degenerate, or both one-sided
-            differences of a component degenerate.
-    """
-    poses = np.asarray(poses, dtype=float)
-    contours = tuple(contours)
-    forward, steps = _forward_poses(poses, indices, translation_step, rotation_step)
-    # One kernel call for the base poses (if needed) and every forward pose.
-    batch = forward if base_values is not None else np.concatenate([poses[None], forward])
-    values, degenerate = vf_batch(batch.reshape(-1, 6), source_radius, contours, spec)
-    values = values.reshape(-1, len(contours))
-    degenerate = degenerate.reshape(values.shape)
-    if base_values is None:
-        if degenerate[0].any():
-            k = int(np.argmax(degenerate[0]))
-            raise DegeneratePoseError(f"base pose in row {k} is degenerate")
-        base_values, values, degenerate = values[0], values[1:], degenerate[1:]
-    return _finite_differences(
-        poses, base_values, values, degenerate, indices, steps, source_radius, contours, spec
-    )
-
-
-def _forward_poses(
-    poses: np.ndarray, indices, translation_step: float, rotation_step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-difference poses of K objects and their steps.
-
-    Returns:
-        (forward, steps): forward[d, k] is poses[k] with coordinate
-        indices[d] stepped by steps[d]; shapes (D, K, 6) and (D,).
-    """
-    idx = np.asarray(indices, dtype=int)
-    steps = np.where(idx < 3, translation_step, rotation_step)
-    forward = np.repeat(poses[None], len(idx), axis=0)
-    forward[np.arange(len(idx)), :, idx] += steps[:, None]
-    return forward, steps
-
-
-def _finite_differences(
-    poses: np.ndarray,
-    base_values,
-    values: np.ndarray,
-    degenerate: np.ndarray,
-    indices,
-    steps: np.ndarray,
-    source_radius: float,
-    contours: tuple,
-    spec: QuadratureSpec,
-) -> np.ndarray:
-    """(K, 6) gradients from the kernel's values and degenerate flags at the
-    `_forward_poses` poses, both (D, K). A degenerate forward pose falls
-    back to a backward difference from `base_values`, F21 at `poses`.
-
-    Raises:
-        DegeneratePoseError: Both one-sided differences of a component
-            degenerate.
-    """
-    idx = np.asarray(indices, dtype=int)
-    f0 = np.asarray(base_values, dtype=float)
-    grads = np.zeros((len(contours), 6))
-    grads[:, idx] = ((values - f0) / steps[:, None]).T
-    for k, d in zip(*np.nonzero(degenerate.T)):
-        # Forward pose degenerate: fall back to a backward difference.
-        i, h = int(idx[d]), float(steps[d])
-        backward = poses[k].copy()
-        backward[i] -= h
-        try:
-            f_bwd = _general_value(
-                Pose.from_vector(backward), source_radius, contours[k], spec
-            )
-        except DegeneratePoseError as exc:
-            raise DegeneratePoseError(
-                f"both perturbations of pose coordinate {i} are degenerate"
-            ) from exc
-        grads[k, i] = (f0[k] - f_bwd) / h
-    return grads
-
-
 def view_factor_gradient(
     pose: Pose,
     source_radius: float,
     contour,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    translation_step: float = DEFAULT_TRANSLATION_STEP,
-    rotation_step: float = DEFAULT_ROTATION_STEP,
     indices: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
     base_value: float | None = None,
 ) -> np.ndarray:
-    """Forward-difference gradient of F21 over the 6 pose coordinates: a
-    batch of one `view_factor_gradients`.
+    """Gradient of F21 over the 6 pose coordinates: a batch of one
+    `vf_batch(..., dof=3)`, or dof=6 if `indices` names an angle.
 
     Args:
-        base_value: F21 at the base pose, if the caller already has it.
+        indices: Components to return; the others are zero.
+        base_value: Accepted for callers that pass F21 at the pose; ignored,
+            because the kernel computes the value with the gradient.
 
     Returns:
         (6,) array d(F21)/d(p1, p2, p3, theta_x, theta_y, theta_z).
 
     Raises:
-        DegeneratePoseError: Base pose degenerate, or both one-sided
-            differences of a component degenerate.
+        DegeneratePoseError: Degenerate pose.
     """
-    return view_factor_gradients(
-        pose.as_vector()[None, :],
-        source_radius,
-        (contour,),
-        spec,
-        translation_step,
-        rotation_step,
-        indices,
-        None if base_value is None else (base_value,),
-    )[0]
-
-
-def l_finite_diff(
-    pose: Pose,
-    source_radius: float,
-    contour,
-    lambda1: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    translation_step: float = DEFAULT_TRANSLATION_STEP,
-    rotation_step: float = DEFAULT_ROTATION_STEP,
-    indices: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
-) -> np.ndarray:
-    """Numerically differentiated interaction row for arbitrary 6-DOF poses.
-
-    Returns:
-        (6,) array, lambda1-scaled view-factor gradient.
-    """
-    return lambda1 * view_factor_gradient(
-        pose,
-        source_radius,
-        contour,
-        spec,
-        translation_step,
-        rotation_step,
-        indices,
+    idx = np.asarray(indices, dtype=int)
+    dof = 6 if np.any(idx >= 3) else 3
+    _, degenerate, grads = vf_batch(
+        pose.as_vector()[None, :], source_radius, contour, spec, dof=dof
     )
+    if degenerate[0]:
+        raise DegeneratePoseError(f"pose {pose} is degenerate")
+    grad = np.zeros(6)
+    grad[idx] = grads[0, idx]
+    return grad
 
 
 def assemble(rows, lambda1s) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,10 @@ Each control tick senses noisy object temperatures, smooths them through
 the sliding-window estimator, builds the interaction matrix at the current
 source-relative pose, computes the commanded Cartesian velocity, steps the
 pose (position-stepping robot), and integrates the radiative plant over the
-control period. Runs are fully deterministic for a fixed scenario and seed.
+control period. One view-factor kernel call per tick evaluates F21 and its
+gradient at the period's ends; the end pose is the next tick's, so that
+tick's interaction matrix comes from the carried gradient. Runs are fully
+deterministic for a fixed scenario and seed.
 
 Scenario files are YAML with centimeters/Celsius at the boundary; see
 `load_scenario` for the schema.
@@ -28,15 +31,9 @@ from .control import (
     adaptive_update,
     model_based_control,
 )
-from .estimation import WINDOW_SIZE, SampleWindow
+from .estimation import SampleWindow
 from .feasibility import write_csv
 from .geometry import CircleContour, Contour, DegeneratePoseError, Pose, fourier_fit
-from .interaction import (
-    DEFAULT_ROTATION_STEP,
-    DEFAULT_TRANSLATION_STEP,
-    _finite_differences,
-    _forward_poses,
-)
 from .thermal import (
     Environment,
     LambdaParams,
@@ -296,18 +293,17 @@ def run_simulation(scenario: Scenario) -> RunLog:
     the pose over one period, then integrate the thermal plant across the
     period. The robot holds still until the estimator window has 10 samples.
 
-    Each plant step makes one view-factor kernel call. It evaluates the
-    period's ends and, when the next tick will have an estimate, the
-    forward-difference poses of that tick's gradient: the period's end pose
-    is the next tick's pose.
+    Each plant step makes one view-factor kernel call over the period's
+    ends. It returns F21 and its gradient over the controlled coordinates:
+    the period's end pose is the next tick's pose.
 
     A run that leaves the configured workspace box, reaches a degenerate
-    pose or whose temperature diverges ends early. Its log keeps the rows
-    of the finished ticks and names the reason in `termination`.
+    pose, moves an object through the source plane within one period or
+    whose temperature diverges ends early. Its log keeps the rows of the
+    finished ticks and names the reason in `termination`.
     """
     n_obj = scenario.n_objects
     dof = scenario.dof
-    dof_indices = tuple(range(dof))
     adaptive = scenario.controller == "adaptive"
     env = scenario.environment
     lams = [lambdas(o.material, env) for o in scenario.objects]
@@ -339,25 +335,21 @@ def run_simulation(scenario: Scenario) -> RunLog:
             src[:, 0, :3] = [schedule.position(tt) for tt in times]
         return x + offsets - src
 
-    def view_factors(rel: np.ndarray, forward: np.ndarray | None = None):
-        """F21 of every object at the poses `object_poses` returned, plus
-        the kernel's values and degenerate flags at the (D, n_obj, 6)
-        forward-difference poses `forward`, from one kernel call. Only a
-        degenerate pose in `rel` raises."""
-        batch = rel if forward is None else np.concatenate([rel, forward])
-        values, degenerate = vf_batch(
-            batch.reshape(-1, 6), scenario.source_radius, contours, scenario.quadrature
+    def view_factors(rel: np.ndarray):
+        """F21 of every object at the poses `object_poses` returned and its
+        gradient over the controlled coordinates, (len(rel), n_obj) and
+        (len(rel), n_obj, dof), from one kernel call."""
+        values, degenerate, grads = vf_batch(
+            rel.reshape(-1, 6), scenario.source_radius, contours, scenario.quadrature, dof=dof
         )
-        values = values.reshape(batch.shape[:2])
-        degenerate = degenerate.reshape(batch.shape[:2])
-        n_times = len(rel)
-        if degenerate[:n_times].any():
+        degenerate = degenerate.reshape(rel.shape[:2])
+        if degenerate.any():
             # The first object with any degenerate pose, whatever the time.
-            i = int(np.argmax(degenerate[:n_times].any(axis=0)))
+            i = int(np.argmax(degenerate.any(axis=0)))
             raise DegeneratePoseError(
                 f"object {i + 1} touches the source plane at pose {Pose.from_vector(x)}"
             )
-        return values[:n_times], values[n_times:], degenerate[n_times:]
+        return values.reshape(rel.shape[:2]), grads.reshape(*rel.shape[:2], dof)
 
     columns = _log_columns(scenario)
     rows = np.full((n_ticks + 1, len(columns)), np.nan)
@@ -366,12 +358,10 @@ def run_simulation(scenario: Scenario) -> RunLog:
     logged = 0  # rows of finished ticks
     termination, detail = "completed", ""
     try:
-        # Relative poses and F21 at the current pose and time, and the
-        # kernel's values and flags at the current gradient's forward poses;
+        # Relative poses, F21 and its gradient at the current pose and time;
         # each plant step below leaves them at the next tick's pose and time.
         rel_now = object_poses((0.0,))[0]
-        f_now = view_factors(rel_now[None])[0][0]
-        f_forward = forward_degenerate = steps = None
+        f_now, g_now = (a[0] for a in view_factors(rel_now[None]))
 
         for tick in range(n_ticks + 1):
             t = tick * period
@@ -388,20 +378,9 @@ def run_simulation(scenario: Scenario) -> RunLog:
                 t_hat, v_hat = estimate
                 dtau = t_hat - targets
                 t_cubed = t_hat**3
-                grads = _finite_differences(
-                    rel_now,
-                    f_now,
-                    f_forward,
-                    forward_degenerate,
-                    dof_indices,
-                    steps,
-                    scenario.source_radius,
-                    contours,
-                    scenario.quadrature,
-                )[:, :dof]
                 if adaptive:
                     output = adaptive_control(
-                        grads,
+                        g_now,
                         v_hat,
                         dtau,
                         t_cubed,
@@ -421,7 +400,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
                     )
                 else:
                     output = model_based_control(
-                        lambda1s[:, None] * grads,
+                        lambda1s[:, None] * g_now,
                         v_hat,
                         dtau,
                         t_cubed,
@@ -467,16 +446,19 @@ def run_simulation(scenario: Scenario) -> RunLog:
             # Heat at the new pose; for a moving source the view factor is
             # interpolated linearly across the period. The values at the end
             # of the period are the next tick's: for a static source the
-            # relative pose does not change over the period. If the next tick
-            # has an estimate, its gradient's forward steps from that end
-            # pose go into the same kernel call.
+            # relative pose does not change over the period.
             rel = object_poses((t, (tick + 1) * period) if moving_source else (t,))
-            forward = None
-            if len(window) >= WINDOW_SIZE - 1:
-                forward, steps = _forward_poses(
-                    rel[-1], dof_indices, DEFAULT_TRANSLATION_STEP, DEFAULT_ROTATION_STEP
+            # The kernel sees the object on one side of the source plane at
+            # each end; an object whose centre changes side between the
+            # period's start and either end passed through the source.
+            crossed = (rel[:, :, 2] * rel_now[:, 2] < 0.0).any(axis=0)
+            if crossed.any():
+                i = int(np.argmax(crossed))
+                raise DegeneratePoseError(
+                    f"object {i + 1} passes through the source plane between "
+                    f"{t:g} s and {(tick + 1) * period:g} s"
                 )
-            f_ends, f_forward, forward_degenerate = view_factors(rel, forward)
+            f_ends, g_ends = view_factors(rel)
             for i in range(n_obj):
                 f_start, f_end = float(f_ends[0, i]), float(f_ends[-1, i])
 
@@ -492,7 +474,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
                     t0=t,
                 )
                 temps[i] = traj[-1]
-            rel_now, f_now = rel[-1], f_ends[-1]
+            rel_now, f_now, g_now = rel[-1], f_ends[-1], g_ends[-1]
     except DegeneratePoseError as exc:
         termination, detail = "degenerate_pose", str(exc)
     except ThermalDivergenceError as exc:

@@ -66,16 +66,6 @@ class ThermoParams:
             area=area,
         )
 
-    def with_area(self, area: float) -> "ThermoParams":
-        """Same sheet material (mass scales with area, thickness fixed)."""
-        return ThermoParams(
-            emittance=self.emittance,
-            absorptance=self.absorptance,
-            specific_heat=self.specific_heat,
-            mass=self.mass * area / self.area,
-            area=area,
-        )
-
 
 @dataclass(frozen=True)
 class Environment:

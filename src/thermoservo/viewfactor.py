@@ -28,6 +28,7 @@ from .geometry import (
     TWO_PI,
     classify_occlusions,
     pose_rotation,
+    rotation_derivatives_from_euler,
     rotations_from_euler,
 )
 
@@ -123,7 +124,8 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # ---------------------------------------------------------------------------
 
 #: Node pairs (object node x source node) evaluated per vectorized block.
-#: Bounds the kernel's temporary arrays to about 128 kB each.
+#: Bounds the kernel's temporary arrays to about 128 kB each; the gradient's
+#: per-pair derivatives take 3 (dof 3) or 5 (dof 6) times that.
 BLOCK_PAIRS = 2**14
 
 _NODE_CACHE: dict = {}
@@ -191,8 +193,9 @@ def _source_circle(radius: float, n: int):
     return _cached(("source", radius, n), build)
 
 
-def _pair_values(points, tangents, source, w_obj, w_src) -> np.ndarray:
-    """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block.
+def _pair_values(points, tangents, source, w_obj, w_src, dof=0):
+    """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block and,
+    for dof > 0, its derivatives by the object's boundary samples.
 
     points: (rows, 3, m_obj) world object samples; tangents: (rows, 3,
     m_obj) their tangents; w_obj: (rows, m_obj) their weights.
@@ -200,6 +203,12 @@ def _pair_values(points, tangents, source, w_obj, w_src) -> np.ndarray:
     lie in z = 0, so the z component of the object tangent drops out. Each
     row is reduced on its own in a fixed order, so its value does not depend
     on the other rows of the block.
+
+    Returns:
+        (values, partials): partials is None for dof 0, else (rows, P,
+        m_obj): per object sample, the source-node sum of the integrand's
+        derivative by the sample's x, y and z (P = 3) and, for dof 6, by its
+        tangent's x and y (P = 5), with the source curves held fixed.
     """
     ox, oy, oz = (points[:, k, :, None] for k in range(3))
     otx, oty = tangents[:, 0, :, None], tangents[:, 1, :, None]
@@ -210,17 +219,31 @@ def _pair_values(points, tangents, source, w_obj, w_src) -> np.ndarray:
     s_sq += dy * dy
     s_sq += oz * oz
     np.maximum(s_sq, MIN_KERNEL_DISTANCE**2, out=s_sq)
-    kernel = np.log(s_sq, out=s_sq)
     dot = otx * stx
     dot += oty * sty
+    if dof:
+        # Per node pair: d ln(s) / d(object sample) = (sample - source
+        # node) / s^2 times the tangent dot product, then, for dof 6,
+        # d / d(object tangent) = ln(s) times the source tangent.
+        q = dot / s_sq
+        by_pair = np.empty((len(dx), 5 if dof == 6 else 3) + dx.shape[1:])
+        np.multiply(dx, q, out=by_pair[:, 0])
+        np.multiply(dy, q, out=by_pair[:, 1])
+        np.multiply(oz, q, out=by_pair[:, 2])
+    kernel = np.log(s_sq, out=s_sq)
+    if dof == 6:
+        np.multiply(kernel, 0.5 * stx, out=by_pair[:, 3])
+        np.multiply(kernel, 0.5 * sty, out=by_pair[:, 4])
     kernel *= dot
     # ln s = ln(s^2) / 2. einsum reduces each row alone; a stacked matmul
     # such as (kernel @ w_src) @ w_obj does not give batch-independent bits.
-    return 0.5 * np.einsum("bij,bi,j->b", kernel, w_obj, w_src)
+    values = 0.5 * np.einsum("bij,bi,j->b", kernel, w_obj, w_src)
+    return values, np.einsum("bpij,j->bpi", by_pair, w_src) if dof else None
 
 
-def _block_values(poses, source_radius, nodes, circle, unit):
-    """View factors and degenerate flags of one block of whole pose groups."""
+def _block_values(poses, source_radius, nodes, circle, unit, dof):
+    """View factors, degenerate flags and, for dof > 0, gradients of one
+    block of whole pose groups."""
     along_x, along_y, w_obj, areas = nodes
     u, w_src = unit
     groups = len(poses) // len(areas)
@@ -240,11 +263,14 @@ def _block_values(poses, source_radius, nodes, circle, unit):
     near_contact = points[:, 2].min(axis=1) < MIN_SURFACE_CLEARANCE
     degenerate = occ.coplanar | (~occ.complete & near_contact)
     values = np.zeros(len(poses))
+    partials = np.zeros((len(poses), 5 if dof == 6 else 3, m)) if dof else None
     common = ~(occ.partial | occ.complete | degenerate)
     if np.count_nonzero(common):
-        values[common] = _pair_values(
-            points[common], tangents[common], circle, w_obj[common], w_src
+        values[common], common_partials = _pair_values(
+            points[common], tangents[common], circle, w_obj[common], w_src, dof
         )
+        if dof:
+            partials[common] = common_partials
 
     partial = occ.partial & ~degenerate
     if np.count_nonzero(partial):
@@ -257,14 +283,36 @@ def _block_values(poses, source_radius, nodes, circle, unit):
         edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
         chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
         pts, tans, w = points[partial], tangents[partial], w_obj[partial]
-        arc_total = _pair_values(pts, tans, arc, w, w_src)
-        values[partial] = arc_total + _pair_values(pts, tans, chord, w, w_src)
+        arc_total, arc_partials = _pair_values(pts, tans, arc, w, w_src, dof)
+        chord_total, chord_partials = _pair_values(pts, tans, chord, w, w_src, dof)
+        values[partial] = arc_total + chord_total
+        if dof:
+            # The arc and chord stay fixed; vf_batch says why that is exact.
+            partials[partial] = arc_partials + chord_partials
 
+    scale = -(TWO_PI * areas)
     by_group = values.reshape(groups, -1)  # a view of values
-    by_group /= -(TWO_PI * areas)
+    by_group /= scale
     values[occ.complete] = 0.0  # not -0.0
     values[degenerate] = np.nan
-    return values, degenerate
+    if not dof:
+        return values, degenerate
+
+    grads = np.empty((len(poses), dof))
+    grads[:, :3] = np.einsum("bki,bi->bk", partials[:, :3], w_obj)
+    if dof == 6:
+        # dR/dtheta_j moves each sample by (dR/dtheta_j) c and its tangent
+        # by (dR/dtheta_j) c': (B, 3 angles, 5 coordinates, m).
+        turned = rotation_derivatives_from_euler(poses[:, 3:]).reshape(groups, -1, 3, 3, 3)
+        moved = turned[..., 0, None] * along_x[:, None] + turned[..., 1, None] * along_y[:, None]
+        moved = moved.reshape(len(poses), 3, 3, 2 * m)
+        jacobian = np.concatenate([moved[..., :m], moved[:, :, :2, m:]], axis=2)
+        grads[:, 3:] = np.einsum("bjsi,bsi,bi->bj", jacobian, partials, w_obj)
+    by_group = grads.reshape(groups, -1, dof)  # a view of grads
+    by_group /= scale[:, None]
+    grads[occ.complete] = 0.0
+    grads[degenerate] = np.nan
+    return values, degenerate, grads
 
 
 def vf_batch(
@@ -272,8 +320,10 @@ def vf_batch(
     source_radius: float,
     contour: Contour | tuple[Contour, ...],
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> tuple[np.ndarray, np.ndarray]:
-    """View factors F21 of B posed contours, with degenerate flags.
+    dof: int = 0,
+) -> tuple[np.ndarray, ...]:
+    """View factors F21 of B posed contours, with degenerate flags and, for
+    dof 3 or 6, their gradients.
 
     The batched contour-integral kernel behind every view-factor caller.
     `contour` is one contour for every pose, or a group of K contours: then
@@ -282,23 +332,34 @@ def vf_batch(
     group at each of its G poses in one call. One contour is a group of one.
 
     Poses are processed in blocks of whole groups, about BLOCK_PAIRS
-    quadrature node pairs each; each pose's value is computed independently
-    of the others, so it is bitwise identical alone, in any batch or group,
-    at any block split and in any order. Complete self-obstruction gives
-    exactly 0. Degenerate poses (coplanar with the source, or with the
-    boundary within MIN_SURFACE_CLEARANCE of the source plane) are flagged
-    and get NaN.
+    quadrature node pairs each; each pose's value and gradient are computed
+    independently of the others, so they are bitwise identical alone, in
+    any batch or group, at any block split and in any order. Complete
+    self-obstruction gives exactly 0. Degenerate poses (coplanar with the
+    source, or with the boundary within MIN_SURFACE_CLEARANCE of the source
+    plane) are flagged and get NaN.
+
+    The gradient differentiates the contour integral under the quadrature
+    (Sparrow's contour formulation): the object's samples and tangents move
+    with the pose, the source nodes stay. On a Partial pose the contributing
+    arc and chord are held fixed, which is exact: the surface kernel
+    vanishes on the chord, which lies in the object's plane, and the arc's
+    ends only slide along the source circle. The gradient-free path (dof 0)
+    does no gradient work, and the values do not depend on dof.
 
     Args:
         poses: (B, 6) array of [p1, p2, p3, theta_x, theta_y, theta_z]; B
             a multiple of the group size K.
+        dof: 0 for values only; 3 for the gradient by (p1, p2, p3); 6 for
+            the gradient by all six coordinates.
 
     Returns:
-        (values, degenerate): float and bool arrays of shape (B,).
+        (values, degenerate): float and bool arrays of shape (B,); for dof
+        3 or 6, (values, degenerate, grads) with grads (B, dof).
 
     Raises:
         ValueError: Malformed or non-finite poses, a row count that is not
-            a multiple of K, non-positive radius.
+            a multiple of K, non-positive radius, dof not 0, 3 or 6.
     """
     contours = contour if isinstance(contour, tuple) else (contour,)
     poses = np.asarray(poses, dtype=float)
@@ -312,36 +373,22 @@ def vf_batch(
         raise ValueError("pose coordinates must be finite")
     if not source_radius > 0.0:
         raise ValueError("source_radius must be positive")
+    if dof not in (0, 3, 6):
+        raise ValueError(f"dof must be 0, 3 or 6, got {dof}")
     n = spec.n_per_dim
     nodes = _object_nodes(contours, n)
     circle = _source_circle(source_radius, n)
     unit = _unit_nodes(n)
     per_block = len(contours) * max(1, BLOCK_PAIRS // (len(contours) * (n + 1) ** 2))
-    values = np.empty(len(poses))
-    degenerate = np.empty(len(poses), dtype=bool)
+    results = (np.empty(len(poses)), np.empty(len(poses), dtype=bool))
+    if dof:
+        results += (np.empty((len(poses), dof)),)
     for lo in range(0, len(poses), per_block):
         block = slice(lo, lo + per_block)
-        values[block], degenerate[block] = _block_values(
-            poses[block], source_radius, nodes, circle, unit
-        )
-    return values, degenerate
-
-
-def _general_value(
-    pose: Pose, source_radius: float, contour: Contour, spec: QuadratureSpec
-) -> float:
-    """F21 at one pose: a batch of one.
-
-    Raises:
-        DegeneratePoseError: Coplanar or near-contact pose.
-    """
-    values, degenerate = vf_batch(pose.as_vector()[None, :], source_radius, contour, spec)
-    if degenerate[0]:
-        raise DegeneratePoseError(
-            "object lies in the source plane or its boundary comes within "
-            f"{MIN_SURFACE_CLEARANCE} m of it"
-        )
-    return float(values[0])
+        parts = _block_values(poses[block], source_radius, nodes, circle, unit, dof)
+        for out, part in zip(results, parts):
+            out[block] = part
+    return results
 
 
 def vf_general(
@@ -350,7 +397,8 @@ def vf_general(
     contour: Contour,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> ViewFactor:
-    """View factor from a posed planar contour to the circular source disk.
+    """View factor from a posed planar contour to the circular source disk:
+    a batch of one `vf_batch`.
 
     Dispatches on the occlusion class: the common case integrates over the
     full source circle, partial self-obstruction over the contributing
@@ -361,7 +409,13 @@ def vf_general(
             any non-obstructed pose whose boundary dips to or below the
             source plane (the model covers objects above the source only).
     """
-    return ViewFactor.from_raw(_general_value(pose, source_radius, contour, spec))
+    values, degenerate = vf_batch(pose.as_vector()[None, :], source_radius, contour, spec)
+    if degenerate[0]:
+        raise DegeneratePoseError(
+            "object lies in the source plane or its boundary comes within "
+            f"{MIN_SURFACE_CLEARANCE} m of it"
+        )
+    return ViewFactor.from_raw(float(values[0]))
 
 
 def vf_parallel_disks(

@@ -1,14 +1,14 @@
 """The batched view-factor kernel against the per-pose contour integral it
-replaced, contour groups against single-contour calls, plus the batched
-callers: gradients, feasibility search and the simulator's evaluation and
-kernel-call counts."""
+replaced, its gradients against central differences, contour groups
+against single-contour calls, plus the batched callers: feasibility search
+and the simulator's evaluation and kernel-call counts."""
 import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, event, find, given, settings
 from hypothesis import strategies as st
 
 from thermoservo import (
@@ -33,16 +33,15 @@ from thermoservo import (
     pairwise_feasibility,
     run_simulation,
     steady_state_temperature,
+    vf_general,
     view_factor_gradient,
-    view_factor_gradients,
 )
 from thermoservo import feasibility as feasibility_module
 from thermoservo import simulator as simulator_module
 from thermoservo import viewfactor as viewfactor_module
 from thermoservo.geometry import MIN_SURFACE_CLEARANCE, TWO_PI, fourier_fit
 from thermoservo.units import celsius_to_kelvin
-from thermoservo.interaction import DEFAULT_ROTATION_STEP, DEFAULT_TRANSLATION_STEP
-from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, _general_value, vf_batch
+from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, vf_batch
 
 from conftest import BUNNY_BUMPS, star_polyline
 
@@ -135,9 +134,11 @@ def _pair_integral(curve1, curve2):
     return float(w1 @ (np.log(s) * (tans1 @ tans2.T)) @ w2)
 
 
-def reference_value(pose, source_radius, contour, n):
-    """Per-pose contour integral; raises DegeneratePoseError."""
-    arc = reference_arc(pose, source_radius)
+def reference_value(pose, source_radius, contour, n, arc=None):
+    """Per-pose contour integral; raises DegeneratePoseError. `arc` ("common"
+    or (lo, hi)) holds the source curves fixed instead of following the pose."""
+    if arc is None:
+        arc = reference_arc(pose, source_radius)
     if arc == "complete":
         return 0.0
     obj_curve = _object_curve(contour, pose, n)
@@ -188,6 +189,7 @@ near_contact_poses = st.builds(
 any_pose = st.one_of(common_poses, partial_poses, complete_poses, near_contact_poses)
 pose_lists = st.lists(any_pose, min_size=1, max_size=12)
 cases = st.sampled_from([(name, n) for name in CONTOURS for n in (16, 64)])
+dofs = st.sampled_from((0, 3, 6))
 
 
 def as_array(poses):
@@ -234,23 +236,30 @@ def test_matches_per_pose_reference(case, poses):
         assert abs(value - expected) <= 1e-12
 
 
-@given(case=cases, poses=pose_lists, data=st.data())
+def assert_same_outputs(first, second):
+    """Equal bits in every array of two vf_batch results."""
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(case=cases, poses=pose_lists, dof=dofs, data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_batch_independence_bitwise(case, poses, data):
+def test_batch_independence_bitwise(case, poses, dof, data):
     name, n = case
     contour, spec = CONTOURS[name], QuadratureSpec(n)
     batch = as_array(poses)
-    values, degenerate = vf_batch(batch, SOURCE_RADIUS, contour, spec)
-    alone = [vf_batch(row[None, :], SOURCE_RADIUS, contour, spec)[0] for row in batch]
-    assert np.concatenate(alone).tobytes() == values.tobytes()
+    outputs = vf_batch(batch, SOURCE_RADIUS, contour, spec, dof=dof)
+    # The values and flags do not depend on dof.
+    assert_same_outputs(outputs[:2], vf_batch(batch, SOURCE_RADIUS, contour, spec))
+    alone = [vf_batch(row[None, :], SOURCE_RADIUS, contour, spec, dof=dof) for row in batch]
+    assert_same_outputs(outputs, [np.concatenate(a) for a in zip(*alone)])
     budget = data.draw(st.integers(1, 3 * (n + 1) ** 2), label="block_pairs")
     with mock.patch.object(viewfactor_module, "BLOCK_PAIRS", budget):
-        split, split_deg = vf_batch(batch, SOURCE_RADIUS, contour, spec)
-    assert split.tobytes() == values.tobytes()
-    assert np.array_equal(split_deg, degenerate)
+        assert_same_outputs(outputs, vf_batch(batch, SOURCE_RADIUS, contour, spec, dof=dof))
     order = np.array(data.draw(st.permutations(range(len(batch))), label="order"))
-    shuffled, _ = vf_batch(batch[order], SOURCE_RADIUS, contour, spec)
-    assert shuffled.tobytes() == values[order].tobytes()
+    shuffled = vf_batch(batch[order], SOURCE_RADIUS, contour, spec, dof=dof)
+    assert_same_outputs(shuffled, [a[order] for a in outputs])
 
 
 @pytest.mark.parametrize("name", sorted(CONTOURS))
@@ -259,7 +268,7 @@ def test_scalar_call_is_a_batch_of_one(name):
     poses = [Pose(0.01, 0.02, 0.05, 0.1, 0.2, 0.3), Pose(0.0, 0.0, 0.03, 1.0, 0.0, 0.0)]
     values, _ = vf_batch(as_array(poses), SOURCE_RADIUS, contour, spec)
     for pose, value in zip(poses, values):
-        assert _general_value(pose, SOURCE_RADIUS, contour, spec) == value
+        assert vf_general(pose, SOURCE_RADIUS, contour, spec).value == value
 
 
 class TestDegeneracy:
@@ -272,20 +281,26 @@ class TestDegeneracy:
             Pose(0.0, 0.0, 0.005, 1.2, 0.0, 0.0),  # tilted boundary dips below the plane
             Pose(0.0, 0.0, 0.05),
         ]
-        values, degenerate = vf_batch(as_array(poses), SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
+        values, degenerate, grads = vf_batch(
+            as_array(poses), SOURCE_RADIUS, CONTOURS["circle"], self.SPEC, dof=6
+        )
         assert degenerate.tolist() == [True, True, True, False]
         assert np.isnan(values[:3]).all() and 0.0 < values[3] < 1.0
+        assert np.isnan(grads[:3]).all() and np.isfinite(grads[3]).all()
         for pose in poses[:3]:
             with pytest.raises(DegeneratePoseError):
-                _general_value(pose, SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
+                vf_general(pose, SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
 
     @given(pose=complete_poses)
     @settings(max_examples=30, deadline=None)
     def test_complete_gives_exact_zero(self, pose):
         assume(isinstance(classify_occlusion(pose, SOURCE_RADIUS), Complete))
-        values, degenerate = vf_batch(as_array([pose]), SOURCE_RADIUS, CONTOURS["fourier"], self.SPEC)
+        values, degenerate, grads = vf_batch(
+            as_array([pose]), SOURCE_RADIUS, CONTOURS["fourier"], self.SPEC, dof=6
+        )
         assert not degenerate[0]
         assert values[0] == 0.0 and not np.signbit(values[0])
+        assert np.all(grads == 0.0) and not np.signbit(grads).any()
 
     def test_empty_batch(self):
         values, degenerate = vf_batch(np.zeros((0, 6)), SOURCE_RADIUS, CONTOURS["circle"], self.SPEC)
@@ -306,6 +321,8 @@ class TestInputChecks:
             vf_batch(np.zeros((2, 3)), SOURCE_RADIUS, CONTOURS["circle"])
         with pytest.raises(ValueError):
             vf_batch(np.array([[0, 0, 0.05, 0, 0, 0]]), 0.0, CONTOURS["circle"])
+        with pytest.raises(ValueError):
+            vf_batch(np.array([[0, 0, 0.05, 0, 0, 0]]), SOURCE_RADIUS, CONTOURS["circle"], dof=2)
 
 
 # ---------------------------------------------------------------------------
@@ -326,31 +343,30 @@ def pose_groups(draw):
     return tuple(GROUP_CONTOURS[m] for m in members), n, as_array(poses)
 
 
-def assert_group_matches_single_calls(contours, n, poses):
+def assert_group_matches_single_calls(contours, n, poses, dof):
     spec = QuadratureSpec(n)
-    values, degenerate = vf_batch(poses, SOURCE_RADIUS, contours, spec)
+    outputs = vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof)
     k_obj = len(contours)
     for k, contour in enumerate(contours):
-        alone, alone_deg = vf_batch(poses[k::k_obj], SOURCE_RADIUS, contour, spec)
-        assert values[k::k_obj].tobytes() == alone.tobytes()
-        assert np.array_equal(degenerate[k::k_obj], alone_deg)
+        alone = vf_batch(poses[k::k_obj], SOURCE_RADIUS, contour, spec, dof=dof)
+        assert_same_outputs([a[k::k_obj] for a in outputs], alone)
 
 
-@given(group=pose_groups())
+@given(group=pose_groups(), dof=dofs)
 @settings(max_examples=60, deadline=None)
-def test_group_matches_single_contour_calls_bitwise(group):
-    assert_group_matches_single_calls(*group)
+def test_group_matches_single_contour_calls_bitwise(group, dof):
+    assert_group_matches_single_calls(*group, dof)
 
 
-@given(group=pose_groups(), slack=st.sampled_from((-1, 0, 1)))
+@given(group=pose_groups(), dof=dofs, slack=st.sampled_from((-1, 0, 1)))
 @settings(max_examples=30, deadline=None)
-def test_group_matches_single_contour_calls_when_a_group_barely_fits_a_block(group, slack):
+def test_group_matches_single_contour_calls_when_a_group_barely_fits_a_block(group, dof, slack):
     contours, n, poses = group
     # One group's node pairs, give or take one: blocks of one group each,
     # and a budget too small for one group, which still takes whole groups.
     budget = len(contours) * (n + 1) ** 2 + slack
     with mock.patch.object(viewfactor_module, "BLOCK_PAIRS", budget):
-        assert_group_matches_single_calls(contours, n, poses)
+        assert_group_matches_single_calls(contours, n, poses, dof)
 
 
 def test_group_rejects_rows_not_a_multiple_of_its_size():
@@ -375,27 +391,121 @@ def test_equal_contours_share_one_cache_entry(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Gradient: one batched call, backward fallback for degenerate forward poses
+# Gradient: from the kernel's own arrays, against central differences
 # ---------------------------------------------------------------------------
 
+def reference_gradient(pose, contour, n):
+    """Fourth-order central differences of F21 with the source curves of
+    `pose` held fixed: of vf_batch itself for a Common pose, of the per-pose
+    contour integral over the pose's own arc and chord for a Partial one.
+    None if a perturbed pose is degenerate or, for a Common pose, not Common.
 
-def per_component_gradient(pose, contour, spec):
-    f0 = _general_value(pose, SOURCE_RADIUS, contour, spec)
-    grad = np.zeros(6)
-    for i in range(6):
-        h = DEFAULT_TRANSLATION_STEP if i < 3 else DEFAULT_ROTATION_STEP
-        x = pose.as_vector()
-        x[i] += h
-        grad[i] = (vf_batch(x[None, :], SOURCE_RADIUS, contour, spec)[0][0] - f0) / h
-    return grad
+    The steps are 1% of the scales on which the integrand varies: the
+    smallest object-source node distance for a translation, and that over
+    the object's reach, at most 1 rad, for a rotation. Truncation ~ (h/s)^4
+    then stays far below the rounding of the sum, which a smaller step
+    would amplify.
+    """
+    arc = reference_arc(pose, SOURCE_RADIUS)
+    points = _object_curve(contour, pose, n)[0]
+    if arc == "common":
+        curves = [_circle_arc_curve(SOURCE_RADIUS, 0.0, TWO_PI, n)]
+    else:
+        ends = [SOURCE_RADIUS * np.array([math.cos(a), math.sin(a), 0.0]) for a in arc]
+        curves = [_circle_arc_curve(SOURCE_RADIUS, *arc, n), _chord_curve(ends[1], ends[0], n)]
+    s_min = min(np.linalg.norm(points[:, None] - c[0][None], axis=2).min() for c in curves)
+    reach = np.linalg.norm(points - pose.translation, axis=1).max()
+    steps = 1e-2 * np.array([s_min] * 3 + [min(s_min / reach, 1.0)] * 3)
+    stencil = pose.as_vector() + np.concatenate([k * np.diag(steps) for k in (2, 1, -1, -2)])
+    if arc == "common":
+        values, degenerate = vf_batch(stencil, SOURCE_RADIUS, contour, QuadratureSpec(n))
+        if degenerate.any() or any(
+            reference_arc(Pose(*x), SOURCE_RADIUS) != "common" for x in stencil
+        ):
+            return None
+    else:
+        try:
+            values = np.array(
+                [reference_value(Pose(*x), SOURCE_RADIUS, contour, n, arc) for x in stencil]
+            )
+        except DegeneratePoseError:
+            return None
+    f2, f1, b1, b2 = values.reshape(4, 6)
+    return (b2 - 8.0 * b1 + 8.0 * f1 - f2) / (12.0 * steps)
+
+
+@given(case=cases, pose=any_pose)
+@settings(max_examples=150, deadline=None)
+def test_gradient_matches_central_differences(case, pose):
+    """All six components on Common, Partial, Complete and near-contact
+    poses: exact +0 for Complete, NaN for degenerate poses."""
+    name, n = case
+    contour = CONTOURS[name]
+    assume(not borderline(pose, SOURCE_RADIUS, contour, n))
+    _, degenerate, grads = vf_batch(
+        as_array([pose]), SOURCE_RADIUS, contour, QuadratureSpec(n), dof=6
+    )
+    if degenerate[0]:
+        assert np.isnan(grads).all()
+    elif reference_arc(pose, SOURCE_RADIUS) == "complete":
+        assert np.all(grads == 0.0) and not np.signbit(grads).any()
+    else:
+        expected = reference_gradient(pose, contour, n)
+        assume(expected is not None)
+        event(reference_arc(pose, SOURCE_RADIUS) == "common" and "common" or "partial")
+        assert np.abs(grads[0] - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("name", sorted(CONTOURS))
 def test_gradient_matches_per_component_differences(name):
     contour, spec = CONTOURS[name], QuadratureSpec(16)
+    # A Common and a Partial pose.
     for pose in (Pose(0.01, -0.02, 0.05, 0.2, -0.1, 0.4), Pose(0.0, 0.0, 0.03, 1.0, 0.0, 0.0)):
         grad = view_factor_gradient(pose, SOURCE_RADIUS, contour, spec)
-        assert grad.tobytes() == per_component_gradient(pose, contour, spec).tobytes()
+        expected = reference_gradient(pose, contour, 16)
+        assert np.abs(grad - expected).max() <= 1e-6 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", sorted(CONTOURS))
+def test_partial_gradient_is_the_derivative_of_f21(name):
+    """Holding a Partial pose's arc and chord fixed drops no term: at n =
+    256, where quadrature error is small, the gradient agrees with central
+    differences of vf_batch, whose arc and chord follow the pose."""
+    contour, spec = CONTOURS[name], QuadratureSpec(256)
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 6:
+        pose = Pose(
+            *rng.uniform(-0.08, 0.08, 2), rng.uniform(0.01, 0.06),
+            rng.uniform(0.6, 1.5), rng.uniform(-0.8, 0.8), rng.uniform(-math.pi, math.pi),
+        )
+        _, degenerate, grads = vf_batch(as_array([pose]), SOURCE_RADIUS, contour, spec, dof=6)
+        if not isinstance(classify_occlusion(pose, SOURCE_RADIUS), Partial) or degenerate[0]:
+            continue
+        h = 1e-6
+        stencil = pose.as_vector() + np.concatenate([h * np.eye(6), -h * np.eye(6)])
+        values, _ = vf_batch(stencil, SOURCE_RADIUS, contour, spec)
+        expected = (values[:6] - values[6:]) / (2 * h)
+        assert np.abs(grads[0] - expected).max() <= 1e-4 * np.abs(expected).max()
+        checked += 1
+
+
+def test_translation_gradient_is_the_dof3_kernel_row():
+    """The benchmark's call form, translation components with a base value:
+    bitwise the kernel's dof=3 row, zeros in the other components."""
+    spec = QuadratureSpec(16)
+    for contour in CONTOURS.values():
+        pose = Pose(0.01, -0.02, 0.05, 0.2, -0.1, 0.4)
+        values, _, grads = vf_batch(as_array([pose]), SOURCE_RADIUS, contour, spec, dof=3)
+        grad = view_factor_gradient(
+            pose, SOURCE_RADIUS, contour, spec, indices=(0, 1, 2), base_value=values[0]
+        )
+        assert grad[:3].tobytes() == grads[0].tobytes()
+        assert np.array_equal(grad[3:], np.zeros(3))
+        some = view_factor_gradient(pose, SOURCE_RADIUS, contour, spec, indices=(2, 4))
+        full = vf_batch(as_array([pose]), SOURCE_RADIUS, contour, spec, dof=6)[2][0]
+        assert some[[2, 4]].tobytes() == full[[2, 4]].tobytes()
+        assert np.array_equal(some[[0, 1, 3, 5]], np.zeros(4))
 
 
 def tilted_near_contact(margin):
@@ -404,27 +514,16 @@ def tilted_near_contact(margin):
     return Pose(0.0, 0.0, 0.015 * math.sin(0.5) + MIN_SURFACE_CLEARANCE + margin, 0.5, 0.0, 0.0)
 
 
-def test_gradient_falls_back_to_backward_difference():
+def test_near_contact_gradient_needs_no_perturbed_pose():
+    """0.3 um above the contact clearance, where a tilt by 5e-5 rad either
+    way would touch the source, the gradient is finite; only a degenerate
+    pose raises."""
     contour, spec = CONTOURS["circle"], QuadratureSpec(16)
-    pose = tilted_near_contact(3e-7)
-    forward = pose.as_vector()
-    forward[3] += DEFAULT_ROTATION_STEP
-    assert vf_batch(forward[None, :], SOURCE_RADIUS, contour, spec)[1][0]
-    grad = view_factor_gradient(pose, SOURCE_RADIUS, contour, spec, indices=(2, 3))
-    f0 = _general_value(pose, SOURCE_RADIUS, contour, spec)
-    f_bwd = _general_value(pose.perturbed(3, -DEFAULT_ROTATION_STEP), SOURCE_RADIUS, contour, spec)
-    assert grad[3] == (f0 - f_bwd) / DEFAULT_ROTATION_STEP
-    assert grad[2] == per_component_gradient(pose, contour, spec)[2]
-
-
-def test_gradient_raises_when_both_sides_degenerate():
-    contour, spec = CONTOURS["circle"], QuadratureSpec(16)
-    # Untilted, 3e-7 m above the clearance: tilting either way by the
-    # default step lowers the boundary by 7.5e-7 m.
     level = Pose(0.0, 0.0, MIN_SURFACE_CLEARANCE + 3e-7)
-    assert view_factor_gradient(level, SOURCE_RADIUS, contour, spec, indices=(2,))[2] < 0.0
-    with pytest.raises(DegeneratePoseError):
-        view_factor_gradient(level, SOURCE_RADIUS, contour, spec, indices=(3,))
+    grad = view_factor_gradient(level, SOURCE_RADIUS, contour, spec)
+    assert np.isfinite(grad).all() and grad[2] < 0.0
+    tilted = view_factor_gradient(tilted_near_contact(3e-7), SOURCE_RADIUS, contour, spec)
+    assert np.isfinite(tilted).all()
     with pytest.raises(DegeneratePoseError):
         view_factor_gradient(Pose(0.0, 0.0, 0.0), SOURCE_RADIUS, contour, spec)
 
@@ -432,7 +531,6 @@ def test_gradient_raises_when_both_sides_degenerate():
 @pytest.mark.parametrize("with_base", [False, True])
 def test_batched_gradients_equal_stacked_single_gradients(with_base):
     spec = QuadratureSpec(16)
-    # The second object's forward theta_x pose is degenerate: it falls back.
     objects = [
         (Pose(0.01, -0.02, 0.05, 0.2, -0.1, 0.4), CONTOURS["circle"]),
         (tilted_near_contact(3e-7), CONTOURS["circle"]),
@@ -440,34 +538,14 @@ def test_batched_gradients_equal_stacked_single_gradients(with_base):
     ]
     poses = as_array([pose for pose, _ in objects])
     contours = tuple(contour for _, contour in objects)
-    indices = (0, 2, 3, 5)
-    bases = [_general_value(pose, SOURCE_RADIUS, c, spec) for pose, c in objects]
-    batched = view_factor_gradients(
-        poses, SOURCE_RADIUS, contours, spec, indices=indices,
-        base_values=bases if with_base else None,
-    )
+    values, _, batched = vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=6)
     stacked = np.array([
         view_factor_gradient(
-            pose, SOURCE_RADIUS, c, spec, indices=indices,
-            base_value=base if with_base else None,
+            pose, SOURCE_RADIUS, c, spec, base_value=base if with_base else None
         )
-        for (pose, c), base in zip(objects, bases)
+        for (pose, c), base in zip(objects, values)
     ])
     assert batched.tobytes() == stacked.tobytes()
-    backward = objects[1][0].perturbed(3, -DEFAULT_ROTATION_STEP)
-    f_bwd = _general_value(backward, SOURCE_RADIUS, contours[1], spec)
-    assert batched[1, 3] == (bases[1] - f_bwd) / DEFAULT_ROTATION_STEP
-
-
-def test_batched_gradients_raise_when_both_sides_degenerate():
-    contour, spec = CONTOURS["circle"], QuadratureSpec(16)
-    level = Pose(0.0, 0.0, MIN_SURFACE_CLEARANCE + 3e-7)
-    poses = as_array([Pose(0.01, 0.0, 0.05), level])
-    with pytest.raises(DegeneratePoseError, match="coordinate 3"):
-        view_factor_gradients(poses, SOURCE_RADIUS, (contour, contour), spec, indices=(2, 3))
-    with pytest.raises(DegeneratePoseError):
-        view_factor_gradients(as_array([Pose(0.01, 0.0, 0.05), Pose(0.0, 0.0, 0.0)]),
-                              SOURCE_RADIUS, (contour, contour), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +565,11 @@ def per_pose_search(targets, displacements, objects, grid, spec):
                 try:
                     for disp, (contour, lam) in zip(displacements, objects):
                         p = base + np.asarray(disp)
-                        f = _general_value(Pose(*p), SOURCE_RADIUS, contour, spec)
+                        pose = Pose(*p).as_vector()[None]
+                        values, degenerate = vf_batch(pose, SOURCE_RADIUS, contour, spec)
+                        if degenerate[0]:
+                            raise DegeneratePoseError("touches the source")
+                        f = values[0]
                         tv0.append(steady_state_temperature(min(max(f, 0.0), 1.0 - 1e-12), lam))
                 except DegeneratePoseError:
                     continue
@@ -583,7 +665,6 @@ def poses_per_call(monkeypatch, scenario):
         return integrate(state, f_of_time, lam, dt, steps, t0=t0)
 
     monkeypatch.setattr(simulator_module, "vf_batch", counting)
-    monkeypatch.setattr("thermoservo.interaction.vf_batch", counting)
     monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
     log = run_simulation(scenario)
     return np.array(sizes), ends[:: len(scenario.objects)], log
@@ -596,39 +677,26 @@ def assert_logged_view_factors_are_fresh(log, scenario):
     schedule = scenario.source_schedule
     for i, obj in enumerate(scenario.objects):
         fresh = [
-            _general_value(
-                Pose(*(p + obj.displacement - (schedule.position(t) if schedule else 0.0))),
+            vf_batch(
+                Pose(*(p + obj.displacement - (schedule.position(t) if schedule else 0.0)))
+                .as_vector()[None],
                 SOURCE_RADIUS,
                 obj.contour,
                 scenario.quadrature,
-            )
+            )[0][0]
             for p, t in zip(poses, log.column("time_s"))
         ]
         assert np.array_equal(log.column(f"F21_{i + 1}"), fresh)
 
 
-# The estimator window fills at the 10th sample, tick 9. Kernel call 0
-# evaluates the start pose and call j the plant step of tick j - 1; from
-# call 9 on, the next tick has an estimate and its gradient's 3 forward
-# poses per object join the call.
-GRADIENT_CALLS = slice(9, None)
-
-
-def assert_poses_per_run_unchanged(per_call, scenario, n_times):
-    """One evaluation per object at the start, n_times per object per plant
-    step and 3 forward poses per object per tick with an estimate."""
-    n_obj, n_ticks = scenario.n_objects, scenario.n_ticks
-    assert per_call.sum() == n_obj * (1 + n_times * n_ticks + 3 * (n_ticks - 8))
-
-
 @pytest.mark.parametrize("n_objects", [1, 3])
-def test_static_source_evaluates_four_per_object_per_tick(monkeypatch, n_objects):
+def test_static_source_evaluates_one_per_object_per_tick(monkeypatch, n_objects):
+    """Kernel call 0 evaluates the start pose and call j the plant step of
+    tick j - 1, gradients included: one pose per object per call."""
     scenario = sheet_scenario(n_objects)
     per_call, _, log = poses_per_call(monkeypatch, scenario)
     assert len(per_call) == scenario.n_ticks + 1
-    assert np.all(per_call[:9] == n_objects)
-    assert np.all(per_call[GRADIENT_CALLS] == 4 * n_objects)
-    assert_poses_per_run_unchanged(per_call, scenario, 1)
+    assert np.all(per_call == n_objects)
     assert_logged_view_factors_are_fresh(log, scenario)
 
 
@@ -638,9 +706,8 @@ def test_moving_source_evaluates_both_plant_ends(monkeypatch):
     )
     scenario = sheet_scenario(3, schedule)
     per_call, ends, log = poses_per_call(monkeypatch, scenario)
-    assert per_call[0] == 3 and np.all(per_call[1:9] == 2 * 3)
-    assert np.all(per_call[GRADIENT_CALLS] == 5 * 3)
-    assert_poses_per_run_unchanged(per_call, scenario, 2)
+    assert len(per_call) == scenario.n_ticks + 1
+    assert per_call[0] == 3 and np.all(per_call[1:] == 2 * 3)
     assert all(start != end for start, end in ends)
     assert_logged_view_factors_are_fresh(log, scenario)
 
@@ -661,7 +728,6 @@ def kernel_calls_per_tick(monkeypatch, scenario):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(simulator_module, "vf_batch", counting)
-    monkeypatch.setattr("thermoservo.interaction.vf_batch", counting)
     monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
     run_simulation(scenario)
     return np.diff(marks[:: len(scenario.objects)]), calls[0]
@@ -675,7 +741,7 @@ MOVING_SCHEDULE = SourceSchedule(
 @pytest.mark.parametrize("moving", [False, True])
 @pytest.mark.parametrize("n_objects", [1, 3])
 def test_one_gradient_and_one_plant_call_per_tick(monkeypatch, n_objects, moving):
-    """The plant ends and the next tick's gradient steps share one kernel
+    """The plant ends and the next tick's gradient come from one kernel
     call: exactly one call per tick, whatever the object count."""
     scenario = sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None)
     per_tick, total = kernel_calls_per_tick(monkeypatch, scenario)
@@ -713,7 +779,7 @@ def test_degenerate_pose_names_the_object_that_touches(moving):
 
 
 # ---------------------------------------------------------------------------
-# Simulator: the carried gradient steps against view_factor_gradients
+# Simulator: the carried gradients against a fresh kernel call
 # ---------------------------------------------------------------------------
 
 
@@ -734,34 +800,19 @@ def received_gradients(monkeypatch, scenario):
 POSE_COLUMNS = ("p1_m", "p2_m", "p3_m", "theta_x", "theta_y", "theta_z")
 
 
-def slow_path_matrix(log, scenario, tick, fallback=None):
-    """`view_factor_gradients` at the logged pose, time and F21 of `tick`,
-    scaled as the scenario's control law receives it. `fallback` = (object,
-    coordinate) replaces that component by its backward difference."""
+def fresh_matrix(log, scenario, tick):
+    """`vf_batch(..., dof=scenario.dof)` gradients at the logged pose and
+    time of `tick`, scaled as the scenario's control law receives them."""
     x = np.array([log.column(c)[tick] for c in POSE_COLUMNS])
     offsets = np.zeros((scenario.n_objects, 6))
     offsets[:, :3] = [o.displacement for o in scenario.objects]
     src = np.zeros(6)
     if scenario.source_schedule is not None:
         src[:3] = scenario.source_schedule.position(log.column("time_s")[tick])
-    rel = x + offsets - src
-    f_now = np.array([log.column(f"F21_{i + 1}")[tick] for i in range(scenario.n_objects)])
     contours = tuple(o.contour for o in scenario.objects)
-    dof = scenario.dof
-    grads = view_factor_gradients(
-        rel, SOURCE_RADIUS, contours, scenario.quadrature,
-        indices=tuple(range(dof)), base_values=f_now,
+    _, _, grads = vf_batch(
+        x + offsets - src, SOURCE_RADIUS, contours, scenario.quadrature, dof=scenario.dof
     )
-    if fallback is not None:
-        k, i = fallback
-        h = DEFAULT_TRANSLATION_STEP if i < 3 else DEFAULT_ROTATION_STEP
-        backward = rel[k].copy()
-        backward[i] -= h
-        f_bwd = _general_value(
-            Pose.from_vector(backward), SOURCE_RADIUS, contours[k], scenario.quadrature
-        )
-        grads[k, i] = (f_now[k] - f_bwd) / h
-    grads = grads[:, :dof]
     if scenario.controller == "adaptive":
         return grads
     env = scenario.environment
@@ -773,6 +824,8 @@ def slow_path_matrix(log, scenario, tick, fallback=None):
 @pytest.mark.parametrize("moving", [False, True])
 @pytest.mark.parametrize("n_objects", [1, 3])
 def test_carried_gradients_equal_view_factor_gradients(monkeypatch, n_objects, moving, controller):
+    """The gradient each control law receives, carried from the previous
+    plant step's kernel call, is bitwise a fresh call at the logged pose."""
     scenario = dataclasses.replace(
         sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None), controller=controller
     )
@@ -782,39 +835,7 @@ def test_carried_gradients_equal_view_factor_gradients(monkeypatch, n_objects, m
     ticks = range(9, len(log.rows))
     assert len(received) == len(ticks)
     for tick, matrix in zip(ticks, received):
-        assert matrix.tobytes() == slow_path_matrix(log, scenario, tick).tobytes()
-
-
-@pytest.mark.parametrize("forced_call", [9, 20])
-def test_degenerate_forward_row_falls_back_at_the_tick_that_uses_it(monkeypatch, forced_call):
-    """A forward row flagged degenerate in kernel call j does not end the
-    run; tick j, which uses it, takes the backward difference. Call 9 is the
-    plant step of tick 8, while the estimator window is still filling."""
-    scenario = sheet_scenario(3)
-    obj, coordinate = 2, 2  # object 3, p3
-    calls = [0]
-
-    def forcing(poses, *args, **kwargs):
-        values, degenerate = vf_batch(poses, *args, **kwargs)
-        if calls[0] == forced_call:
-            # One time row per object, then the forward rows per coordinate.
-            row = (1 + coordinate) * scenario.n_objects + obj
-            values, degenerate = values.copy(), degenerate.copy()
-            values[row], degenerate[row] = np.nan, True
-        calls[0] += 1
-        return values, degenerate
-
-    monkeypatch.setattr(simulator_module, "vf_batch", forcing)
-    received = received_gradients(monkeypatch, scenario)
-    log = run_simulation(scenario)
-    assert log.termination == "completed"
-    assert len(log.rows) == scenario.n_ticks + 1
-    for tick, matrix in zip(range(9, len(log.rows)), received):
-        fallback = (obj, coordinate) if tick == forced_call else None
-        expected = slow_path_matrix(log, scenario, tick, fallback)
-        assert matrix.tobytes() == expected.tobytes()
-        if fallback is not None:
-            assert matrix[obj, coordinate] != slow_path_matrix(log, scenario, tick)[obj, coordinate]
+        assert matrix.tobytes() == fresh_matrix(log, scenario, tick).tobytes()
 
 
 def test_thermal_divergence_keeps_the_finished_ticks(monkeypatch):

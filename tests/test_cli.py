@@ -128,6 +128,24 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "degenerate_pose" in err and "object 1 touches" in err
 
+    def test_source_passing_through_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
+        # The source rises 40 cm in 60 s through the disk 15 cm up.
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        raw["source"]["waypoints"] = [
+            {"time_s": 0.0, "center_cm": [0.0, 0.0, 0.0]},
+            {"time_s": 60.0, "center_cm": [0.0, 0.0, 40.0]},
+        ]
+        path = tmp_path / "through.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "t.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL_FAILURE
+        log = run_simulation(load_scenario(path))
+        assert log.termination == "degenerate_pose"
+        assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
+        err = capsys.readouterr().err
+        assert "degenerate_pose" in err and "object 1 passes through the source plane" in err
+
     def test_numerical_failure_exit_code(self, quick_scenario_file, tmp_path, monkeypatch):
         def boom(scenario):
             raise NonFiniteIntegrandError((0.0, 0.0))

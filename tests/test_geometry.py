@@ -20,7 +20,12 @@ from thermoservo import (
     rotation_from_euler,
     wrap_angle,
 )
-from thermoservo.geometry import contributing_arc, pose_rotation
+from thermoservo.geometry import (
+    contributing_arc,
+    pose_rotation,
+    rotation_derivatives_from_euler,
+    rotations_from_euler,
+)
 
 from conftest import BUNNY_BUMPS, star_polyline
 
@@ -91,6 +96,41 @@ class TestRotation:
         r = rotation_from_euler(tx, ty, tz)
         recovered = rotation_from_euler(*euler_from_rotation(r))
         assert np.allclose(recovered, r, atol=1e-10)
+
+    @given(
+        angles,
+        st.one_of(
+            angles,
+            st.sampled_from((-1.0, 1.0)).flatmap(
+                lambda sign: st.floats(-1e-3, 1e-3).map(lambda e: sign * math.pi / 2 + e)
+            ),
+        ),
+        angles,
+    )
+    @settings(max_examples=80)
+    def test_derivatives_match_central_differences(self, tx, ty, tz):
+        """The closed-form dR/dtheta_j, also next to gimbal lock at
+        theta_y = +-pi/2, against central differences of the rotation."""
+        a = np.array([tx, ty, tz])
+        derivatives = rotation_derivatives_from_euler(a)
+        # Truncation h^2 / 6 ~ 2e-11; rounding of a + h at |a| <= 50 ~ 1e-9.
+        h = 1e-5
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            fd = (rotations_from_euler(a + step) - rotations_from_euler(a - step)) / (2 * h)
+            assert np.abs(derivatives[j] - fd).max() <= 1e-8
+
+    def test_derivatives_at_gimbal_lock_and_batched(self):
+        a = np.array([[0.3, math.pi / 2, -0.7], [0.3, -math.pi / 2, -0.7], [1.0, 2.0, 3.0]])
+        batched = rotation_derivatives_from_euler(a)
+        assert batched.shape == (3, 3, 3, 3)
+        for row, derivatives in zip(a, batched):
+            assert derivatives.tobytes() == rotation_derivatives_from_euler(row).tobytes()
+            r = rotations_from_euler(row)
+            # dR/dtheta_x = R [e_x]x and dR/dtheta_z = [e_z]x R.
+            assert np.allclose(derivatives[0], r @ np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]]))
+            assert np.allclose(derivatives[2], np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]) @ r)
 
 
 class TestObjectNormal:

@@ -8,12 +8,11 @@ from thermoservo import (
     Pose,
     QuadratureSpec,
     assemble,
-    l_finite_diff,
     l_parallel,
+    vf_batch,
     vf_parallel_disks,
     view_factor_gradient,
 )
-from thermoservo.viewfactor import _general_value
 
 SPEC64 = QuadratureSpec(64)
 R1, R2 = 0.10, 0.015
@@ -58,42 +57,50 @@ class TestLParallel:
         assert np.allclose(scaled, 3.0 * row, rtol=1e-14)
 
 
+def kernel_row(pose, lambda1):
+    """lambda1-scaled kernel gradient of F21 over all six coordinates."""
+    return lambda1 * view_factor_gradient(pose, R1, CircleContour(R2), SPEC64)
+
+
+def kernel_value(x):
+    return vf_batch(np.asarray(x)[None, :], R1, CircleContour(R2), SPEC64)[0][0]
+
+
 class TestFiniteDifferenceRow:
+    """The interaction row lambda1 * grad F21 from the kernel, against
+    l_parallel and finite differences of the kernel's values."""
+
     def test_translation_components_match_l_parallel(self, aluminum_lambdas):
         pose = Pose(0.01, -0.02, 0.06)
-        fd = l_finite_diff(pose, R1, CircleContour(R2), aluminum_lambdas.lambda1, SPEC64)
+        row = kernel_row(pose, aluminum_lambdas.lambda1)
         analytic = l_parallel(pose, R1, R2, aluminum_lambdas.lambda1, SPEC64)
-        assert np.linalg.norm(fd[:3] - analytic) < 1e-4 * np.linalg.norm(analytic)
+        assert np.linalg.norm(row[:3] - analytic) < 1e-4 * np.linalg.norm(analytic)
 
     def test_own_axis_spin_component_vanishes_coaxial(self, aluminum_lambdas):
-        fd = l_finite_diff(
-            Pose(0, 0, 0.05), R1, CircleContour(R2), aluminum_lambdas.lambda1, SPEC64
-        )
-        assert abs(fd[5]) < 1e-8
+        row = kernel_row(Pose(0, 0, 0.05), aluminum_lambdas.lambda1)
+        assert abs(row[5]) < 1e-8
 
     def test_deep_complete_obstruction_gives_zero_row(self, aluminum_lambdas):
-        fd = l_finite_diff(
-            Pose(0, 0, 0.05, math.pi, 0, 0),
-            R1,
-            CircleContour(R2),
-            aluminum_lambdas.lambda1,
-            SPEC64,
-        )
-        assert np.array_equal(fd, np.zeros(6))
+        row = kernel_row(Pose(0, 0, 0.05, math.pi, 0, 0), aluminum_lambdas.lambda1)
+        assert np.array_equal(row, np.zeros(6))
 
     def test_first_order_richardson_convergence(self, aluminum_lambdas):
+        """Forward differences of the kernel's values converge to its
+        gradient at first order: the gradient is their limit."""
         pose = Pose(0.02, 0.01, 0.05)
         h = 4e-5
-        fd_h = l_finite_diff(
-            pose, R1, CircleContour(R2), aluminum_lambdas.lambda1, SPEC64,
-            translation_step=h,
-        )[:3]
-        fd_h2 = l_finite_diff(
-            pose, R1, CircleContour(R2), aluminum_lambdas.lambda1, SPEC64,
-            translation_step=h / 2,
-        )[:3]
+        lam1 = aluminum_lambdas.lambda1
+
+        def forward_row(step):
+            f0 = kernel_value(pose.as_vector())
+            return np.array(
+                [lam1 * (kernel_value(pose.perturbed(i, step).as_vector()) - f0) / step
+                 for i in range(3)]
+            )
+
+        fd_h, fd_h2 = forward_row(h), forward_row(h / 2)
         extrapolated = 2.0 * fd_h2 - fd_h  # first-order Richardson
-        analytic = l_parallel(pose, R1, R2, aluminum_lambdas.lambda1, SPEC64)
+        analytic = kernel_row(pose, lam1)[:3]
         # halving the step roughly halves the forward-difference error
         err_h = np.linalg.norm(fd_h - analytic)
         err_h2 = np.linalg.norm(fd_h2 - analytic)
@@ -102,17 +109,13 @@ class TestFiniteDifferenceRow:
 
     def test_directional_derivative_identity(self, aluminum_lambdas):
         pose = Pose(0.01, 0.02, 0.06, 0.2, -0.1, 0.0)
-        row = l_finite_diff(pose, R1, CircleContour(R2), aluminum_lambdas.lambda1, SPEC64)
+        row = kernel_row(pose, aluminum_lambdas.lambda1)
         rng = np.random.default_rng(2)
         direction = rng.normal(size=6)
         direction /= np.linalg.norm(direction)
         eps = 2e-5
-        f_plus = _general_value(
-            Pose.from_vector(pose.as_vector() + eps * direction), R1, CircleContour(R2), SPEC64
-        )
-        f_minus = _general_value(
-            Pose.from_vector(pose.as_vector() - eps * direction), R1, CircleContour(R2), SPEC64
-        )
+        f_plus = kernel_value(pose.as_vector() + eps * direction)
+        f_minus = kernel_value(pose.as_vector() - eps * direction)
         fd_directional = (f_plus - f_minus) / (2 * eps)
         assert (row @ direction) / aluminum_lambdas.lambda1 == pytest.approx(
             fd_directional, rel=2e-3
@@ -121,8 +124,8 @@ class TestFiniteDifferenceRow:
     def test_j_row_invariant_to_lambda1(self):
         pose = Pose(0.01, 0.0, 0.05)
         grad = view_factor_gradient(pose, R1, CircleContour(R2), SPEC64)
-        row_a = l_finite_diff(pose, R1, CircleContour(R2), 3.0, SPEC64)
-        assert np.allclose(row_a / 3.0, grad, rtol=1e-14)
+        _, j_matrix = assemble([kernel_row(pose, 3.0)], [3.0])
+        assert np.allclose(j_matrix[0], grad, rtol=1e-14)
 
 
 class TestAssemble:

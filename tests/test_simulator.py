@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from thermoservo import (
     lambdas,
     load_scenario,
     run_simulation,
+    scenario_from_dict,
     temperature_rate,
 )
 from thermoservo.units import celsius_to_kelvin as c2k
@@ -172,6 +174,28 @@ class TestRunLoop:
         log = run_simulation(scenario)
         assert log.violation
         assert len(log.rows) < scenario.n_ticks + 1
+
+    def test_source_passing_through_the_object_ends_the_run(self):
+        """The source rises 40 cm in 60 s past the disk, which starts 15 cm
+        up and dives toward it: within the period from 18 s to 20 s the
+        disk's centre changes side of the source plane. Each end alone is a
+        valid pose (the later one Complete, F21 = 0); the run ends with
+        degenerate_pose and keeps the ticks it finished."""
+        raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
+        raw.update(control_period_s=2.0, duration_s=120.0)
+        raw["source"]["waypoints"] = [
+            {"time_s": 0.0, "center_cm": [0.0, 0.0, 0.0]},
+            {"time_s": 60.0, "center_cm": [0.0, 0.0, 40.0]},
+        ]
+        scenario = scenario_from_dict(raw)
+        log = run_simulation(scenario)
+        assert log.termination == "degenerate_pose"
+        assert log.detail == "object 1 passes through the source plane between 18 s and 20 s"
+        assert len(log.rows) == 10
+        assert log.column("F21_1").min() > 0.0
+        head = run_simulation(dataclasses.replace(scenario, duration=18.0))
+        assert head.termination == "completed"
+        assert np.array_equal(log.rows, head.rows, equal_nan=True)
 
     def test_six_dof_loop_runs(self):
         """6-DOF control path: rotation gradients enter the loop and the
