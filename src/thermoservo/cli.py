@@ -4,7 +4,8 @@ Subcommands: simulate, viewfactor, isosurface, feasibility, estimate-bench.
 Exit codes: 0 success, 2 invalid scenario/arguments, 3 workspace violation,
 4 numerical failure. A simulation that ends early still writes the log of
 the ticks it finished: its termination reason gives exit 3 for
-workspace_violation and 4 for degenerate_pose or thermal_divergence.
+workspace_violation and 4 for degenerate_pose, thermal_divergence or
+non_finite_control.
 """
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ _TERMINATION_EXIT = {
     "workspace_violation": EXIT_WORKSPACE_VIOLATION,
     "degenerate_pose": EXIT_NUMERICAL_FAILURE,
     "thermal_divergence": EXIT_NUMERICAL_FAILURE,
+    "non_finite_control": EXIT_NUMERICAL_FAILURE,
 }
 
 

@@ -234,7 +234,11 @@ class RunLog:
     columns: list[str]
     rows: np.ndarray
     termination: Literal[
-        "completed", "workspace_violation", "degenerate_pose", "thermal_divergence"
+        "completed",
+        "workspace_violation",
+        "degenerate_pose",
+        "thermal_divergence",
+        "non_finite_control",
     ] = "completed"
     detail: str = ""
 
@@ -298,9 +302,10 @@ def run_simulation(scenario: Scenario) -> RunLog:
     the period's end pose is the next tick's pose.
 
     A run that leaves the configured workspace box, reaches a degenerate
-    pose, moves an object through the source plane within one period or
-    whose temperature diverges ends early. Its log keeps the rows of the
-    finished ticks and names the reason in `termination`.
+    pose, moves an object through the source plane within one period,
+    whose temperature diverges or whose control output is not finite ends
+    early. Its log keeps the rows of the finished ticks and names the
+    reason in `termination`.
     """
     n_obj = scenario.n_objects
     dof = scenario.dof
@@ -427,6 +432,10 @@ def run_simulation(scenario: Scenario) -> RunLog:
             logged = tick + 1
 
             if tick == n_ticks:
+                break
+            if not np.isfinite(u).all():
+                termination = "non_finite_control"
+                detail = f"control output {u.tolist()} at {t:g} s is not finite"
                 break
 
             # Position-stepping robot: apply the commanded velocity for one

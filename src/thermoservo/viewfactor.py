@@ -1,11 +1,13 @@
 """View factors between a circular source disk and a posed planar contour.
 
 The production path converts the classical double surface integral into
-double contour integrals (ln-distance kernel) evaluated with tensor-product
-composite Simpson quadrature. Self-obstructed configurations integrate over
-the contributing arc + chord split of the source boundary. A brute-force
-discrete surface integral (DSI) over facet pairs serves as the independent
-oracle.
+double contour integrals (ln-distance kernel). The object contour gets
+composite Simpson quadrature. Over the full source circle (the Common
+case) the source integral has a closed form, so a Common pose costs one
+term per object sample. Self-obstructed configurations integrate over the
+contributing arc + chord split of the source boundary, with Simpson
+quadrature on both source curves. A brute-force discrete surface integral
+(DSI) over facet pairs serves as the independent oracle.
 
 Orientation convention: both contours are parametrized counterclockwise in
 their own planes and the sign of the kernel is folded into the final
@@ -47,7 +49,11 @@ class NonFiniteIntegrandError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-Simpson resolution: even subinterval count per dimension."""
+    """Composite-Simpson resolution: even subinterval count per dimension,
+    that is, on the object contour and, for a Partial pose, on the
+    contributing arc and the chord. The full source circle of a Common pose
+    needs no nodes. `simpson_2d` and `vf_parallel_disks` use it on both of
+    their dimensions."""
 
     n_per_dim: int = 64
 
@@ -58,7 +64,7 @@ class QuadratureSpec:
 
 #: Production default; keeps a single evaluation well under a millisecond.
 DEFAULT_SPEC = QuadratureSpec(64)
-#: Cheaper resolution for interaction-matrix inner loops.
+#: The simulator's default (a scenario's `quadrature_n`).
 FAST_SPEC = QuadratureSpec(16)
 
 
@@ -123,9 +129,13 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # Contour-integral engine
 # ---------------------------------------------------------------------------
 
-#: Node pairs (object node x source node) evaluated per vectorized block.
-#: Bounds the kernel's temporary arrays to about 128 kB each; the gradient's
-#: per-pair derivatives take 3 (dof 3) or 5 (dof 6) times that.
+#: Object samples (poses x contour nodes) per vectorized block. Bounds the
+#: Common rows' temporary arrays to about 32 kB each, and the block's
+#: points and tangents to 96 kB each.
+BLOCK_SAMPLES = 2**12
+#: Node pairs (object node x source node) per sub-block of Partial rows.
+#: Bounds the Partial kernel's temporary arrays to about 128 kB each; the
+#: gradient's per-pair derivatives take 3 (dof 3) or 5 (dof 6) times that.
 BLOCK_PAIRS = 2**14
 
 _NODE_CACHE: dict = {}
@@ -181,25 +191,13 @@ def _unit_nodes(n: int):
     return _cached(("unit", n), lambda: _simpson_nodes(0.0, 1.0, n))
 
 
-def _source_circle(radius: float, n: int):
-    """Full source circle (x, y, tx, ty) at the unit-interval nodes, each
-    (1, m), cached per (radius, n)."""
-
-    def build():
-        theta = TWO_PI * _unit_nodes(n)[0][None, :]
-        x, y = radius * np.cos(theta), radius * np.sin(theta)
-        return x, y, -TWO_PI * y, TWO_PI * x
-
-    return _cached(("source", radius, n), build)
-
-
 def _pair_values(points, tangents, source, w_obj, w_src, dof=0):
     """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block and,
     for dof > 0, its derivatives by the object's boundary samples.
 
     points: (rows, 3, m_obj) world object samples; tangents: (rows, 3,
     m_obj) their tangents; w_obj: (rows, m_obj) their weights.
-    source: (x, y, tx, ty), each (rows, m_src) or (1, m_src). Source curves
+    source: (x, y, tx, ty), each (rows, m_src). Source curves
     lie in z = 0, so the z component of the object tangent drops out. Each
     row is reduced on its own in a fixed order, so its value does not depend
     on the other rows of the block.
@@ -241,11 +239,71 @@ def _pair_values(points, tangents, source, w_obj, w_src, dof=0):
     return values, np.einsum("bpij,j->bpi", by_pair, w_src) if dof else None
 
 
-def _block_values(poses, source_radius, nodes, circle, unit, dof):
+def _circle_values(points, tangents, w_obj, radius, dof=0):
+    """What _pair_values computes, over the full source circle and with the
+    source side in closed form.
+
+    For an object sample o = (x, y, z), with rho^2 = x^2 + y^2,
+    A = rho^2 + R^2 + z^2, P = sqrt(((rho - R)^2 + z^2)((rho + R)^2 + z^2))
+    and D = A + P, the source integral of ln|o - s| ds is exactly
+    -2 pi R^2 (-y, x) / D: of the Fourier series of ln|o - s| in the source
+    angle, only the k = 1 term has a non-zero integral against ds. So each
+    row takes its object samples alone, with no logarithm. P is a product
+    of two sums of squares, which keeps it accurate near the rim; it is
+    positive, because a non-degenerate sample lies above the source plane.
+
+    Same arguments and returns as _pair_values, with the circle's radius
+    for its nodes.
+    """
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    tx, ty = tangents[:, 0], tangents[:, 1]
+    r_sq = radius * radius
+    rho_sq = x * x + y * y
+    z_sq = z * z
+    rho = np.sqrt(rho_sq)
+    a = rho_sq + r_sq + z_sq
+    p = np.sqrt(((rho - radius) ** 2 + z_sq) * ((rho + radius) ** 2 + z_sq))
+    d = a + p
+    cross = x * ty - y * tx
+    k = (-TWO_PI * r_sq) / d
+    values = np.einsum("bi,bi->b", k * cross, w_obj)
+    if not dof:
+        return values, None
+    # The sample's partials of k * cross, with dD/dx = x e, dD/dy = y e and
+    # dD/dz = 2 z (1 + A / P), and for dof 6 those by its tangent.
+    q = cross / d
+    e = 2.0 * (1.0 + (a - 2.0 * r_sq) / p)
+    partials = np.empty((len(x), 5 if dof == 6 else 3, x.shape[1]))
+    partials[:, 0] = k * (ty - q * x * e)
+    partials[:, 1] = -k * (tx + q * y * e)
+    partials[:, 2] = -k * q * 2.0 * z * (1.0 + a / p)
+    if dof == 6:
+        partials[:, 3] = -k * y
+        partials[:, 4] = k * x
+    return values, partials
+
+
+def _partial_values(points, tangents, w_obj, lo, hi, radius, unit, dof=0):
+    """What _pair_values computes, over each row's contributing arc
+    (lo, hi), each (rows, 1), and the chord that closes it."""
+    u, w_src = unit
+    theta = lo + (hi - lo) * u
+    rc, rs = radius * np.cos(theta), radius * np.sin(theta)
+    arc = (rc, rs, (lo - hi) * rs, (hi - lo) * rc)
+    # The chord from the arc's last node back to its first closes the segment.
+    end_x, end_y = rc[:, -1:], rs[:, -1:]
+    edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
+    chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
+    arc_total, arc_partials = _pair_values(points, tangents, arc, w_obj, w_src, dof)
+    chord_total, chord_partials = _pair_values(points, tangents, chord, w_obj, w_src, dof)
+    # The arc and chord stay fixed; vf_batch says why that is exact.
+    return arc_total + chord_total, arc_partials + chord_partials if dof else None
+
+
+def _block_values(poses, source_radius, nodes, unit, dof):
     """View factors, degenerate flags and, for dof > 0, gradients of one
     block of whole pose groups."""
     along_x, along_y, w_obj, areas = nodes
-    u, w_src = unit
     groups = len(poses) // len(areas)
     translations = poses[:, :3]
     rotations = rotations_from_euler(poses[:, 3:])
@@ -266,29 +324,22 @@ def _block_values(poses, source_radius, nodes, circle, unit, dof):
     partials = np.zeros((len(poses), 5 if dof == 6 else 3, m)) if dof else None
     common = ~(occ.partial | occ.complete | degenerate)
     if np.count_nonzero(common):
-        values[common], common_partials = _pair_values(
-            points[common], tangents[common], circle, w_obj[common], w_src, dof
+        values[common], common_partials = _circle_values(
+            points[common], tangents[common], w_obj[common], source_radius, dof
         )
         if dof:
             partials[common] = common_partials
 
-    partial = occ.partial & ~degenerate
-    if np.count_nonzero(partial):
-        lo, hi = occ.lo[partial, None], occ.hi[partial, None]
-        theta = lo + (hi - lo) * u
-        rc, rs = source_radius * np.cos(theta), source_radius * np.sin(theta)
-        arc = (rc, rs, (lo - hi) * rs, (hi - lo) * rc)
-        # The chord from the arc's last node back to its first closes the segment.
-        end_x, end_y = rc[:, -1:], rs[:, -1:]
-        edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
-        chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
-        pts, tans, w = points[partial], tangents[partial], w_obj[partial]
-        arc_total, arc_partials = _pair_values(pts, tans, arc, w, w_src, dof)
-        chord_total, chord_partials = _pair_values(pts, tans, chord, w, w_src, dof)
-        values[partial] = arc_total + chord_total
+    # Partial rows cost m^2 node pairs each: sub-blocks of BLOCK_PAIRS.
+    partial = np.flatnonzero(occ.partial & ~degenerate)
+    step = max(1, BLOCK_PAIRS // m**2)
+    for rows in (partial[i : i + step] for i in range(0, len(partial), step)):
+        values[rows], partial_partials = _partial_values(
+            points[rows], tangents[rows], w_obj[rows],
+            occ.lo[rows, None], occ.hi[rows, None], source_radius, unit, dof,
+        )
         if dof:
-            # The arc and chord stay fixed; vf_batch says why that is exact.
-            partials[partial] = arc_partials + chord_partials
+            partials[rows] = partial_partials
 
     scale = -(TWO_PI * areas)
     by_group = values.reshape(groups, -1)  # a view of values
@@ -331,21 +382,25 @@ def vf_batch(
     pose groups, reshaped to (G * K, 6), evaluates every contour of the
     group at each of its G poses in one call. One contour is a group of one.
 
-    Poses are processed in blocks of whole groups, about BLOCK_PAIRS
-    quadrature node pairs each; each pose's value and gradient are computed
-    independently of the others, so they are bitwise identical alone, in
-    any batch or group, at any block split and in any order. Complete
+    A Common pose integrates the full source circle in closed form over
+    the object's Simpson samples; a Partial pose takes the Simpson rule on
+    its contributing arc and chord as well. Poses are processed in blocks
+    of whole groups, about BLOCK_SAMPLES object samples each, and a block's
+    Partial poses in sub-blocks of at most BLOCK_PAIRS node pairs (at least
+    one pose). Each pose's value and gradient are computed independently
+    of the others, so they are bitwise identical alone, in any batch or
+    group, at any block split and in any order. Complete
     self-obstruction gives exactly 0. Degenerate poses (coplanar with the
     source, or with the boundary within MIN_SURFACE_CLEARANCE of the source
     plane) are flagged and get NaN.
 
     The gradient differentiates the contour integral under the quadrature
     (Sparrow's contour formulation): the object's samples and tangents move
-    with the pose, the source nodes stay. On a Partial pose the contributing
-    arc and chord are held fixed, which is exact: the surface kernel
-    vanishes on the chord, which lies in the object's plane, and the arc's
-    ends only slide along the source circle. The gradient-free path (dof 0)
-    does no gradient work, and the values do not depend on dof.
+    with the pose, the source circle stays. On a Partial pose the
+    contributing arc and chord are held fixed, which is exact: the surface
+    kernel vanishes on the chord, which lies in the object's plane, and the
+    arc's ends only slide along the source circle. The gradient-free path
+    (dof 0) does no gradient work, and the values do not depend on dof.
 
     Args:
         poses: (B, 6) array of [p1, p2, p3, theta_x, theta_y, theta_z]; B
@@ -377,15 +432,14 @@ def vf_batch(
         raise ValueError(f"dof must be 0, 3 or 6, got {dof}")
     n = spec.n_per_dim
     nodes = _object_nodes(contours, n)
-    circle = _source_circle(source_radius, n)
     unit = _unit_nodes(n)
-    per_block = len(contours) * max(1, BLOCK_PAIRS // (len(contours) * (n + 1) ** 2))
+    per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * (n + 1)))
     results = (np.empty(len(poses)), np.empty(len(poses), dtype=bool))
     if dof:
         results += (np.empty((len(poses), dof)),)
     for lo in range(0, len(poses), per_block):
         block = slice(lo, lo + per_block)
-        parts = _block_values(poses[block], source_radius, nodes, circle, unit, dof)
+        parts = _block_values(poses[block], source_radius, nodes, unit, dof)
         for out, part in zip(results, parts):
             out[block] = part
     return results

@@ -146,6 +146,22 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "degenerate_pose" in err and "object 1 passes through the source plane" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_control_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        raw["controller"]["gains"] = {"d": 0.2, "k": 1.0e308}
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "n.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL_FAILURE
+        log = run_simulation(load_scenario(path))
+        assert log.termination == "non_finite_control"
+        assert len(log.rows) == 10
+        assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
+        assert "non_finite_control" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, quick_scenario_file, tmp_path, monkeypatch):
         def boom(scenario):
             raise NonFiniteIntegrandError((0.0, 0.0))
