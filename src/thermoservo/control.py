@@ -99,19 +99,17 @@ def damped_pseudoinverse(matrix: np.ndarray, damping: float = 1e-6) -> np.ndarra
 
 
 def _clamp(u: np.ndarray, limits: VelocityLimits) -> tuple[np.ndarray, bool]:
+    """u with its translation and rotation blocks scaled down to their
+    limits, and whether either was. A non-finite u is returned unscaled and
+    unflagged; `run_simulation` reports it."""
     out = u.copy()
     clamped = False
-    t_block = out[: min(3, len(out))]
-    t_norm = float(np.linalg.norm(t_block))
-    if t_norm > limits.max_translation:
-        t_block *= limits.max_translation / t_norm
-        clamped = True
-    if len(out) > 3:
-        r_block = out[3:]
-        r_norm = float(np.linalg.norm(r_block))
-        if r_norm > limits.max_rotation:
-            r_block *= limits.max_rotation / r_norm
-            clamped = True
+    if np.isfinite(out).all():
+        for block, limit in ((out[:3], limits.max_translation), (out[3:], limits.max_rotation)):
+            norm = float(np.linalg.norm(block))
+            if norm > limit:
+                block *= limit / norm
+                clamped = True
     return out, clamped
 
 

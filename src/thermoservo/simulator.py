@@ -380,42 +380,43 @@ def run_simulation(scenario: Scenario) -> RunLog:
             clamped = False
             t_hat = v_hat = dtau = np.full(n_obj, np.nan)
             if estimate is not None:
-                t_hat, v_hat = estimate
-                dtau = t_hat - targets
-                t_cubed = t_hat**3
-                if adaptive:
-                    output = adaptive_control(
-                        g_now,
-                        v_hat,
-                        dtau,
-                        t_cubed,
-                        adaptive_state,
-                        scenario.gains,
-                        scenario.pinv_damping,
-                        scenario.limits,
-                    )
-                    da1, da2 = adaptive_update(
-                        v_hat, output.zeta, t_cubed, scenario.gains, period
-                    )
-                    lyap = adaptive_lyapunov(
-                        output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
-                    )
-                    adaptive_state = AdaptiveState(
-                        adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
-                    )
-                else:
-                    output = model_based_control(
-                        lambda1s[:, None] * g_now,
-                        v_hat,
-                        dtau,
-                        t_cubed,
-                        lambda2s,
-                        scenario.gains,
-                        scenario.pinv_damping,
-                        scenario.limits,
-                    )
-                    lyap = output.lyapunov
-                u, clamped = output.u, output.clamped
+                with np.errstate(over="ignore", invalid="ignore"):  # non-finite u: checked below
+                    t_hat, v_hat = estimate
+                    dtau = t_hat - targets
+                    t_cubed = t_hat**3
+                    if adaptive:
+                        output = adaptive_control(
+                            g_now,
+                            v_hat,
+                            dtau,
+                            t_cubed,
+                            adaptive_state,
+                            scenario.gains,
+                            scenario.pinv_damping,
+                            scenario.limits,
+                        )
+                        da1, da2 = adaptive_update(
+                            v_hat, output.zeta, t_cubed, scenario.gains, period
+                        )
+                        lyap = adaptive_lyapunov(
+                            output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
+                        )
+                        adaptive_state = AdaptiveState(
+                            adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
+                        )
+                    else:
+                        output = model_based_control(
+                            lambda1s[:, None] * g_now,
+                            v_hat,
+                            dtau,
+                            t_cubed,
+                            lambda2s,
+                            scenario.gains,
+                            scenario.pinv_damping,
+                            scenario.limits,
+                        )
+                        lyap = output.lyapunov
+                    u, clamped = output.u, output.clamped
 
             rows[tick, 0] = t
             obj_row = object_rows[tick]

@@ -1,11 +1,11 @@
 """View factors between a circular source disk and a posed planar contour.
 
 The production path converts the classical double surface integral into
-double contour integrals (ln-distance kernel). The object contour gets
-composite Simpson quadrature. Over the full source circle (the Common
-case) the source integral has a closed form, so a Common pose costs one
-term per object sample. Self-obstructed configurations integrate over the
-contributing arc + chord split of the source boundary, with Simpson
+double contour integrals (ln-distance kernel). The object contour, a closed
+loop, gets the periodic trapezoid rule. Over the full source circle (the
+Common case) the source integral has a closed form, so a Common pose costs
+one term per object sample. Self-obstructed configurations integrate over
+the contributing arc + chord split of the source boundary, with Simpson
 quadrature on both source curves. A brute-force discrete surface integral
 (DSI) over facet pairs serves as the independent oracle.
 
@@ -49,11 +49,11 @@ class NonFiniteIntegrandError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-Simpson resolution: even subinterval count per dimension,
-    that is, on the object contour and, for a Partial pose, on the
-    contributing arc and the chord. The full source circle of a Common pose
-    needs no nodes. `simpson_2d` and `vf_parallel_disks` use it on both of
-    their dimensions."""
+    """Quadrature resolution n: n periodic-trapezoid samples on the object
+    contour and, for a Partial pose, n composite-Simpson intervals on the
+    contributing arc and the chord, so n stays even. A Common pose's source
+    circle needs no nodes. `simpson_2d` and `vf_parallel_disks` take n
+    Simpson intervals on both of their dimensions."""
 
     n_per_dim: int = 64
 
@@ -129,8 +129,8 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # Contour-integral engine
 # ---------------------------------------------------------------------------
 
-#: Object samples (poses x contour nodes) per vectorized block. Bounds the
-#: Common rows' temporary arrays to about 32 kB each, and the block's
+#: Object samples (poses x n contour samples) per vectorized block. Bounds
+#: the Common rows' temporary arrays to about 32 kB each, and the block's
 #: points and tangents to 96 kB each.
 BLOCK_SAMPLES = 2**12
 #: Node pairs (object node x source node) per sub-block of Partial rows.
@@ -166,21 +166,23 @@ def _object_nodes(contours: tuple[Contour, ...], n: int):
     """Local boundary samples of K contours over one period each, stacked
     and cached per (contents, n).
 
-    Returns (along_x, along_y, weights, areas): the local x and y
-    coordinates of the m = n + 1 points followed by those of their tangents
-    d(point)/d(param), each (K, 1, 2m), the (K, m) Simpson weights and the
-    (K,) enclosed areas.
+    Periodic trapezoid samples t_j = j period / n, each tangent scaled by
+    the rule's weight period / n: every term is linear in the object
+    tangent, so a row's sum over its samples is the integral. Returns
+    (along_x, along_y, areas): the local x and y of the n points followed by
+    those of their weighted tangents, each (K, 1, 2n), and the (K,) areas.
     """
 
     def build():
         columns = []
         for contour in contours:
-            t, w = _simpson_nodes(0.0, contour.period, n)
-            (x, y), (tx, ty) = contour.local_point(t).T, contour.local_tangent(t).T
-            columns.append((np.concatenate([x, tx]), np.concatenate([y, ty]), w))
-        along_x, along_y, w = (np.stack(c) for c in zip(*columns))
+            h = contour.period / n
+            t = h * np.arange(n)
+            (x, y), (tx, ty) = contour.local_point(t).T, h * contour.local_tangent(t).T
+            columns.append((np.concatenate([x, tx]), np.concatenate([y, ty])))
+        along_x, along_y = (np.stack(c) for c in zip(*columns))
         areas = np.array([contour.area for contour in contours])
-        return along_x[:, None], along_y[:, None], w, areas
+        return along_x[:, None], along_y[:, None], areas
 
     return _cached(("object", n, *map(_contour_key, contours)), build)
 
@@ -191,16 +193,15 @@ def _unit_nodes(n: int):
     return _cached(("unit", n), lambda: _simpson_nodes(0.0, 1.0, n))
 
 
-def _pair_values(points, tangents, source, w_obj, w_src, dof=0):
+def _pair_values(points, tangents, source, w_src, dof=0):
     """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block and,
     for dof > 0, its derivatives by the object's boundary samples.
 
     points: (rows, 3, m_obj) world object samples; tangents: (rows, 3,
-    m_obj) their tangents; w_obj: (rows, m_obj) their weights.
-    source: (x, y, tx, ty), each (rows, m_src). Source curves
-    lie in z = 0, so the z component of the object tangent drops out. Each
-    row is reduced on its own in a fixed order, so its value does not depend
-    on the other rows of the block.
+    m_obj) their weighted tangents; source: (x, y, tx, ty), each (rows,
+    m_src). Source curves lie in z = 0, so the z component of the object
+    tangent drops out. Each row is reduced on its own in a fixed order, so
+    its value does not depend on the other rows of the block.
 
     Returns:
         (values, partials): partials is None for dof 0, else (rows, P,
@@ -234,12 +235,12 @@ def _pair_values(points, tangents, source, w_obj, w_src, dof=0):
         np.multiply(kernel, 0.5 * sty, out=by_pair[:, 4])
     kernel *= dot
     # ln s = ln(s^2) / 2. einsum reduces each row alone; a stacked matmul
-    # such as (kernel @ w_src) @ w_obj does not give batch-independent bits.
-    values = 0.5 * np.einsum("bij,bi,j->b", kernel, w_obj, w_src)
+    # such as (kernel @ w_src).sum(1) does not give batch-independent bits.
+    values = 0.5 * np.einsum("bij,j->b", kernel, w_src)
     return values, np.einsum("bpij,j->bpi", by_pair, w_src) if dof else None
 
 
-def _circle_values(points, tangents, w_obj, radius, dof=0):
+def _circle_values(points, tangents, radius, dof=0):
     """What _pair_values computes, over the full source circle and with the
     source side in closed form.
 
@@ -266,7 +267,7 @@ def _circle_values(points, tangents, w_obj, radius, dof=0):
     d = a + p
     cross = x * ty - y * tx
     k = (-TWO_PI * r_sq) / d
-    values = np.einsum("bi,bi->b", k * cross, w_obj)
+    values = (k * cross).sum(axis=1)
     if not dof:
         return values, None
     # The sample's partials of k * cross, with dD/dx = x e, dD/dy = y e and
@@ -283,7 +284,7 @@ def _circle_values(points, tangents, w_obj, radius, dof=0):
     return values, partials
 
 
-def _partial_values(points, tangents, w_obj, lo, hi, radius, unit, dof=0):
+def _partial_values(points, tangents, lo, hi, radius, unit, dof=0):
     """What _pair_values computes, over each row's contributing arc
     (lo, hi), each (rows, 1), and the chord that closes it."""
     u, w_src = unit
@@ -294,8 +295,8 @@ def _partial_values(points, tangents, w_obj, lo, hi, radius, unit, dof=0):
     end_x, end_y = rc[:, -1:], rs[:, -1:]
     edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
     chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
-    arc_total, arc_partials = _pair_values(points, tangents, arc, w_obj, w_src, dof)
-    chord_total, chord_partials = _pair_values(points, tangents, chord, w_obj, w_src, dof)
+    arc_total, arc_partials = _pair_values(points, tangents, arc, w_src, dof)
+    chord_total, chord_partials = _pair_values(points, tangents, chord, w_src, dof)
     # The arc and chord stay fixed; vf_batch says why that is exact.
     return arc_total + chord_total, arc_partials + chord_partials if dof else None
 
@@ -303,7 +304,7 @@ def _partial_values(points, tangents, w_obj, lo, hi, radius, unit, dof=0):
 def _block_values(poses, source_radius, nodes, unit, dof):
     """View factors, degenerate flags and, for dof > 0, gradients of one
     block of whole pose groups."""
-    along_x, along_y, w_obj, areas = nodes
+    along_x, along_y, areas = nodes
     groups = len(poses) // len(areas)
     translations = poses[:, :3]
     rotations = rotations_from_euler(poses[:, 3:])
@@ -311,11 +312,10 @@ def _block_values(poses, source_radius, nodes, unit, dof):
     # contour tables: one product per axis rotates points and tangents.
     frames = rotations.reshape(groups, -1, 3, 3)
     rotated = frames[..., 0, None] * along_x + frames[..., 1, None] * along_y
-    m = w_obj.shape[1]
+    m = along_x.shape[-1] // 2
     # World-frame boundary samples: (B, 3, m) points and tangents.
     points = (rotated[..., :m] + translations.reshape(groups, -1, 3, 1)).reshape(len(poses), 3, m)
     tangents = rotated[..., m:].reshape(len(poses), 3, m)
-    w_obj = w_obj[None].repeat(groups, axis=0).reshape(len(poses), -1)
 
     occ = classify_occlusions(rotations, translations, source_radius)
     near_contact = points[:, 2].min(axis=1) < MIN_SURFACE_CLEARANCE
@@ -325,17 +325,17 @@ def _block_values(poses, source_radius, nodes, unit, dof):
     common = ~(occ.partial | occ.complete | degenerate)
     if np.count_nonzero(common):
         values[common], common_partials = _circle_values(
-            points[common], tangents[common], w_obj[common], source_radius, dof
+            points[common], tangents[common], source_radius, dof
         )
         if dof:
             partials[common] = common_partials
 
-    # Partial rows cost m^2 node pairs each: sub-blocks of BLOCK_PAIRS.
+    # Partial rows cost m (m + 1) pairs per source curve: sub-blocks of BLOCK_PAIRS.
     partial = np.flatnonzero(occ.partial & ~degenerate)
-    step = max(1, BLOCK_PAIRS // m**2)
+    step = max(1, BLOCK_PAIRS // (m * (m + 1)))
     for rows in (partial[i : i + step] for i in range(0, len(partial), step)):
         values[rows], partial_partials = _partial_values(
-            points[rows], tangents[rows], w_obj[rows],
+            points[rows], tangents[rows],
             occ.lo[rows, None], occ.hi[rows, None], source_radius, unit, dof,
         )
         if dof:
@@ -350,7 +350,7 @@ def _block_values(poses, source_radius, nodes, unit, dof):
         return values, degenerate
 
     grads = np.empty((len(poses), dof))
-    grads[:, :3] = np.einsum("bki,bi->bk", partials[:, :3], w_obj)
+    grads[:, :3] = partials[:, :3].sum(axis=2)
     if dof == 6:
         # dR/dtheta_j moves each sample by (dR/dtheta_j) c and its tangent
         # by (dR/dtheta_j) c': (B, 3 angles, 5 coordinates, m).
@@ -358,7 +358,7 @@ def _block_values(poses, source_radius, nodes, unit, dof):
         moved = turned[..., 0, None] * along_x[:, None] + turned[..., 1, None] * along_y[:, None]
         moved = moved.reshape(len(poses), 3, 3, 2 * m)
         jacobian = np.concatenate([moved[..., :m], moved[:, :, :2, m:]], axis=2)
-        grads[:, 3:] = np.einsum("bjsi,bsi,bi->bj", jacobian, partials, w_obj)
+        grads[:, 3:] = np.einsum("bjsi,bsi->bj", jacobian, partials)
     by_group = grads.reshape(groups, -1, dof)  # a view of grads
     by_group /= scale[:, None]
     grads[occ.complete] = 0.0
@@ -383,14 +383,14 @@ def vf_batch(
     group at each of its G poses in one call. One contour is a group of one.
 
     A Common pose integrates the full source circle in closed form over
-    the object's Simpson samples; a Partial pose takes the Simpson rule on
-    its contributing arc and chord as well. Poses are processed in blocks
-    of whole groups, about BLOCK_SAMPLES object samples each, and a block's
-    Partial poses in sub-blocks of at most BLOCK_PAIRS node pairs (at least
-    one pose). Each pose's value and gradient are computed independently
-    of the others, so they are bitwise identical alone, in any batch or
-    group, at any block split and in any order. Complete
-    self-obstruction gives exactly 0. Degenerate poses (coplanar with the
+    the object's n periodic-trapezoid samples; a Partial pose takes the
+    Simpson rule on its contributing arc and chord as well. Poses are
+    processed in blocks of whole groups, about BLOCK_SAMPLES object samples
+    each, and a block's Partial poses in sub-blocks of at most BLOCK_PAIRS
+    node pairs (at least one pose). Each pose's value and gradient are
+    computed independently of the others, so they are bitwise identical
+    alone, in any batch or group, at any block split and in any order.
+    Complete self-obstruction gives exactly 0. Degenerate poses (coplanar with the
     source, or with the boundary within MIN_SURFACE_CLEARANCE of the source
     plane) are flagged and get NaN.
 
@@ -433,7 +433,7 @@ def vf_batch(
     n = spec.n_per_dim
     nodes = _object_nodes(contours, n)
     unit = _unit_nodes(n)
-    per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * (n + 1)))
+    per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * n))
     results = (np.empty(len(poses)), np.empty(len(poses), dtype=bool))
     if dof:
         results += (np.empty((len(poses), dof)),)

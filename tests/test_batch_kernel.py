@@ -108,7 +108,8 @@ def reference_arc(pose, source_radius):
 
 
 def _object_curve(contour, pose, n):
-    t, w = _simpson_nodes(0.0, contour.period, n)
+    """The object's n periodic trapezoid nodes, posed, and their weights."""
+    t, w = contour.period * np.arange(n) / n, np.full(n, contour.period / n)
     rotation = reference_rotation(pose)
     zeros = np.zeros((len(t), 1))
     pts = np.concatenate([contour.local_point(t), zeros], axis=1) @ rotation.T + pose.translation
@@ -149,8 +150,8 @@ def _source_integral(source_curve, obj_curve):
 
 def reference_integrand(pose, source_radius, contour, n, arc=None):
     """Per-pose contour integral as (w, g), F21 = w @ g: the object's
-    n-interval Simpson weights and, per object node, the source side over
-    -2 pi A2. Raises DegeneratePoseError. The source side is a
+    n-node periodic trapezoid weights and, per object node, the source side
+    over -2 pi A2. Raises DegeneratePoseError. The source side is a
     TRAPEZOID_NODES periodic trapezoid rule on the full circle of a Common
     pose, the n-interval Simpson rule on the arc and chord of a Partial one.
     `arc` ("common" or (lo, hi)) holds the source curves fixed instead of
@@ -159,7 +160,7 @@ def reference_integrand(pose, source_radius, contour, n, arc=None):
         arc = reference_arc(pose, source_radius)
     obj_curve = _object_curve(contour, pose, n)
     if arc == "complete":
-        return obj_curve[2], np.zeros(n + 1)
+        return obj_curve[2], np.zeros(n)
     if obj_curve[0][:, 2].min() < MIN_SURFACE_CLEARANCE:
         raise DegeneratePoseError("near contact")
     if arc == "common":
@@ -301,6 +302,28 @@ def test_coaxial_circle_matches_closed_form(n, radius, gap):
     assert abs(values[0] - expected) <= 1e-13
 
 
+def test_fourier_contour_converges_at_the_simulator_default():
+    """The object contour is a closed loop, so its periodic rule converges
+    fast: on 200 seeded Common poses (p3 2-30 cm, tilt up to 0.3 rad,
+    lateral +-15 cm), the Fourier contour's F21 at n=16 has a median
+    relative error of at most 1e-6 against n=256. Composite Simpson on the
+    same nodes reads about 1.3e-4."""
+    rng = np.random.default_rng(8)
+    poses = []
+    while len(poses) < 200:
+        pose = Pose(
+            *rng.uniform(-0.15, 0.15, 2), rng.uniform(0.02, 0.3),
+            *rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi),
+        )
+        if isinstance(classify_occlusion(pose, SOURCE_RADIUS), Common):
+            poses.append(pose)
+    contour = CONTOURS["fourier"]
+    coarse, flagged = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(16))
+    fine, _ = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(256))
+    assert not flagged.any()
+    assert np.median(np.abs(coarse - fine) / fine) <= 1e-6
+
+
 def block_budgets(samples, pairs):
     """Patch the object samples per block and the node pairs per Partial
     sub-block."""
@@ -325,8 +348,8 @@ def test_batch_independence_bitwise(case, poses, dof, data):
     assert_same_outputs(outputs[:2], vf_batch(batch, SOURCE_RADIUS, contour, spec))
     alone = [vf_batch(row[None, :], SOURCE_RADIUS, contour, spec, dof=dof) for row in batch]
     assert_same_outputs(outputs, [np.concatenate(a) for a in zip(*alone)])
-    samples = data.draw(st.integers(1, 3 * (n + 1)), label="block_samples")
-    pairs = data.draw(st.integers(1, 3 * (n + 1) ** 2), label="block_pairs")
+    samples = data.draw(st.integers(1, 3 * n), label="block_samples")
+    pairs = data.draw(st.integers(1, 3 * n * (n + 1)), label="block_pairs")
     with block_budgets(samples, pairs):
         assert_same_outputs(outputs, vf_batch(batch, SOURCE_RADIUS, contour, spec, dof=dof))
     order = np.array(data.draw(st.permutations(range(len(batch))), label="order"))
@@ -444,8 +467,8 @@ def test_group_matches_single_contour_calls_when_a_group_barely_fits_a_block(
     # One group's object samples, give or take one: blocks of one group
     # each, and a budget too small for one group, which still takes whole
     # groups. Partial sub-blocks: one group's node pairs, give or take one.
-    samples = len(contours) * (n + 1) + slack
-    pairs = len(contours) * (n + 1) ** 2 + pair_slack
+    samples = len(contours) * n + slack
+    pairs = len(contours) * n * (n + 1) + pair_slack
     with block_budgets(samples, pairs):
         assert_group_matches_single_calls(contours, n, poses, dof)
 
@@ -590,7 +613,7 @@ def test_translation_gradient_is_the_dof3_kernel_row():
 
 
 def tilted_near_contact(margin):
-    """Circle tilted by 0.5 rad about x whose lowest Simpson node sits
+    """Circle tilted by 0.5 rad about x whose lowest object sample sits
     `margin` above the contact clearance; tilting further lowers it."""
     return Pose(0.0, 0.0, 0.015 * math.sin(0.5) + MIN_SURFACE_CLEARANCE + margin, 0.5, 0.0, 0.0)
 

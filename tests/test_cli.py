@@ -146,8 +146,6 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "degenerate_pose" in err and "object 1 passes through the source plane" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_control_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
         raw = yaml.safe_load(quick_scenario_file.read_text())
         raw["controller"]["gains"] = {"d": 0.2, "k": 1.0e308}

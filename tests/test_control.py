@@ -120,6 +120,22 @@ class TestModelBasedControl:
         assert out.clamped
         assert np.linalg.norm(out.u[:3]) == pytest.approx(0.05)
 
+    def test_non_finite_command_is_left_unscaled_and_unflagged(self):
+        """A right-hand side that overflows gives an infinite command; the
+        clamp neither scales it into NaN nor flags it."""
+        with np.errstate(over="ignore"):
+            out = model_based_control(
+                np.array([[1.0, -1.0, 0.5]]),
+                v=np.zeros(1),
+                dtau=np.array([10.0]),
+                t_cubed=np.array([300.0**3]),
+                lambda2s=np.array([1e-13]),
+                gains=Gains(d=0.2, k=1e308),
+                limits=VelocityLimits(max_translation=0.05, max_rotation=0.2),
+            )
+        assert out.u.tolist() == [-np.inf, np.inf, -np.inf]
+        assert not out.clamped
+
 
 class TestAdaptiveControl:
     def test_equilibrium_gives_zero_velocity(self):

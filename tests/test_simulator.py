@@ -197,21 +197,22 @@ class TestRunLoop:
         assert head.termination == "completed"
         assert np.array_equal(log.rows, head.rows, equal_nan=True)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_control_ends_the_run(self):
         """A gain of 1e308 overflows the control law at the first estimate
-        (tick 9, 36 s): the velocity is NaN. The run ends with
-        non_finite_control before the pose moves and keeps that tick's row."""
+        (tick 9, 36 s): the velocity is infinite, and neither clamped nor
+        warned about. The run ends with non_finite_control before the pose
+        moves and keeps that tick's row."""
         raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
         raw["controller"]["gains"] = {"d": 0.2, "k": 1.0e308}
         raw["duration_s"] = 200.0
         scenario = scenario_from_dict(raw)
         log = run_simulation(scenario)
         assert log.termination == "non_finite_control"
-        assert log.detail == "control output [nan, nan, nan] at 36 s is not finite"
+        assert log.detail == "control output [-inf, inf, -inf] at 36 s is not finite"
         assert len(log.rows) == 10
-        assert np.isnan([log.column(f"u_{k}")[-1] for k in (1, 2, 3)]).all()
+        assert [log.column(f"u_{k}")[-1] for k in (1, 2, 3)] == [-math.inf, math.inf, -math.inf]
+        assert log.column("clamped")[-1] == 0.0
         assert log.column("p3_m")[-1] == 0.15
         head = run_simulation(dataclasses.replace(scenario, duration=32.0))
         assert head.termination == "completed"
