@@ -2,12 +2,12 @@
 
 The production path converts the classical double surface integral into
 double contour integrals (ln-distance kernel). The object contour, a closed
-loop, gets the periodic trapezoid rule. Over the full source circle (the
-Common case) the source integral has a closed form, so a Common pose costs
-one term per object sample. Self-obstructed configurations integrate over
-the contributing arc + chord split of the source boundary, with Simpson
-quadrature on both source curves. A brute-force discrete surface integral
-(DSI) over facet pairs serves as the independent oracle.
+loop, gets the periodic trapezoid rule. The source side is in closed form
+for every occlusion class: over the full source circle (the Common case),
+and over the contributing arc and the chord that closes it (Partial
+self-obstruction). So a pose costs a few terms per object sample and no
+sum over source nodes. A brute-force discrete surface integral (DSI) over
+facet pairs serves as the independent oracle.
 
 Orientation convention: both contours are parametrized counterclockwise in
 their own planes and the sign of the kernel is folded into the final
@@ -34,8 +34,11 @@ from .geometry import (
     rotations_from_euler,
 )
 
-# Floor on the contour-point distance inside the ln kernel; the integrable
-# singularity is otherwise sharp when surfaces nearly touch.
+# Floor on the contour-point distance inside the sampled ln kernels of
+# `vf_parallel_disks` and `interaction.l_parallel`; the integrable
+# singularity is otherwise sharp when surfaces nearly touch. `vf_batch` needs
+# none: it samples no source node, and its samples keep MIN_SURFACE_CLEARANCE
+# from the source plane.
 MIN_KERNEL_DISTANCE = 1e-9
 
 
@@ -50,10 +53,9 @@ class NonFiniteIntegrandError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature resolution n: n periodic-trapezoid samples on the object
-    contour and, for a Partial pose, n composite-Simpson intervals on the
-    contributing arc and the chord, so n stays even. A Common pose's source
-    circle needs no nodes. `simpson_2d` and `vf_parallel_disks` take n
-    Simpson intervals on both of their dimensions."""
+    contour; the source side of `vf_batch` is in closed form and needs no
+    nodes. `simpson_2d` and `vf_parallel_disks` take n composite-Simpson
+    intervals on both of their dimensions, which is why n stays even."""
 
     n_per_dim: int = 64
 
@@ -130,13 +132,10 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # ---------------------------------------------------------------------------
 
 #: Object samples (poses x n contour samples) per vectorized block. Bounds
-#: the Common rows' temporary arrays to about 32 kB each, and the block's
-#: points and tangents to 96 kB each.
+#: the Common rows' temporary arrays to about 32 kB each, the Partial rows'
+#: (both arc ends, complex) to 128 kB, and the block's points and tangents
+#: to 96 kB each.
 BLOCK_SAMPLES = 2**12
-#: Node pairs (object node x source node) per sub-block of Partial rows.
-#: Bounds the Partial kernel's temporary arrays to about 128 kB each; the
-#: gradient's per-pair derivatives take 3 (dof 3) or 5 (dof 6) times that.
-BLOCK_PAIRS = 2**14
 
 _NODE_CACHE: dict = {}
 _NODE_CACHE_LIMIT = 64
@@ -187,62 +186,22 @@ def _object_nodes(contours: tuple[Contour, ...], n: int):
     return _cached(("object", n, *map(_contour_key, contours)), build)
 
 
-def _unit_nodes(n: int):
-    """Simpson nodes and weights on [0, 1], the parameter range of every
-    source curve."""
-    return _cached(("unit", n), lambda: _simpson_nodes(0.0, 1.0, n))
-
-
-def _pair_values(points, tangents, source, w_src, dof=0):
-    """Quadrature of ln(s) * (ds_src . ds_obj) for each row of a block and,
-    for dof > 0, its derivatives by the object's boundary samples.
-
-    points: (rows, 3, m_obj) world object samples; tangents: (rows, 3,
-    m_obj) their weighted tangents; source: (x, y, tx, ty), each (rows,
-    m_src). Source curves lie in z = 0, so the z component of the object
-    tangent drops out. Each row is reduced on its own in a fixed order, so
-    its value does not depend on the other rows of the block.
-
-    Returns:
-        (values, partials): partials is None for dof 0, else (rows, P,
-        m_obj): per object sample, the source-node sum of the integrand's
-        derivative by the sample's x, y and z (P = 3) and, for dof 6, by its
-        tangent's x and y (P = 5), with the source curves held fixed.
-    """
-    ox, oy, oz = (points[:, k, :, None] for k in range(3))
-    otx, oty = tangents[:, 0, :, None], tangents[:, 1, :, None]
-    sx, sy, stx, sty = (a[:, None, :] for a in source)
-    dx = ox - sx
-    s_sq = dx * dx
-    dy = oy - sy
-    s_sq += dy * dy
-    s_sq += oz * oz
-    np.maximum(s_sq, MIN_KERNEL_DISTANCE**2, out=s_sq)
-    dot = otx * stx
-    dot += oty * sty
-    if dof:
-        # Per node pair: d ln(s) / d(object sample) = (sample - source
-        # node) / s^2 times the tangent dot product, then, for dof 6,
-        # d / d(object tangent) = ln(s) times the source tangent.
-        q = dot / s_sq
-        by_pair = np.empty((len(dx), 5 if dof == 6 else 3) + dx.shape[1:])
-        np.multiply(dx, q, out=by_pair[:, 0])
-        np.multiply(dy, q, out=by_pair[:, 1])
-        np.multiply(oz, q, out=by_pair[:, 2])
-    kernel = np.log(s_sq, out=s_sq)
-    if dof == 6:
-        np.multiply(kernel, 0.5 * stx, out=by_pair[:, 3])
-        np.multiply(kernel, 0.5 * sty, out=by_pair[:, 4])
-    kernel *= dot
-    # ln s = ln(s^2) / 2. einsum reduces each row alone; a stacked matmul
-    # such as (kernel @ w_src).sum(1) does not give batch-independent bits.
-    values = 0.5 * np.einsum("bij,j->b", kernel, w_src)
-    return values, np.einsum("bpij,j->bpi", by_pair, w_src) if dof else None
+def _circle_terms(points, radius):
+    """Each object sample's x, y, z and A, P and D = A + P (see
+    _circle_values)."""
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    rho_sq = x * x + y * y
+    z_sq = z * z
+    rho = np.sqrt(rho_sq)
+    a = rho_sq + radius * radius + z_sq
+    p = np.sqrt(((rho - radius) ** 2 + z_sq) * ((rho + radius) ** 2 + z_sq))
+    return x, y, z, a, p, a + p
 
 
 def _circle_values(points, tangents, radius, dof=0):
-    """What _pair_values computes, over the full source circle and with the
-    source side in closed form.
+    """Contour integral of ln|o - s| (ds_src . ds_obj) of each row of a
+    block over the full source circle, with the source side in closed form,
+    and, for dof > 0, its derivatives by the object's boundary samples.
 
     For an object sample o = (x, y, z), with rho^2 = x^2 + y^2,
     A = rho^2 + R^2 + z^2, P = sqrt(((rho - R)^2 + z^2)((rho + R)^2 + z^2))
@@ -253,18 +212,20 @@ def _circle_values(points, tangents, radius, dof=0):
     of two sums of squares, which keeps it accurate near the rim; it is
     positive, because a non-degenerate sample lies above the source plane.
 
-    Same arguments and returns as _pair_values, with the circle's radius
-    for its nodes.
+    points: (rows, 3, m) world object samples; tangents: (rows, 3, m) their
+    weighted tangents. Source curves lie in z = 0, so the z component of the
+    object tangent drops out. Each row is reduced on its own in a fixed
+    order, so its value does not depend on the other rows of the block.
+
+    Returns:
+        (values, partials): partials is None for dof 0, else (rows, P, m):
+        per object sample, the derivative of its term by the sample's x, y
+        and z (P = 3) and, for dof 6, by its tangent's x and y (P = 5), with
+        the source curves held fixed.
     """
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    x, y, z, a, p, d = _circle_terms(points, radius)
     tx, ty = tangents[:, 0], tangents[:, 1]
     r_sq = radius * radius
-    rho_sq = x * x + y * y
-    z_sq = z * z
-    rho = np.sqrt(rho_sq)
-    a = rho_sq + r_sq + z_sq
-    p = np.sqrt(((rho - radius) ** 2 + z_sq) * ((rho + radius) ** 2 + z_sq))
-    d = a + p
     cross = x * ty - y * tx
     k = (-TWO_PI * r_sq) / d
     values = (k * cross).sum(axis=1)
@@ -284,24 +245,112 @@ def _circle_values(points, tangents, radius, dof=0):
     return values, partials
 
 
-def _partial_values(points, tangents, lo, hi, radius, unit, dof=0):
-    """What _pair_values computes, over each row's contributing arc
-    (lo, hi), each (rows, 1), and the chord that closes it."""
-    u, w_src = unit
-    theta = lo + (hi - lo) * u
-    rc, rs = radius * np.cos(theta), radius * np.sin(theta)
-    arc = (rc, rs, (lo - hi) * rs, (hi - lo) * rc)
-    # The chord from the arc's last node back to its first closes the segment.
-    end_x, end_y = rc[:, -1:], rs[:, -1:]
-    edge_x, edge_y = rc[:, :1] - end_x, rs[:, :1] - end_y
-    chord = (end_x + u * edge_x, end_y + u * edge_y, edge_x, edge_y)
-    arc_total, arc_partials = _pair_values(points, tangents, arc, w_src, dof)
-    chord_total, chord_partials = _pair_values(points, tangents, chord, w_src, dof)
-    # The arc and chord stay fixed; vf_batch says why that is exact.
-    return arc_total + chord_total, arc_partials + chord_partials if dof else None
+#: Below this |w|, chi(w) = (w + ln(1 - w)) / w^2 takes its series: the
+#: quotient would lose about eps / |w|^2 to cancellation.
+_SERIES_W = 0.05
+#: Series coefficients 1 / (k + 2), k = 0..11, highest first: the first
+#: term dropped is below |w|^12 / 14 < 2e-17 inside _SERIES_W.
+_CHI_SERIES = tuple(1.0 / k for k in range(13, 1, -1))
 
 
-def _block_values(poses, source_radius, nodes, unit, dof):
+def _chi(w, log_w):
+    """chi(w) = (w + ln(1 - w)) / w^2 = -sum_k w^k / (k + 2), by its series
+    below _SERIES_W; log_w is ln(1 - w)."""
+    near = w.real * w.real + w.imag * w.imag < _SERIES_W**2
+    chi = np.divide(w + log_w, w * w, out=np.empty_like(w), where=~near)
+    wn = w[near]
+    acc = np.full_like(wn, _CHI_SERIES[0])
+    for coefficient in _CHI_SERIES[1:]:
+        acc = acc * wn + coefficient
+    chi[near] = -acc
+    return chi
+
+
+def _partial_values(points, tangents, lo, hi, radius, dof=0):
+    """What _circle_values computes, over each row's contributing arc
+    (lo, hi), each (rows, 1), and the chord that closes it: both in closed
+    form, so a row costs a few terms per object sample.
+
+    In complex notation, with A, P and D as in _circle_values, c = 2 (x -
+    i y) / D, s = R e^(i theta) and w = c s (|w| < 1): ln|o - s| =
+    ln(D / 2) / 2 + Re ln(1 - w). Along the arc, ds = i s dtheta, and the
+    integral of Re ln(1 - w) ds is [G + H] / 2 from lo to hi, with
+    G = s (ln(1 - w) - w chi(w)), the antiderivative of ln(1 - w) ds that
+    vanishes at w = 0, and H = s (1 - conj w) conj ln(1 - w) - i theta s
+    conj w, that of conj ln(1 - w) ds. As s conj w = R^2 conj c on the
+    circle, G + H = 2 s Re ln(1 - w) - c s^2 chi(w) - R^2 conj c Q with
+    Q = conj ln(1 - w) + i theta. Neither divides by w, so a sample on the
+    source axis (w ~ 0) needs no care beyond chi's series.
+
+    The chord runs from s_hi to s_lo, along the unit vector u for length L.
+    A sample sits mu0 along u from s_hi and h >= z > 0 from the chord line,
+    so the chord integral is u [F(L - mu0) - F(-mu0)] with
+    F(t) = t ln(t^2 + h^2) / 2 - t + h atan(t / h).
+
+    The gradient holds the arc and chord fixed (vf_batch says why that is
+    exact): dG/dc = s^2 chi(w) and dH/d(conj c) = -R^2 Q, up to a constant
+    that cancels between the ends, with dc/dx_k = (2 (1, -i, 0) - c
+    dD/dx_k) / D; on the chord, dF/dmu0 = -ln(t^2 + h^2) / 2 and dF/dh =
+    atan(t / h).
+    """
+    x, y, z, a, p, d = _circle_terms(points, radius)
+    tx, ty = tangents[:, 0], tangents[:, 1]
+    r_sq = radius * radius
+    c = 2.0 * (x - 1j * y) / d
+    # The arc's ends, lo then hi: (rows, 2, 1) against the samples' (rows, 1, m).
+    theta = np.stack([lo, hi], axis=1)
+    s = radius * (np.cos(theta) + 1j * np.sin(theta))
+    w = c[:, None] * s
+    # ln(1 - w), with 1 - Re w > 0; numpy's complex log is far slower.
+    re, im = 1.0 - w.real, w.imag
+    log_w = 0.5 * np.log(re * re + im * im) + 1j * np.arctan(-im / re)
+    s2_chi = s * s * _chi(w, log_w)
+    q = log_w.conj() + 1j * theta
+    ends = 2.0 * s * log_w.real - c[:, None] * s2_chi - (r_sq * c.conj())[:, None] * q
+    s_lo, s_hi = s[:, 0], s[:, 1]
+    arc = 0.5 * (np.log(0.5 * d) * (s_hi - s_lo) + ends[:, 1] - ends[:, 0])
+
+    edge = s_lo - s_hi
+    length = np.abs(edge)
+    u = edge / length
+    offset = (x + 1j * y - s_hi) * u.conj()
+    along, across = offset.real, offset.imag
+    h_sq = across * across + z * z
+    h = np.sqrt(h_sq)
+    t = np.stack([-along, length - along], axis=1)
+    log_r = np.log(t * t + h_sq[:, None])
+    atan = np.arctan(t / h[:, None])
+    f = 0.5 * t * log_r - t + h[:, None] * atan
+    total = arc + u * (f[:, 1] - f[:, 0])
+    values = (tx * total.real + ty * total.imag).sum(axis=1)
+    if not dof:
+        return values, None
+
+    # dD/dx_k as in _circle_values, dG/dc and dH/d(conj c) at both ends, and
+    # the chord's dF/dmu0 and dF/dh / h, each differenced over the ends.
+    e = 2.0 * (1.0 + (a - 2.0 * r_sq) / p)
+    d_d = (x * e, y * e, 2.0 * z * (1.0 + a / p))
+    dh_dconj_c = -r_sq * q
+    df_dmu = -0.5 * (log_r[:, 1] - log_r[:, 0])
+    df_dh = (atan[:, 1] - atan[:, 0]) / h
+    # across is the offset along the chord-line normal i u, so dh/dx_k is
+    # ((-Im u, Re u) across, z) / h, and dmu0/dx_k is (Re u, Im u, 0).
+    d_mu = (u.real, u.imag, 0.0)
+    d_across = (-u.imag * across, u.real * across, z)
+    partials = np.empty((len(x), 5 if dof == 6 else 3, x.shape[1]))
+    for k, (dd, c_k) in enumerate(zip(d_d, (2.0, -2.0j, 0.0))):
+        c_k = (c_k - c * dd) / d
+        by_end = s2_chi * c_k[:, None] + dh_dconj_c * c_k.conj()[:, None]
+        d_total = 0.5 * (dd / d * (s_hi - s_lo) + by_end[:, 1] - by_end[:, 0])
+        d_total += u * (df_dmu * d_mu[k] + df_dh * d_across[k])
+        partials[:, k] = tx * d_total.real + ty * d_total.imag
+    if dof == 6:
+        partials[:, 3] = total.real
+        partials[:, 4] = total.imag
+    return values, partials
+
+
+def _block_values(poses, source_radius, nodes, dof):
     """View factors, degenerate flags and, for dof > 0, gradients of one
     block of whole pose groups."""
     along_x, along_y, areas = nodes
@@ -330,16 +379,14 @@ def _block_values(poses, source_radius, nodes, unit, dof):
         if dof:
             partials[common] = common_partials
 
-    # Partial rows cost m (m + 1) pairs per source curve: sub-blocks of BLOCK_PAIRS.
-    partial = np.flatnonzero(occ.partial & ~degenerate)
-    step = max(1, BLOCK_PAIRS // (m * (m + 1)))
-    for rows in (partial[i : i + step] for i in range(0, len(partial), step)):
-        values[rows], partial_partials = _partial_values(
-            points[rows], tangents[rows],
-            occ.lo[rows, None], occ.hi[rows, None], source_radius, unit, dof,
+    partial = occ.partial & ~degenerate
+    if np.count_nonzero(partial):
+        values[partial], partial_partials = _partial_values(
+            points[partial], tangents[partial],
+            occ.lo[partial, None], occ.hi[partial, None], source_radius, dof,
         )
         if dof:
-            partials[rows] = partial_partials
+            partials[partial] = partial_partials
 
     scale = -(TWO_PI * areas)
     by_group = values.reshape(groups, -1)  # a view of values
@@ -382,21 +429,22 @@ def vf_batch(
     pose groups, reshaped to (G * K, 6), evaluates every contour of the
     group at each of its G poses in one call. One contour is a group of one.
 
-    A Common pose integrates the full source circle in closed form over
-    the object's n periodic-trapezoid samples; a Partial pose takes the
-    Simpson rule on its contributing arc and chord as well. Poses are
-    processed in blocks of whole groups, about BLOCK_SAMPLES object samples
-    each, and a block's Partial poses in sub-blocks of at most BLOCK_PAIRS
-    node pairs (at least one pose). Each pose's value and gradient are
-    computed independently of the others, so they are bitwise identical
-    alone, in any batch or group, at any block split and in any order.
+    Over the object's n periodic-trapezoid samples, a Common pose integrates
+    the full source circle in closed form, and a Partial pose its
+    contributing arc and chord, also in closed form; no path sums over
+    source nodes. Poses are processed in blocks of whole groups, about
+    BLOCK_SAMPLES object samples each; a block evaluates its Common rows in
+    one call and its Partial rows in another. Each pose's value and
+    gradient are computed independently of the others, so they are bitwise
+    identical alone, in any batch or group, at any block split and in any
+    order.
     Complete self-obstruction gives exactly 0. Degenerate poses (coplanar with the
     source, or with the boundary within MIN_SURFACE_CLEARANCE of the source
     plane) are flagged and get NaN.
 
-    The gradient differentiates the contour integral under the quadrature
-    (Sparrow's contour formulation): the object's samples and tangents move
-    with the pose, the source circle stays. On a Partial pose the
+    The gradient differentiates the contour integral under the object-side
+    quadrature (Sparrow's contour formulation): the object's samples and
+    tangents move with the pose, the source circle stays. On a Partial pose the
     contributing arc and chord are held fixed, which is exact: the surface
     kernel vanishes on the chord, which lies in the object's plane, and the
     arc's ends only slide along the source circle. The gradient-free path
@@ -432,14 +480,13 @@ def vf_batch(
         raise ValueError(f"dof must be 0, 3 or 6, got {dof}")
     n = spec.n_per_dim
     nodes = _object_nodes(contours, n)
-    unit = _unit_nodes(n)
     per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * n))
     results = (np.empty(len(poses)), np.empty(len(poses), dtype=bool))
     if dof:
         results += (np.empty((len(poses), dof)),)
     for lo in range(0, len(poses), per_block):
         block = slice(lo, lo + per_block)
-        parts = _block_values(poses[block], source_radius, nodes, unit, dof)
+        parts = _block_values(poses[block], source_radius, nodes, dof)
         for out, part in zip(results, parts):
             out[block] = part
     return results
