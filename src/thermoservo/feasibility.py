@@ -15,6 +15,7 @@ temperatures everywhere else stay SI.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -150,12 +151,18 @@ def write_csv(path: str | Path, header: str, rows: np.ndarray) -> None:
 
 def export_field(field: ScalarField, path: str | Path) -> None:
     """Write a scalar field as CSV: header `p1,p2,p3,value` (or tx/ty/tz),
-    row-major cell order, nine significant digits. Deterministic: identical
+    row-major cell order, nine significant digits, the bytes `write_csv`
+    writes for the cells' coordinates and values. Deterministic: identical
     fields export byte-identically."""
     if field.n_cells == 0:
         raise ValueError("cannot export an empty field")
-    cells = np.column_stack([_grid_cells(field.axis_values), field.values.reshape(-1)])
-    write_csv(path, ",".join(field.axis_names) + ",value", cells)
+    # Each axis coordinate is formatted once; a row joins the prefixes of
+    # its cell and formats only its value.
+    labels = [["%.9g," % x for x in axis.tolist()] for axis in field.axis_values]
+    rows = zip(itertools.product(*labels), field.values.reshape(-1).tolist())
+    with open(path, "w") as out:
+        out.write(",".join(field.axis_names) + ",value\n")
+        out.writelines("%s%s%s%.9g\n" % (a, b, c, value) for (a, b, c), value in rows)
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:

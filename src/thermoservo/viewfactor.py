@@ -2,12 +2,14 @@
 
 The production path converts the classical double surface integral into
 double contour integrals (ln-distance kernel). The object contour, a closed
-loop, gets the periodic trapezoid rule. The source side is in closed form
-for every occlusion class: over the full source circle (the Common case),
-and over the contributing arc and the chord that closes it (Partial
-self-obstruction). So a pose costs a few terms per object sample and no
-sum over source nodes. A brute-force discrete surface integral (DSI) over
-facet pairs serves as the independent oracle.
+loop, gets the periodic trapezoid rule, on a per-pose ladder of sample
+counts that stops at the coarsest one its error estimate accepts. The
+source side is in closed form for every occlusion class: over the full
+source circle (the Common case), and over the contributing arc and the
+chord that closes it (Partial self-obstruction). So a pose costs a few
+terms per object sample and no sum over source nodes. A brute-force
+discrete surface integral (DSI) over facet pairs serves as the independent
+oracle.
 
 Orientation convention: both contours are parametrized counterclockwise in
 their own planes and the sign of the kernel is folded into the final
@@ -41,6 +43,12 @@ from .geometry import (
 # from the source plane.
 MIN_KERNEL_DISTANCE = 1e-9
 
+# Absolute bound on F21 for the quadrature ladder of `vf_batch`: a pose stops
+# on the first rung whose error estimate |T_k - T_(k/2)| is at most this,
+# or on its top rung. Far below the 1e-9 the grids and the acceptance
+# criteria resolve, and far above the rounding of a sum (about 1e-16).
+REFINE_TOL = 1e-10
+
 
 class NonFiniteIntegrandError(RuntimeError):
     """An integrand sample evaluated to NaN/inf; carries the sample location."""
@@ -52,10 +60,14 @@ class NonFiniteIntegrandError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature resolution n: n periodic-trapezoid samples on the object
-    contour; the source side of `vf_batch` is in closed form and needs no
-    nodes. `simpson_2d` and `vf_parallel_disks` take n composite-Simpson
-    intervals on both of their dimensions, which is why n stays even."""
+    """Quadrature resolution n: at most n periodic-trapezoid samples per
+    pose on the object contour. `vf_batch` climbs the ladder of rungs n,
+    n/2, n/4, ... (halving while the half is an even count of at least 16)
+    from the bottom and stops each pose on the first rung whose error
+    estimate it accepts; for n <= 16 the ladder is the single rung n. The
+    source side of `vf_batch` is in closed form and needs no nodes.
+    `simpson_2d` and `vf_parallel_disks` take n composite-Simpson intervals
+    on both of their dimensions, which is why n stays even."""
 
     n_per_dim: int = 64
 
@@ -64,7 +76,8 @@ class QuadratureSpec:
             raise ValueError("n_per_dim must be an even integer >= 2")
 
 
-#: Production default; keeps a single evaluation well under a millisecond.
+#: Production default: at most 64 samples per pose, on the ladder 16, 32,
+#: 64. Grid cells mostly stop on 16 or 32 samples, near-plane ones on 64.
 DEFAULT_SPEC = QuadratureSpec(64)
 #: The simulator's default (a scenario's `quadrature_n`).
 FAST_SPEC = QuadratureSpec(16)
@@ -131,10 +144,13 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # Contour-integral engine
 # ---------------------------------------------------------------------------
 
-#: Object samples (poses x n contour samples) per vectorized block. Bounds
-#: the Common rows' temporary arrays to about 32 kB each, the Partial rows'
-#: (both arc ends, complex) to 128 kB, and the block's points and tangents
-#: to 96 kB each.
+#: Object samples (poses x bottom-rung samples) per vectorized block. Bounds
+#: the bottom rung's Common temporary arrays to about 32 kB each, the
+#: Partial ones (both arc ends, complex) to 128 kB, and its points and
+#: tangents to 96 kB each. A rung of k samples above the bottom holds k / 2
+#: midpoints for each pose that climbs to it, and the degenerate test reads
+#: each rung's midpoint heights for every pose: the top one's are n / 2 per
+#: pose, n / (2 bottom rung) times the budget.
 BLOCK_SAMPLES = 2**12
 
 _NODE_CACHE: dict = {}
@@ -161,29 +177,43 @@ def _contour_key(contour: Contour) -> tuple:
     return ("fourier", contour.harmonics, contour.beta.tobytes(), contour.b.tobytes())
 
 
-def _object_nodes(contours: tuple[Contour, ...], n: int):
-    """Local boundary samples of K contours over one period each, stacked
-    and cached per (contents, n).
+def _rungs(n: int) -> list[int]:
+    """Sample counts of the quadrature ladder for at most n samples,
+    smallest first: n, n/2, n/4, ... while the half is an even count of at
+    least FAST_SPEC's 16. So 64 gives 16, 32, 64, and n <= 16 one rung."""
+    rungs = [n]
+    while rungs[0] % 4 == 0 and rungs[0] // 2 >= FAST_SPEC.n_per_dim:
+        rungs.insert(0, rungs[0] // 2)
+    return rungs
 
-    Periodic trapezoid samples t_j = j period / n, each tangent scaled by
-    the rule's weight period / n: every term is linear in the object
-    tangent, so a row's sum over its samples is the integral. Returns
-    (along_x, along_y, areas): the local x and y of the n points followed by
-    those of their weighted tangents, each (K, 1, 2n), and the (K,) areas.
+
+def _object_nodes(contours: tuple[Contour, ...], n: int, midpoints: bool = False):
+    """Local boundary samples of K contours over one period each, stacked
+    and cached per (contents, n, midpoints).
+
+    Periodic trapezoid samples t_j = j period / n or, with `midpoints`, the
+    n samples halfway between them, t_j = (j + 1/2) period / n: those the
+    rung of 2n adds to the rung of n. Each tangent is scaled by the rule's
+    weight period / n: every term is linear in the object tangent, so a
+    row's sum over its samples is the integral (or, for midpoints, the
+    rule on the shifted samples). Returns (along_x, along_y, areas): the
+    local x and y of the n points followed by those of their weighted
+    tangents, each (K, 1, 2n), and the (K,) areas.
     """
+    offset = 0.5 if midpoints else 0.0
 
     def build():
         columns = []
         for contour in contours:
             h = contour.period / n
-            t = h * np.arange(n)
+            t = h * (np.arange(n) + offset)
             (x, y), (tx, ty) = contour.local_point(t).T, h * contour.local_tangent(t).T
             columns.append((np.concatenate([x, tx]), np.concatenate([y, ty])))
         along_x, along_y = (np.stack(c) for c in zip(*columns))
         areas = np.array([contour.area for contour in contours])
         return along_x[:, None], along_y[:, None], areas
 
-    return _cached(("object", n, *map(_contour_key, contours)), build)
+    return _cached(("object", n, midpoints, *map(_contour_key, contours)), build)
 
 
 def _circle_terms(points, radius):
@@ -199,9 +229,10 @@ def _circle_terms(points, radius):
 
 
 def _circle_values(points, tangents, radius, dof=0):
-    """Contour integral of ln|o - s| (ds_src . ds_obj) of each row of a
-    block over the full source circle, with the source side in closed form,
-    and, for dof > 0, its derivatives by the object's boundary samples.
+    """Per object sample of each row of a block, its term of the contour
+    integral of ln|o - s| (ds_src . ds_obj) over the full source circle,
+    with the source side in closed form, and, for dof > 0, the term's
+    derivatives by the sample.
 
     For an object sample o = (x, y, z), with rho^2 = x^2 + y^2,
     A = rho^2 + R^2 + z^2, P = sqrt(((rho - R)^2 + z^2)((rho + R)^2 + z^2))
@@ -214,11 +245,13 @@ def _circle_values(points, tangents, radius, dof=0):
 
     points: (rows, 3, m) world object samples; tangents: (rows, 3, m) their
     weighted tangents. Source curves lie in z = 0, so the z component of the
-    object tangent drops out. Each row is reduced on its own in a fixed
-    order, so its value does not depend on the other rows of the block.
+    object tangent drops out. A row's sum over its samples is its integral;
+    the terms are kept so that the quadrature ladder can also sum every
+    other sample.
 
     Returns:
-        (values, partials): partials is None for dof 0, else (rows, P, m):
+        (terms, partials): terms (rows, m); partials is None for dof 0, else
+        (rows, P, m):
         per object sample, the derivative of its term by the sample's x, y
         and z (P = 3) and, for dof 6, by its tangent's x and y (P = 5), with
         the source curves held fixed.
@@ -228,9 +261,9 @@ def _circle_values(points, tangents, radius, dof=0):
     r_sq = radius * radius
     cross = x * ty - y * tx
     k = (-TWO_PI * r_sq) / d
-    values = (k * cross).sum(axis=1)
+    terms = k * cross
     if not dof:
-        return values, None
+        return terms, None
     # The sample's partials of k * cross, with dD/dx = x e, dD/dy = y e and
     # dD/dz = 2 z (1 + A / P), and for dof 6 those by its tangent.
     q = cross / d
@@ -242,7 +275,7 @@ def _circle_values(points, tangents, radius, dof=0):
     if dof == 6:
         partials[:, 3] = -k * y
         partials[:, 4] = k * x
-    return values, partials
+    return terms, partials
 
 
 #: Below this |w|, chi(w) = (w + ln(1 - w)) / w^2 takes its series: the
@@ -267,7 +300,7 @@ def _chi(w, log_w):
 
 
 def _partial_values(points, tangents, lo, hi, radius, dof=0):
-    """What _circle_values computes, over each row's contributing arc
+    """The terms _circle_values computes, over each row's contributing arc
     (lo, hi), each (rows, 1), and the chord that closes it: both in closed
     form, so a row costs a few terms per object sample.
 
@@ -322,9 +355,9 @@ def _partial_values(points, tangents, lo, hi, radius, dof=0):
     atan = np.arctan(t / h[:, None])
     f = 0.5 * t * log_r - t + h[:, None] * atan
     total = arc + u * (f[:, 1] - f[:, 0])
-    values = (tx * total.real + ty * total.imag).sum(axis=1)
+    terms = tx * total.real + ty * total.imag
     if not dof:
-        return values, None
+        return terms, None
 
     # dD/dx_k as in _circle_values, dG/dc and dH/d(conj c) at both ends, and
     # the chord's dF/dmu0 and dF/dh / h, each differenced over the ends.
@@ -347,65 +380,134 @@ def _partial_values(points, tangents, lo, hi, radius, dof=0):
     if dof == 6:
         partials[:, 3] = total.real
         partials[:, 4] = total.imag
-    return values, partials
+    return terms, partials
 
 
-def _block_values(poses, source_radius, nodes, dof):
+def _posed(rotations, translations, along_x, along_y):
+    """World points and weighted tangents, each (..., 3, m), of the node
+    tables along_x and along_y (..., 1, 2m) under rotations (..., 3, 3) and
+    translations (..., 3, 1); the leading axes broadcast. One product per
+    frame axis rotates points and tangents."""
+    rotated = rotations[..., 0, None] * along_x + rotations[..., 1, None] * along_y
+    m = along_x.shape[-1] // 2
+    return rotated[..., :m] + translations, rotated[..., m:]
+
+
+def _gradients(partials, angles, along_x, along_y):
+    """Gradients (rows, 3 or 6) of the rows' summed terms: the partials by
+    each sample's x, y and z summed and, for dof 6, contracted with how the
+    rows' rotations (angles (rows, 3)) move each sample and turn its
+    tangent. The node tables (T, 1, 2m) are those of the K contours of a
+    block of whole groups (T = K) or one per row (T = rows)."""
+    rows, coordinates, m = partials.shape
+    grads = np.empty((rows, 6 if coordinates == 5 else 3))
+    grads[:, :3] = partials[:, :3].sum(axis=2)
+    if coordinates == 5:
+        # dR/dtheta_j moves each sample by (dR/dtheta_j) c and its tangent
+        # by (dR/dtheta_j) c': (rows, 3 angles, 5 coordinates, m).
+        turned = rotation_derivatives_from_euler(angles).reshape(-1, len(along_x), 3, 3, 3)
+        moved = turned[..., 0, None] * along_x[:, None] + turned[..., 1, None] * along_y[:, None]
+        moved = moved.reshape(rows, 3, 3, 2 * m)
+        jacobian = np.concatenate([moved[..., :m], moved[:, :, :2, m:]], axis=2)
+        grads[:, 3:] = np.einsum("bjsi,bsi->bj", jacobian, partials)
+    return grads
+
+
+def _block_values(poses, source_radius, ladder, dof):
     """View factors, degenerate flags and, for dof > 0, gradients of one
-    block of whole pose groups."""
-    along_x, along_y, areas = nodes
-    groups = len(poses) // len(areas)
+    block of whole pose groups, each pose on the quadrature ladder.
+
+    `ladder` is (bottom, midpoints, areas): the (along_x, along_y) node
+    tables of the bottom rung and those of each lower rung's midpoints, as
+    _object_nodes builds them, and the (K,) areas. Every pose takes the
+    bottom rung of k samples, whose sum is T_k. Its estimate is
+    |T_k - T_(k/2)|, T_(k/2) being twice the sum over every other sample's
+    term: no new term. While the estimate exceeds REFINE_TOL (on F21) and a
+    rung remains, the pose takes the k midpoints alone, T_2k = (T_k + M_k) / 2
+    and G_2k = (G_k + G_mid) / 2 for the gradient, and |T_2k - T_k| is the
+    next estimate. The decision reads the pose's own
+    values only, so it is the same for every dof and at any block split. A
+    ladder of one rung takes no estimate and no second pass. The degenerate
+    flags read all n samples, whichever rung a pose stops on: the bottom
+    rung's and every rung's midpoints.
+    """
+    bottom, midpoints, areas = ladder
+    k_obj = len(areas)
+    groups = len(poses) // k_obj
     translations = poses[:, :3]
     rotations = rotations_from_euler(poses[:, 3:])
-    # Frame axes and origins as (groups, K, 3, 1), against the (K, 1, 2m)
-    # contour tables: one product per axis rotates points and tangents.
-    frames = rotations.reshape(groups, -1, 3, 3)
-    rotated = frames[..., 0, None] * along_x + frames[..., 1, None] * along_y
-    m = along_x.shape[-1] // 2
-    # World-frame boundary samples: (B, 3, m) points and tangents.
-    points = (rotated[..., :m] + translations.reshape(groups, -1, 3, 1)).reshape(len(poses), 3, m)
-    tangents = rotated[..., m:].reshape(len(poses), 3, m)
+    # The bottom rung: (groups, K) frames against the (K, 1, 2m) tables.
+    frames = rotations.reshape(groups, k_obj, 3, 3)
+    points, tangents = _posed(frames, translations.reshape(groups, k_obj, 3, 1), *bottom)
+    m = points.shape[-1]
+    points, tangents = points.reshape(-1, 3, m), tangents.reshape(-1, 3, m)
+    # The lowest of all n sample heights: the bottom rung's and those each
+    # higher rung adds. A height is fl(a_j + p3), a_j the sample's rotated
+    # local part; rounding is monotone, so adding p3 after the minimum
+    # gives the same bits.
+    lowest = points[:, 2].min(axis=1)
+    for along_x, along_y in midpoints:
+        k = along_x.shape[-1] // 2
+        x, y = along_x[:, 0, :k], along_y[:, 0, :k]
+        heights = frames[..., 2, 0, None] * x + frames[..., 2, 1, None] * y
+        lowest = np.minimum(lowest, heights.min(axis=-1).reshape(-1) + translations[:, 2])
 
     occ = classify_occlusions(rotations, translations, source_radius)
-    near_contact = points[:, 2].min(axis=1) < MIN_SURFACE_CLEARANCE
-    degenerate = occ.coplanar | (~occ.complete & near_contact)
+    degenerate = occ.coplanar | (~occ.complete & (lowest < MIN_SURFACE_CLEARANCE))
+    # Per occlusion class, its rows and the terms of given rows' samples.
+    classes = (
+        (
+            ~(occ.partial | occ.complete | degenerate),
+            lambda rows, *samples: _circle_values(*samples, source_radius, dof),
+        ),
+        (
+            occ.partial & ~degenerate,
+            lambda rows, *samples: _partial_values(
+                *samples, occ.lo[rows, None], occ.hi[rows, None], source_radius, dof
+            ),
+        ),
+    )
     values = np.zeros(len(poses))
     partials = np.zeros((len(poses), 5 if dof == 6 else 3, m)) if dof else None
-    common = ~(occ.partial | occ.complete | degenerate)
-    if np.count_nonzero(common):
-        values[common], common_partials = _circle_values(
-            points[common], tangents[common], source_radius, dof
-        )
-        if dof:
-            partials[common] = common_partials
-
-    partial = occ.partial & ~degenerate
-    if np.count_nonzero(partial):
-        values[partial], partial_partials = _partial_values(
-            points[partial], tangents[partial],
-            occ.lo[partial, None], occ.hi[partial, None], source_radius, dof,
-        )
-        if dof:
-            partials[partial] = partial_partials
-
     scale = -(TWO_PI * areas)
+    tolerance = REFINE_TOL * np.abs(scale) if midpoints else None  # on raw sums
+    climbing = []
+    for of_class, terms_of in classes:
+        if not np.count_nonzero(of_class):
+            continue
+        terms, class_partials = terms_of(of_class, points[of_class], tangents[of_class])
+        values[of_class] = terms.sum(axis=1)
+        if dof:
+            partials[of_class] = class_partials
+        if midpoints:
+            rows = np.flatnonzero(of_class)
+            estimate = np.abs(values[rows] - 2.0 * terms[:, ::2].sum(axis=1))
+            climbing.append((terms_of, rows[estimate > tolerance[rows % k_obj]]))
+    if dof:
+        grads = _gradients(partials, poses[:, 3:], *bottom)
+
+    for terms_of, rows in climbing:
+        for tables in midpoints:
+            if not len(rows):
+                break
+            contour_of = rows % k_obj
+            along_x, along_y = (table[contour_of] for table in tables)
+            terms, mid_partials = terms_of(
+                rows, *_posed(rotations[rows], translations[rows, :, None], along_x, along_y)
+            )
+            previous = values[rows]
+            values[rows] = finer = 0.5 * (previous + terms.sum(axis=1))
+            if dof:
+                mid_grads = _gradients(mid_partials, poses[rows, 3:], along_x, along_y)
+                grads[rows] = 0.5 * (grads[rows] + mid_grads)
+            rows = rows[np.abs(finer - previous) > tolerance[contour_of]]
+
     by_group = values.reshape(groups, -1)  # a view of values
     by_group /= scale
     values[occ.complete] = 0.0  # not -0.0
     values[degenerate] = np.nan
     if not dof:
         return values, degenerate
-
-    grads = np.empty((len(poses), dof))
-    grads[:, :3] = partials[:, :3].sum(axis=2)
-    if dof == 6:
-        # dR/dtheta_j moves each sample by (dR/dtheta_j) c and its tangent
-        # by (dR/dtheta_j) c': (B, 3 angles, 5 coordinates, m).
-        turned = rotation_derivatives_from_euler(poses[:, 3:]).reshape(groups, -1, 3, 3, 3)
-        moved = turned[..., 0, None] * along_x[:, None] + turned[..., 1, None] * along_y[:, None]
-        moved = moved.reshape(len(poses), 3, 3, 2 * m)
-        jacobian = np.concatenate([moved[..., :m], moved[:, :, :2, m:]], axis=2)
-        grads[:, 3:] = np.einsum("bjsi,bsi->bj", jacobian, partials)
     by_group = grads.reshape(groups, -1, dof)  # a view of grads
     by_group /= scale[:, None]
     grads[occ.complete] = 0.0
@@ -429,26 +531,33 @@ def vf_batch(
     pose groups, reshaped to (G * K, 6), evaluates every contour of the
     group at each of its G poses in one call. One contour is a group of one.
 
-    Over the object's n periodic-trapezoid samples, a Common pose integrates
+    Over the object's periodic-trapezoid samples, a Common pose integrates
     the full source circle in closed form, and a Partial pose its
     contributing arc and chord, also in closed form; no path sums over
-    source nodes. Poses are processed in blocks of whole groups, about
-    BLOCK_SAMPLES object samples each; a block evaluates its Common rows in
-    one call and its Partial rows in another. Each pose's value and
-    gradient are computed independently of the others, so they are bitwise
+    source nodes. `spec` allows at most n samples per pose: each pose
+    climbs the ladder of rungs 16, 32, ..., n (see QuadratureSpec) and stops
+    on the first whose error estimate |T_k - T_(k/2)| is at most REFINE_TOL,
+    or on n; for n <= 16 it takes exactly n samples and no estimate. Poses
+    are processed in blocks of whole groups, about BLOCK_SAMPLES bottom-rung
+    samples each; a block evaluates its Common rows in one call and its
+    Partial rows in another, and then each higher rung's midpoints for the
+    rows that climb to it. Each pose's value and gradient, and the rung it
+    stops on, are computed independently of the others, so they are bitwise
     identical alone, in any batch or group, at any block split and in any
     order.
-    Complete self-obstruction gives exactly 0. Degenerate poses (coplanar with the
-    source, or with the boundary within MIN_SURFACE_CLEARANCE of the source
-    plane) are flagged and get NaN.
+    Complete self-obstruction gives exactly 0. Degenerate poses (coplanar
+    with the source, or with any of the n samples within
+    MIN_SURFACE_CLEARANCE of the source plane, whichever rung the pose
+    would stop on) are flagged and get NaN.
 
     The gradient differentiates the contour integral under the object-side
     quadrature (Sparrow's contour formulation): the object's samples and
     tangents move with the pose, the source circle stays. On a Partial pose the
     contributing arc and chord are held fixed, which is exact: the surface
     kernel vanishes on the chord, which lies in the object's plane, and the
-    arc's ends only slide along the source circle. The gradient-free path
-    (dof 0) does no gradient work, and the values do not depend on dof.
+    arc's ends only slide along the source circle. A pose's gradient comes
+    from the rung its value stops on. The gradient-free path (dof 0) does no
+    gradient work, and the values do not depend on dof.
 
     Args:
         poses: (B, 6) array of [p1, p2, p3, theta_x, theta_y, theta_z]; B
@@ -478,15 +587,19 @@ def vf_batch(
         raise ValueError("source_radius must be positive")
     if dof not in (0, 3, 6):
         raise ValueError(f"dof must be 0, 3 or 6, got {dof}")
-    n = spec.n_per_dim
-    nodes = _object_nodes(contours, n)
-    per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * n))
+    rungs = _rungs(spec.n_per_dim)
+    *bottom, areas = _object_nodes(contours, rungs[0])
+    midpoints = [_object_nodes(contours, k, midpoints=True)[:2] for k in rungs[:-1]]
+    ladder = (bottom, midpoints, areas)
+    per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * rungs[0]))
+    if 0 < len(poses) <= per_block:  # one block: its arrays are the results
+        return _block_values(poses, source_radius, ladder, dof)
     results = (np.empty(len(poses)), np.empty(len(poses), dtype=bool))
     if dof:
         results += (np.empty((len(poses), dof)),)
     for lo in range(0, len(poses), per_block):
         block = slice(lo, lo + per_block)
-        parts = _block_values(poses[block], source_radius, nodes, dof)
+        parts = _block_values(poses[block], source_radius, ladder, dof)
         for out, part in zip(results, parts):
             out[block] = part
     return results

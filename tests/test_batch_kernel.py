@@ -1,8 +1,8 @@
 """The batched view-factor kernel against a per-pose contour integral and
-the coaxial closed form, its gradients against central differences,
-contour groups against single-contour calls, plus the batched callers:
-feasibility search and the simulator's evaluation and kernel-call
-counts."""
+the coaxial closed form, its quadrature ladder against the same rung rule
+on the reference, its gradients against central differences, contour
+groups against single-contour calls, plus the batched callers: feasibility
+search and the simulator's evaluation and kernel-call counts."""
 import dataclasses
 import math
 from unittest import mock
@@ -42,7 +42,7 @@ from thermoservo import simulator as simulator_module
 from thermoservo import viewfactor as viewfactor_module
 from thermoservo.geometry import MIN_SURFACE_CLEARANCE, TWO_PI, fourier_fit
 from thermoservo.units import celsius_to_kelvin
-from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, vf_batch
+from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, REFINE_TOL, _rungs, vf_batch
 
 from conftest import BUNNY_BUMPS, coaxial_disk_view_factor, star_polyline
 
@@ -204,6 +204,88 @@ def borderline(pose, source_radius, contour, n):
 
 
 # ---------------------------------------------------------------------------
+# The quadrature ladder: the rung a pose stops on
+# ---------------------------------------------------------------------------
+
+
+def fixed_rule():
+    """Every pose climbs to its top rung, so vf_batch at QuadratureSpec(n)
+    takes the n-sample rule for every pose."""
+    return mock.patch.object(viewfactor_module, "REFINE_TOL", -math.inf)
+
+
+def rung_rule(sums, n, tolerance=REFINE_TOL):
+    """The rung the ladder of n stops a pose on, from its sums {k: T_k} at
+    its rungs and at half its bottom rung; None if it needs a missing sum."""
+    rungs = _rungs(n)
+    for k in rungs[:-1]:
+        if k not in sums:
+            return None
+        if abs(sums[k] - sums[k // 2]) <= tolerance:
+            return k
+    return rungs[-1] if rungs[-1] in sums else None
+
+
+def rungs_within(sums, n, band):
+    """The rungs the ladder may stop on when each estimate may be off by
+    `band`: an estimate that close to REFINE_TOL may fall either way."""
+    low, high = rung_rule(sums, n, REFINE_TOL + band), rung_rule(sums, n, REFINE_TOL - band)
+    return [k for k in _rungs(n) if low <= k <= high]
+
+
+def reference_ladder(pose, contour, n, arc):
+    """The reference's sums T_k at k = m, m/2, ..., 8 samples, every
+    (m / k)-th term of one reference integrand at m samples, and the
+    integral of the integrand's magnitude at m samples: m = min(n, 64), or n
+    when the rung rule climbs past 64."""
+    for samples in sorted({min(n, 64), n}):
+        w, g = reference_integrand(pose, SOURCE_RADIUS, contour, samples, arc)
+        sums, step = {}, 1
+        while samples % step == 0 and samples // step >= 8:
+            sums[samples // step] = step * (w[::step] @ g[::step])
+            step *= 2
+        if rung_rule(sums, n, REFINE_TOL / 2) is not None:
+            return sums, w @ np.abs(g)
+
+
+def assert_matches_ladder_reference(poses, values, degenerate, contour, n):
+    """Common poses: the closed-form source circle against the trapezoid
+    reference, within 1e-13 of the integral of the integrand's magnitude
+    (the scale of its rounding; the value itself, where the integrand keeps
+    one sign). Partial poses: the closed-form arc and chord against the
+    converged Simpson reference, 1e-12. Each at the rung the ladder's rule
+    picks from the reference's own sums (either rung where an estimate lies
+    within twice the tolerance of REFINE_TOL). Both for samples 1 mm or
+    more from the source curves, where the fixed reference rules have
+    converged; closer poses are checked for a finite value only. Complete
+    and degenerate poses: exact 0 and the flag."""
+    for pose, value, flagged in zip(poses, values, degenerate):
+        try:
+            arc = reference_arc(pose, SOURCE_RADIUS)
+            points = _object_curve(contour, pose, n)[0]
+            if (
+                arc != "complete"
+                and points[:, 2].min() >= MIN_SURFACE_CLEARANCE
+                and source_curve_distance(points, arc, SOURCE_RADIUS) < 1e-3
+            ):
+                event("within 1 mm of the source curves: finite, not compared")
+                assert not flagged and math.isfinite(value)
+                continue
+            if arc == "complete":
+                assert not flagged and value == 0.0
+                continue
+            sums, magnitude = reference_ladder(pose, contour, n, arc)
+        except DegeneratePoseError:
+            assert flagged and math.isnan(value)
+            continue
+        assert not flagged
+        tolerance = 1e-13 * magnitude if arc == "common" else 1e-12
+        rungs = rungs_within(sums, n, 2.0 * tolerance)
+        event(f"{'common' if arc == 'common' else 'partial'} stops on {rungs} of n={n}")
+        assert any(abs(value - sums[k]) <= tolerance for k in rungs)
+
+
+# ---------------------------------------------------------------------------
 # Pose strategies: Common, Partial, Complete and near-contact
 # ---------------------------------------------------------------------------
 
@@ -221,6 +303,10 @@ complete_poses = st.builds(
 )
 near_contact_poses = st.builds(
     Pose, lateral, lateral, st.floats(1e-7, 2e-3), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), angle
+)
+#: Common poses 3 mm to 2 cm above the plane: most climb above the bottom rung.
+low_poses = st.builds(
+    Pose, lateral, lateral, st.floats(0.003, 0.02), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), angle
 )
 any_pose = st.one_of(common_poses, partial_poses, complete_poses, near_contact_poses)
 pose_lists = st.lists(any_pose, min_size=1, max_size=12)
@@ -277,41 +363,29 @@ def source_curve_distance(points, arc, source_radius):
 @given(case=cases, poses=pose_lists)
 @settings(max_examples=60, deadline=None)
 def test_matches_per_pose_reference(case, poses):
-    """Common poses: the closed-form source circle against the trapezoid
-    reference, within 1e-13 of the integral of the integrand's magnitude
-    (the scale of its rounding; the value itself, where the integrand keeps
-    one sign). Partial poses: the closed-form arc and chord against the
-    converged Simpson reference, 1e-12. Both for samples 1 mm or more from
-    the source curves, where the fixed reference rules have converged;
-    closer poses are checked for a finite value only. Complete and
-    degenerate poses: exact 0 and the flag."""
+    """Every pose against the per-pose reference at the rung it stops on
+    (assert_matches_ladder_reference)."""
     name, n = case
     contour = CONTOURS[name]
     assume(not any(borderline(p, SOURCE_RADIUS, contour, n) for p in poses))
     values, degenerate = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(n))
-    for pose, value, flagged in zip(poses, values, degenerate):
-        try:
-            arc = reference_arc(pose, SOURCE_RADIUS)
-            points = _object_curve(contour, pose, n)[0]
-            if (
-                arc != "complete"
-                and points[:, 2].min() >= MIN_SURFACE_CLEARANCE
-                and source_curve_distance(points, arc, SOURCE_RADIUS) < 1e-3
-            ):
-                event("within 1 mm of the source curves: finite, not compared")
-                assert not flagged and math.isfinite(value)
-                continue
-            w, g = reference_integrand(pose, SOURCE_RADIUS, contour, n, arc)
-        except DegeneratePoseError:
-            assert flagged and math.isnan(value)
-            continue
-        assert not flagged
-        expected = w @ g
-        if arc == "common":
-            event("common")
-            assert abs(value - expected) <= 1e-13 * (w @ np.abs(g))
-        else:
-            assert abs(value - expected) <= 1e-12
+    assert_matches_ladder_reference(poses, values, degenerate, contour, n)
+
+
+@given(
+    name=st.sampled_from(sorted(CONTOURS)),
+    n=st.sampled_from((64, 256)),
+    poses=st.lists(st.one_of(low_poses, any_pose), min_size=1, max_size=3),
+)
+@settings(max_examples=25, deadline=None)
+def test_each_pose_stops_on_the_rung_its_reference_picks(name, n, poses):
+    """Ladders of three and five rungs, with poses low over the plane that
+    climb them: each value is the reference at the rung the same rule picks
+    from the reference's own T_8, T_16, T_32, ... sums."""
+    contour = CONTOURS[name]
+    assume(not any(borderline(p, SOURCE_RADIUS, contour, n) for p in poses))
+    values, degenerate = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(n))
+    assert_matches_ladder_reference(poses, values, degenerate, contour, n)
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -450,6 +524,128 @@ def test_batch_independence_bitwise(case, poses, dof, data):
     assert_same_outputs(shuffled, [a[order] for a in outputs])
 
 
+def kernel_rungs(poses, contours, n):
+    """The rung each pose stops on, by the rung rule on the kernel's own
+    sums under the fixed rule: F21 at each rung of n and at half the bottom
+    rung."""
+    rungs = _rungs(n)
+    with fixed_rule():
+        sums = {
+            k: vf_batch(poses, SOURCE_RADIUS, contours, QuadratureSpec(k))[0]
+            for k in (rungs[0] // 2, *rungs)
+        }
+    return np.array([rung_rule({k: v[i] for k, v in sums.items()}, n) for i in range(len(poses))])
+
+
+def ladder_mix():
+    """Rows of (circle, Fourier) groups that stop on every rung of n=64:
+    Common poses high above the source (the bottom rung) and 3 mm to 2 cm
+    above it, Partial poses, and a Complete and a coplanar group."""
+    rng = np.random.default_rng(13)
+    rows = []
+    for _ in range(6):
+        rows += [
+            [*rng.uniform(-0.03, 0.03, 2), rng.uniform(0.1, 0.3), *rng.uniform(-0.1, 0.1, 2), 0.0],
+            [*rng.uniform(-0.12, 0.12, 2), rng.uniform(0.003, 0.02), *rng.uniform(-0.05, 0.05, 2), 1.0],
+            [*rng.uniform(-0.08, 0.08, 2), rng.uniform(0.01, 0.06), rng.uniform(0.6, 1.5), 0.2, 2.0],
+        ]
+    rows += [[0.0, 0.0, 0.05, math.pi, 0.0, 0.0]] * 2 + [[0.02, 0.0, 0.0, 0.0, 0.0, 0.0]] * 2
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dof", [0, 3, 6])
+def test_batch_independence_with_poses_on_every_rung(dof):
+    """Poses that stop on the bottom rung and poses that climb to 32 and 64
+    samples, in one block and in every block split: values, flags and
+    gradients are bitwise those of each group alone, in reverse group
+    order, and the values and flags those of dof 0."""
+    contours, spec = (CONTOURS["circle"], CONTOURS["fourier"]), QuadratureSpec(64)
+    poses = ladder_mix()
+    outputs = vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof)
+    flagged = outputs[1]
+    assert flagged[-2:].all() and not flagged[-4:-2].any()
+    assert set(kernel_rungs(poses, contours, 64)[~flagged].tolist()) == {16, 32, 64}
+    assert_same_outputs(outputs[:2], vf_batch(poses, SOURCE_RADIUS, contours, spec))
+    for samples in (1, 31, 32, 33, 64, 200, len(poses) * 16):
+        with block_budget(samples):
+            assert_same_outputs(outputs, vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof))
+    alone = [vf_batch(poses[g : g + 2], SOURCE_RADIUS, contours, spec, dof=dof) for g in range(0, len(poses), 2)]
+    assert_same_outputs(outputs, [np.concatenate(a) for a in zip(*alone)])
+    reverse = np.arange(len(poses)).reshape(-1, 2)[::-1].ravel()
+    shuffled = vf_batch(poses[reverse], SOURCE_RADIUS, contours, spec, dof=dof)
+    assert_same_outputs(shuffled, [a[reverse] for a in outputs])
+
+
+def tilted_between_samples(margin, turn=0.0):
+    """The circle tilted by 0.4 rad so that its lowest point is sample 1 of
+    64, halfway between samples 0 and 1 of 16, and lowered until that point
+    sits `margin` above the contact clearance."""
+    lowest, tilt = TWO_PI / 64, 0.4
+    theta_y = math.asin(tilt * math.cos(lowest))
+    theta_x = math.asin(-tilt * math.sin(lowest) / math.cos(theta_y))
+    height = MIN_SURFACE_CLEARANCE + tilt * CONTOURS["circle"].radius + margin
+    return Pose(0.01, -0.02, height, theta_x, theta_y, turn)
+
+
+def test_flags_read_every_sample_of_the_top_rung():
+    """Poses whose 16 bottom-rung samples clear the plane by 29 um while one
+    of their 64 samples comes within 1 nm either side of the contact
+    clearance: flagged exactly where a sample of the 64 is inside it, as at
+    the fixed n=64 rule, whichever rung they would stop on."""
+    contour = CONTOURS["circle"]
+    poses = [tilted_between_samples(m, turn) for m in (-1e-9, 1e-9) for turn in (0.0, 1.0, -2.5)]
+    inside = []
+    for pose in poses:
+        assert _object_curve(contour, pose, 16)[0][:, 2].min() > MIN_SURFACE_CLEARANCE + 2e-5
+        inside.append(_object_curve(contour, pose, 64)[0][:, 2].min() < MIN_SURFACE_CLEARANCE)
+    assert inside == [True] * 3 + [False] * 3
+    for dof in (0, 6):
+        outputs = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(64), dof=dof)
+        with fixed_rule():
+            fixed = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(64), dof=dof)
+        assert outputs[1].tolist() == fixed[1].tolist() == inside
+        assert np.isnan(outputs[0]).tolist() == inside
+        assert np.isfinite(outputs[0][3:]).all()
+    bottom, flagged = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(16))
+    assert not flagged.any()
+
+
+def seeded_poses(rng, kind, lateral, heights, tilts_x, tilts_y, count=150):
+    """`count` seeded poses of one occlusion class: lateral offsets within
+    +-`lateral`, heights, tilts about x and y in the given ranges, any turn."""
+    poses = []
+    while len(poses) < count:
+        pose = Pose(
+            *rng.uniform(-lateral, lateral, 2), rng.uniform(*heights),
+            rng.uniform(*tilts_x), rng.uniform(*tilts_y), rng.uniform(-math.pi, math.pi),
+        )
+        if isinstance(classify_occlusion(pose, SOURCE_RADIUS), kind):
+            poses.append(pose)
+    return poses
+
+
+@pytest.mark.parametrize("name", sorted(CONTOURS))
+def test_error_estimate_bounds_the_error_where_a_pose_stops_early(name):
+    """Seeded Common poses 0.3-2 cm and 2-30 cm above the plane and Partial
+    poses: wherever the n=64 ladder stops below its top rung, F21 is within
+    REFINE_TOL of the n=1022 rule, a ladder of one rung (1022 is not a
+    multiple of 4), so the reference takes no ladder code."""
+    contour, rng = CONTOURS[name], np.random.default_rng(14)
+    poses = as_array(
+        seeded_poses(rng, Common, 0.15, (0.003, 0.02), (-0.05, 0.05), (-0.05, 0.05))
+        + seeded_poses(rng, Common, 0.15, (0.02, 0.3), (-0.3, 0.3), (-0.3, 0.3))
+        + seeded_poses(rng, Partial, 0.08, (0.01, 0.06), (0.6, 1.5), (-0.8, 0.8))
+    )
+    values, flagged = vf_batch(poses, SOURCE_RADIUS, contour, QuadratureSpec(64))
+    assert _rungs(1022) == [1022]
+    reference, _ = vf_batch(poses, SOURCE_RADIUS, contour, QuadratureSpec(1022))
+    early = ~flagged & (kernel_rungs(poses, contour, 64) < 64)
+    # 363 of 450 for the circle; 9 for the Fourier contour, whose bottom
+    # estimate compares 16 samples with 8.
+    assert np.count_nonzero(early) >= 5
+    assert np.abs(values - reference)[early].max() <= REFINE_TOL
+
+
 @pytest.mark.parametrize("name", sorted(CONTOURS))
 def test_scalar_call_is_a_batch_of_one(name):
     contour, spec = CONTOURS[name], QuadratureSpec(16)
@@ -550,10 +746,10 @@ def test_group_matches_single_contour_calls_bitwise(group, dof):
 @settings(max_examples=30, deadline=None)
 def test_group_matches_single_contour_calls_when_a_group_barely_fits_a_block(group, dof, slack):
     contours, n, poses = group
-    # One group's object samples, give or take one: blocks of one group
-    # each, and a budget too small for one group, which still takes whole
-    # groups.
-    samples = len(contours) * n + slack
+    # One group's bottom-rung samples, give or take one: blocks of one
+    # group each, and a budget too small for one group, which still takes
+    # whole groups.
+    samples = len(contours) * _rungs(n)[0] + slack
     with block_budget(samples):
         assert_group_matches_single_calls(contours, n, poses, dof)
 
@@ -584,10 +780,11 @@ def test_equal_contours_share_one_cache_entry(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def reference_gradient(pose, contour, n):
-    """Fourth-order central differences of F21 with the source curves of
-    `pose` held fixed: of vf_batch itself for a Common pose, of the per-pose
-    contour integral over the pose's own arc and chord for a Partial one.
-    None if a perturbed pose is degenerate or, for a Common pose, not Common.
+    """Fourth-order central differences of F21 at the n-sample rule with
+    the source curves of `pose` held fixed: of vf_batch itself for a Common
+    pose, of the per-pose contour integral over the pose's own arc and chord
+    for a Partial one. None if a perturbed pose is degenerate or, for a
+    Common pose, not Common.
 
     The steps are 1% of the scales on which the integrand varies: the
     least distance of the object samples from the source curves for a
@@ -602,7 +799,8 @@ def reference_gradient(pose, contour, n):
     steps = 1e-2 * np.array([s_min] * 3 + [min(s_min / reach, 1.0)] * 3)
     stencil = pose.as_vector() + np.concatenate([k * np.diag(steps) for k in (2, 1, -1, -2)])
     if arc == "common":
-        values, degenerate = vf_batch(stencil, SOURCE_RADIUS, contour, QuadratureSpec(n))
+        with fixed_rule():
+            values, degenerate = vf_batch(stencil, SOURCE_RADIUS, contour, QuadratureSpec(n))
         if degenerate.any() or any(
             reference_arc(Pose(*x), SOURCE_RADIUS) != "common" for x in stencil
         ):
@@ -625,9 +823,12 @@ def reference_gradient(pose, contour, n):
 @settings(max_examples=150, deadline=None)
 def test_gradient_matches_central_differences(case, pose):
     """All six components on Common, Partial, Complete and near-contact
-    poses: exact +0 for Complete, NaN for degenerate poses. Partial poses
-    with a sample within 1 mm of the arc or chord, where the fixed Simpson
-    reference has not converged, are checked for a finite gradient only."""
+    poses, against central differences at the rung the pose stops on (by
+    the rung rule on the reference's own sums; poses whose estimate lies
+    within rounding of REFINE_TOL are skipped): exact +0 for Complete, NaN
+    for degenerate poses. Partial poses with a sample within 1 mm of the arc
+    or chord, where the fixed Simpson reference has not converged, are
+    checked for a finite gradient only."""
     name, n = case
     contour = CONTOURS[name]
     assume(not borderline(pose, SOURCE_RADIUS, contour, n))
@@ -645,9 +846,11 @@ def test_gradient_matches_central_differences(case, pose):
         event("partial within 1 mm of the source curves: finite, not compared")
         assert np.isfinite(grads).all()
     else:
-        expected = reference_gradient(pose, contour, n)
+        rungs = rungs_within(reference_ladder(pose, contour, n, arc)[0], n, 2e-12)
+        assume(len(rungs) == 1)
+        expected = reference_gradient(pose, contour, rungs[0])
         assume(expected is not None)
-        event(arc == "common" and "common" or "partial")
+        event(f"{arc == 'common' and 'common' or 'partial'} on rung {rungs[0]} of n={n}")
         assert np.abs(grads[0] - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
@@ -663,9 +866,9 @@ def test_gradient_matches_per_component_differences(name):
 
 @pytest.mark.parametrize("name", sorted(CONTOURS))
 def test_partial_gradient_is_the_derivative_of_f21(name):
-    """Holding a Partial pose's arc and chord fixed drops no term: at n =
-    256, where quadrature error is small, the gradient agrees with central
-    differences of vf_batch, whose arc and chord follow the pose."""
+    """Holding a Partial pose's arc and chord fixed drops no term: at the
+    n = 256 rule, where quadrature error is small, the gradient agrees with
+    central differences of vf_batch, whose arc and chord follow the pose."""
     contour, spec = CONTOURS[name], QuadratureSpec(256)
     rng = np.random.default_rng(5)
     checked = 0
@@ -674,12 +877,14 @@ def test_partial_gradient_is_the_derivative_of_f21(name):
             *rng.uniform(-0.08, 0.08, 2), rng.uniform(0.01, 0.06),
             rng.uniform(0.6, 1.5), rng.uniform(-0.8, 0.8), rng.uniform(-math.pi, math.pi),
         )
-        _, degenerate, grads = vf_batch(as_array([pose]), SOURCE_RADIUS, contour, spec, dof=6)
+        with fixed_rule():
+            _, degenerate, grads = vf_batch(as_array([pose]), SOURCE_RADIUS, contour, spec, dof=6)
         if not isinstance(classify_occlusion(pose, SOURCE_RADIUS), Partial) or degenerate[0]:
             continue
         h = 1e-6
         stencil = pose.as_vector() + np.concatenate([h * np.eye(6), -h * np.eye(6)])
-        values, _ = vf_batch(stencil, SOURCE_RADIUS, contour, spec)
+        with fixed_rule():
+            values, _ = vf_batch(stencil, SOURCE_RADIUS, contour, spec)
         expected = (values[:6] - values[6:]) / (2 * h)
         assert np.abs(grads[0] - expected).max() <= 1e-4 * np.abs(expected).max()
         checked += 1
@@ -893,6 +1098,25 @@ def test_static_source_evaluates_one_per_object_per_tick(monkeypatch, n_objects)
     assert len(per_call) == scenario.n_ticks + 1
     assert np.all(per_call == n_objects)
     assert_logged_view_factors_are_fresh(log, scenario)
+
+
+def test_simulator_default_takes_one_rung(monkeypatch):
+    """At the simulator's n=16 the ladder has one rung: a run requests no
+    midpoint node set, where one n=64 call requests both of its own."""
+    requests = []
+    object_nodes = viewfactor_module._object_nodes
+
+    def recording(contours, n, midpoints=False):
+        requests.append((n, midpoints))
+        return object_nodes(contours, n, midpoints)
+
+    monkeypatch.setattr(viewfactor_module, "_object_nodes", recording)
+    log = run_simulation(sheet_scenario(3, duration=10.0))
+    assert log.termination == "completed"
+    assert requests and set(requests) == {(16, False)}
+    requests.clear()
+    vf_batch(np.array([[0.0, 0.0, 0.05, 0.0, 0.0, 0.0]]), SOURCE_RADIUS, CONTOURS["circle"])
+    assert sorted(set(requests)) == [(16, False), (16, True), (32, True)]
 
 
 def test_moving_source_evaluates_both_plant_ends(monkeypatch):

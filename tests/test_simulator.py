@@ -296,6 +296,21 @@ class TestExportField:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.allclose(data[:, 3], tiny_field.values.ravel(), rtol=1e-8)
 
+    def test_matches_write_csv_of_the_cell_rows(self, tmp_path):
+        """Coordinates formatted once per axis write the bytes of the
+        per-row formatter over (coordinates, value) rows, on a grid with
+        negative coordinates and degenerate cells on the source plane."""
+        from thermoservo.feasibility import write_csv
+
+        grid = GridSpec(ranges=((-3.5, 3.0), (-2.0, 1.5), (0.0, 6.0)), step=1.25)
+        field = isosurface_grid(0.10, CircleContour(0.015), "translation", grid, workers=1)
+        assert field.degenerate[..., 0].all() and not field.degenerate[..., 1:].any()
+        assert (field.axis_values[0] < 0.0).any() and (field.axis_values[1] < 0.0).any()
+        export_field(field, tmp_path / "field.csv")
+        cells = np.stack(np.meshgrid(*field.axis_values, indexing="ij"), axis=-1).reshape(-1, 3)
+        write_csv(tmp_path / "rows.csv", "p1,p2,p3,value", np.column_stack([cells, field.values.ravel()]))
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     def test_empty_field_rejected(self):
         from thermoservo.feasibility import ScalarField
 
