@@ -422,8 +422,8 @@ class Partial:
     the object's front side contributes.
 
     phi1 < phi2 are the two intersection angles on the source circle, both in
-    [0, 2*pi). Which of the two arcs bounds the contributing segment is
-    re-derived from the pose by a side test (see viewfactor internals).
+    [0, 2*pi). The contributing segment is bounded by the arc centred on the
+    object normal's direction in the source plane (see classify_occlusions).
     """
 
     phi1: float
@@ -444,14 +444,12 @@ Occlusion = Common | Partial | Complete
 
 class OcclusionArrays(NamedTuple):
     """Occlusion classes of B poses; poses in none of the three masks are
-    Common. phi1 < phi2 are the crossing angles and (lo, hi) the
-    contributing arc, meaningful where `partial` is set."""
+    Common. (lo, hi) is the contributing arc, hi - lo in (0, 2*pi),
+    meaningful where `partial` is set."""
 
     coplanar: np.ndarray
     partial: np.ndarray
     complete: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
@@ -459,9 +457,15 @@ class OcclusionArrays(NamedTuple):
 def classify_occlusions(
     rotations: np.ndarray, translations: np.ndarray, source_radius: float
 ) -> OcclusionArrays:
-    """Batch form of classify_occlusion and contributing_arc for (B, 3, 3)
-    rotations and (B, 3) translations; elementwise, so each pose's class
-    depends only on that pose."""
+    """Batch form of classify_occlusion for (B, 3, 3) rotations and (B, 3)
+    translations; elementwise, so each pose's class depends only on that
+    pose.
+
+    The object plane meets the source circle where amp cos(phi - psi) = d,
+    with psi the direction of the normal's (n0, n1) and amp = R |(n0, n1)|,
+    so the source side the object faces is |phi - psi| < delta, delta =
+    arccos(d / amp): the arc (lo, hi) = (psi - delta, psi + delta).
+    """
     # Contiguous rows, so that the elementwise math takes the same path for
     # a batch of one as for many.
     n0, n1, n2 = np.ascontiguousarray(-rotations[:, :, 2].T)
@@ -472,33 +476,16 @@ def classify_occlusions(
     coplanar = (np.abs(p3) < 1e-12) & (amp < 1e-12 * source_radius)
     # The plane cuts the disk only where amp > |d|; otherwise (tangent or
     # non-intersecting chord) the disk is one-sided and the sign of d decides.
+    # The margin keeps |d| / amp below 1 - 1e-12, so delta > 1.4e-6.
     partial = amp - abs_d > 1e-12 * np.maximum(np.maximum(amp, abs_d), source_radius)
-    phi1, phi2 = np.zeros(len(d)), np.zeros(len(d))
     lo, hi = np.zeros(len(d)), np.zeros(len(d))
     if np.count_nonzero(partial):
-        delta = np.arccos(np.clip(d[partial] / amp[partial], -1.0, 1.0))
+        delta = np.arccos(d[partial] / amp[partial])
         psi = np.arctan2(n1[partial], n0[partial])
-        roots = np.remainder(np.stack([psi + delta, psi - delta]), TWO_PI)
-        # x % 2*pi rounds up to exactly 2*pi for tiny negative x
-        roots[roots >= TWO_PI] = 0.0
-        phi1[partial], phi2[partial] = roots.min(axis=0), roots.max(axis=0)
-        gap = phi2 - phi1
-        # Numerically tangent: fall back to the one-sided classification.
-        partial &= (gap >= 1e-12) & (TWO_PI - gap >= 1e-12)
-        lo[partial], hi[partial] = _contributing_arcs(
-            n0[partial], n1[partial], d[partial], phi1[partial], phi2[partial], source_radius
-        )
+        lo[partial], hi[partial] = psi - delta, psi + delta
     # d < 0 means the disk center is on the front side of the object plane.
     complete = ~partial & (d >= 0.0)
-    return OcclusionArrays(coplanar, partial, complete, phi1, phi2, lo, hi)
-
-
-def _contributing_arcs(n0, n1, d, phi1, phi2, source_radius):
-    """Of the two arcs between the crossing angles, the counterclockwise
-    one (lo, hi), hi > lo, whose midpoint lies on the object's front side."""
-    mid = 0.5 * (phi1 + phi2)
-    front = source_radius * (n0 * np.cos(mid) + n1 * np.sin(mid)) - d > 0.0
-    return np.where(front, phi1, phi2), np.where(front, phi2, phi1 + TWO_PI)
+    return OcclusionArrays(coplanar, partial, complete, lo, hi)
 
 
 def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
@@ -507,9 +494,10 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     Substituting the source circle x = r1 cos(phi), y = r1 sin(phi), z = 0
     into the object plane equation gives a*cos(phi) + b*sin(phi) = d. Two
     real roots with the plane actually cutting the disk yield the partial
-    self-obstruction case. Otherwise the whole disk lies on one side of the
-    object plane: the side the object normal faces gives the common case,
-    the far side gives complete self-obstruction.
+    self-obstruction case; its phi1 < phi2 are the ends psi -/+ delta of
+    classify_occlusions' arc, wrapped to [0, 2*pi). Otherwise the whole disk
+    lies on one side of the object plane: the side the object normal faces
+    gives the common case, the far side gives complete self-obstruction.
 
     Raises:
         DegeneratePoseError: Object coplanar with the source plane.
@@ -521,18 +509,8 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     if occ.coplanar[0]:
         raise DegeneratePoseError("object lies in the source plane")
     if occ.partial[0]:
-        return Partial(phi1=float(occ.phi1[0]), phi2=float(occ.phi2[0]))
+        roots = np.remainder([occ.lo[0], occ.hi[0]], TWO_PI)
+        # x % 2*pi rounds up to exactly 2*pi for tiny negative x
+        roots[roots >= TWO_PI] = 0.0
+        return Partial(phi1=float(roots.min()), phi2=float(roots.max()))
     return Complete() if occ.complete[0] else Common()
-
-
-def contributing_arc(
-    occlusion: Partial, pose: Pose, source_radius: float
-) -> tuple[float, float]:
-    """Angle range (start, end) with end > start whose counterclockwise arc
-    bounds the contributing segment of the source disk."""
-    normal = object_normal(pose_rotation(pose))
-    d = normal[0] * pose.p1 + normal[1] * pose.p2 + normal[2] * pose.p3
-    lo, hi = _contributing_arcs(
-        normal[0], normal[1], d, occlusion.phi1, occlusion.phi2, source_radius
-    )
-    return float(lo), float(hi)

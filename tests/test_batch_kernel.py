@@ -1,15 +1,16 @@
 """The batched view-factor kernel against a per-pose contour integral and
-the coaxial closed form, its quadrature ladder against the same rung rule
-on the reference, its gradients against central differences, contour
-groups against single-contour calls, plus the batched callers: feasibility
-search and the simulator's evaluation and kernel-call counts."""
+the coaxial closed form, its Partial arc against the per-pose reference
+arc, its quadrature ladder against the same rung rule on the reference,
+its gradients against central differences, contour groups against
+single-contour calls, plus the batched callers: feasibility search and the
+simulator's evaluation and kernel-call counts."""
 import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, find, given, settings
+from hypothesis import Phase, assume, event, find, given, settings
 from hypothesis import strategies as st
 
 from thermoservo import (
@@ -40,7 +41,7 @@ from thermoservo import (
 from thermoservo import feasibility as feasibility_module
 from thermoservo import simulator as simulator_module
 from thermoservo import viewfactor as viewfactor_module
-from thermoservo.geometry import MIN_SURFACE_CLEARANCE, TWO_PI, fourier_fit
+from thermoservo.geometry import MIN_SURFACE_CLEARANCE, TWO_PI, classify_occlusions, fourier_fit
 from thermoservo.units import celsius_to_kelvin
 from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, REFINE_TOL, _rungs, vf_batch
 
@@ -318,6 +319,11 @@ def as_array(poses):
     return np.array([p.as_vector() for p in poses])
 
 
+#: `find` settings that stop at the first matching example: the tests need
+#: one, and shrinking it takes seconds.
+FIRST_EXAMPLE = settings(database=None, phases=[Phase.generate])
+
+
 @pytest.mark.parametrize(
     "strategy, kind",
     [(common_poses, Common), (partial_poses, Partial), (complete_poses, Complete)],
@@ -326,7 +332,7 @@ def test_strategies_reach_their_class(strategy, kind):
     find(
         strategy,
         lambda p: isinstance(classify_occlusion(p, SOURCE_RADIUS), kind),
-        settings=settings(database=None),
+        settings=FIRST_EXAMPLE,
     )
 
 
@@ -337,8 +343,68 @@ def test_near_contact_strategy_reaches_both_sides_of_the_clearance():
             near_contact_poses,
             lambda p: (_object_curve(contour, p, 16)[0][:, 2].min() < MIN_SURFACE_CLEARANCE)
             == inside,
-            settings=settings(database=None),
+            settings=FIRST_EXAMPLE,
         )
+
+
+@st.composite
+def near_tangent_poses(draw):
+    """A Partial pose's orientation, moved along its normal until the plane
+    nearly touches the source circle: |d| / amp = 1 - 10^-k, k in [8, 16],
+    on either side of the disk."""
+    pose = draw(partial_poses)
+    k = draw(st.floats(8.0, 16.0))
+    side = draw(st.sampled_from((-1.0, 1.0)))
+    normal = -reference_rotation(pose)[:, 2]
+    amp = SOURCE_RADIUS * math.hypot(normal[0], normal[1])
+    shift = side * (1.0 - 10.0**-k) * amp - float(normal @ pose.translation)
+    p1, p2, p3 = pose.translation + shift * normal
+    return Pose(p1, p2, p3, pose.theta_x, pose.theta_y, pose.theta_z)
+
+
+def test_near_tangent_strategy_reaches_both_sides_of_the_partial_margin():
+    for partial in (True, False):
+        find(
+            near_tangent_poses(),
+            lambda p: isinstance(reference_arc(p, SOURCE_RADIUS), tuple) == partial,
+            settings=FIRST_EXAMPLE,
+        )
+
+
+@given(poses=st.lists(st.one_of(partial_poses, near_tangent_poses()), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_contributing_arc_matches_the_reference_arc(poses):
+    """classify_occlusions' (psi - delta, psi + delta) against
+    reference_arc's sorted roots, side test and tangency fallback: the same
+    Partial poses, the same arc modulo 2 pi, never shorter than 2e-6 nor a
+    full turn, centred on the object's front side. The arc's ends agree
+    within 1e-12 plus what arccos makes of rounding in d / amp, which the
+    two paths sum in different orders: near tangency delta = arccos(d / amp)
+    multiplies it by 1 / sqrt(1 - (d / amp)^2), up to 7e5."""
+    rotations = np.array([reference_rotation(p) for p in poses])
+    occ = classify_occlusions(rotations, as_array(poses)[:, :3], SOURCE_RADIUS)
+    eps = np.finfo(float).eps
+    for pose, partial, lo, hi, rotation in zip(poses, occ.partial, occ.lo, occ.hi, rotations):
+        normal = -rotation[:, 2]
+        d = float(normal @ pose.translation)
+        amp = SOURCE_RADIUS * math.hypot(normal[0], normal[1])
+        margin = 1e-12 * max(amp, abs(d), SOURCE_RADIUS)
+        if abs(amp - abs(d) - margin) <= 1e-15 * SOURCE_RADIUS:
+            event("within rounding of the Partial margin: not compared")
+            continue
+        arc = reference_arc(pose, SOURCE_RADIUS)
+        assert partial == isinstance(arc, tuple)
+        if not partial:
+            continue
+        ratio_rounding = 8.0 * eps * (np.abs(pose.translation).sum() / amp + 1.0)
+        tolerance = 1e-12 + ratio_rounding / math.sqrt(1.0 - (d / amp) ** 2)
+        for end, reference in zip((lo, hi), arc):
+            assert abs(math.remainder(end - reference, TWO_PI)) <= tolerance
+        assert 0.0 < hi - lo < TWO_PI
+        assert (hi - lo) / 2.0 >= 1e-6
+        mid = 0.5 * (lo + hi)
+        point = SOURCE_RADIUS * np.array([math.cos(mid), math.sin(mid), 0.0])
+        assert normal @ (point - pose.translation) > 0.0
 
 
 def rim_distance(points, source_radius):

@@ -21,7 +21,6 @@ from thermoservo import (
     wrap_angle,
 )
 from thermoservo.geometry import (
-    contributing_arc,
     pose_rotation,
     rotation_derivatives_from_euler,
     rotations_from_euler,
@@ -190,16 +189,6 @@ class TestClassifyOcclusion:
         occ = classify_occlusion(Pose(0.01, -0.03, 0.02, 1.0, 0.4, 0.0), 0.10)
         assert isinstance(occ, Partial)
         assert 0.0 <= occ.phi1 < occ.phi2 < 2 * math.pi
-
-    def test_contributing_arc_midpoint_faces_object(self):
-        pose = Pose(0, 0, 0.02, math.pi / 3, 0, 0)
-        occ = classify_occlusion(pose, 0.10)
-        lo, hi = contributing_arc(occ, pose, 0.10)
-        assert hi > lo
-        mid = 0.5 * (lo + hi)
-        point = np.array([0.10 * math.cos(mid), 0.10 * math.sin(mid), 0.0])
-        normal = object_normal(pose_rotation(pose))
-        assert normal @ (point - pose.translation) > 0.0
 
     def test_coplanar_pose_rejected(self):
         with pytest.raises(DegeneratePoseError):
