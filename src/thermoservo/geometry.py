@@ -79,48 +79,57 @@ class Pose:
         return Pose.from_vector(x)
 
 
-def rotations_from_euler(angles) -> np.ndarray:
-    """Rotation matrices R = Rz @ Ry @ Rx for (..., 3) extrinsic X-Y-Z
-    angles, shape (..., 3, 3).
-
-    The entries are the expanded products, computed elementwise on a
-    contiguous copy, so each matrix depends only on its own angles, whatever
-    the batch around it.
-    """
+def _trig(angles) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of (3, ...) angle planes, computed on a contiguous
+    copy, so that each value depends only on its own angle, whatever the
+    batch around it."""
     a = np.ascontiguousarray(angles, dtype=float)
-    c, s = np.cos(a), np.sin(a)
-    cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
-    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    return np.cos(a), np.sin(a)
+
+
+def rotation_planes(angles) -> np.ndarray:
+    """Entries of R = Rz @ Ry @ Rx for (3, ...) planes of extrinsic X-Y-Z
+    angles, as (3, 3, ...) planes: [i, j] is R[i, j] over the batch.
+
+    The entries are the expanded products, computed elementwise, so each
+    matrix depends only on its own angles, whatever the batch around it.
+    """
+    (cx, cy, cz), (sx, sy, sz) = _trig(angles)
     sy_sx, sy_cx = sy * sx, sy * cx
-    r = np.empty(a.shape[:-1] + (3, 3))
-    r[..., 0, 0], r[..., 0, 1], r[..., 0, 2] = cz * cy, cz * sy_sx - sz * cx, cz * sy_cx + sz * sx
-    r[..., 1, 0], r[..., 1, 1], r[..., 1, 2] = sz * cy, sz * sy_sx + cz * cx, sz * sy_cx - cz * sx
-    r[..., 2, 0], r[..., 2, 1], r[..., 2, 2] = -sy, cy * sx, cy * cx
+    r = np.empty((3, 3) + cx.shape)
+    r[0, 0], r[0, 1], r[0, 2] = cz * cy, cz * sy_sx - sz * cx, cz * sy_cx + sz * sx
+    r[1, 0], r[1, 1], r[1, 2] = sz * cy, sz * sy_sx + cz * cx, sz * sy_cx - cz * sx
+    r[2, 0], r[2, 1], r[2, 2] = -sy, cy * sx, cy * cx
     return r
 
 
-def rotation_derivatives_from_euler(angles) -> np.ndarray:
-    """Derivatives dR/dtheta_j of R = Rz @ Ry @ Rx for (..., 3) extrinsic
-    X-Y-Z angles, shape (..., 3, 3, 3): entry [..., j, :, :] is dR/dtheta_j.
+def rotations_from_euler(angles) -> np.ndarray:
+    """Rotation matrices R = Rz @ Ry @ Rx for (..., 3) extrinsic X-Y-Z
+    angles, shape (..., 3, 3): a view of rotation_planes."""
+    a = np.asarray(angles, dtype=float)
+    r = rotation_planes(a.transpose(-1, *range(a.ndim - 1)))
+    return r.transpose(*range(2, r.ndim), 0, 1)
 
-    Closed form, elementwise as in rotations_from_euler: dR/dtheta_x =
+
+def rotation_derivative_planes(angles) -> np.ndarray:
+    """Derivatives dR/dtheta_j of R = Rz @ Ry @ Rx for (3, ...) planes of
+    extrinsic X-Y-Z angles, as (3, 3, 3, ...) planes: [j] is dR/dtheta_j.
+
+    Closed form, elementwise as in rotation_planes: dR/dtheta_x =
     Rz @ Ry @ dRx, dR/dtheta_y = Rz @ dRy @ Rx, dR/dtheta_z = dRz @ Ry @ Rx.
     """
-    a = np.ascontiguousarray(angles, dtype=float)
-    c, s = np.cos(a), np.sin(a)
-    cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
-    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    (cx, cy, cz), (sx, sy, sz) = _trig(angles)
     sy_sx, sy_cx, cy_sx, cy_cx = sy * sx, sy * cx, cy * sx, cy * cx
-    d = np.zeros(a.shape[:-1] + (3, 3, 3))
-    dx, dy, dz = d[..., 0, :, :], d[..., 1, :, :], d[..., 2, :, :]
-    dx[..., 0, 1], dx[..., 0, 2] = cz * sy_cx + sz * sx, sz * cx - cz * sy_sx
-    dx[..., 1, 1], dx[..., 1, 2] = sz * sy_cx - cz * sx, -(sz * sy_sx + cz * cx)
-    dx[..., 2, 1], dx[..., 2, 2] = cy_cx, -cy_sx
-    dy[..., 0, 0], dy[..., 0, 1], dy[..., 0, 2] = -cz * sy, cz * cy_sx, cz * cy_cx
-    dy[..., 1, 0], dy[..., 1, 1], dy[..., 1, 2] = -sz * sy, sz * cy_sx, sz * cy_cx
-    dy[..., 2, 0], dy[..., 2, 1], dy[..., 2, 2] = -cy, -sy_sx, -sy_cx
-    dz[..., 0, 0], dz[..., 0, 1], dz[..., 0, 2] = -sz * cy, -(sz * sy_sx + cz * cx), cz * sx - sz * sy_cx
-    dz[..., 1, 0], dz[..., 1, 1], dz[..., 1, 2] = cz * cy, cz * sy_sx - sz * cx, cz * sy_cx + sz * sx
+    d = np.zeros((3, 3, 3) + cx.shape)
+    dx, dy, dz = d
+    dx[0, 1], dx[0, 2] = cz * sy_cx + sz * sx, sz * cx - cz * sy_sx
+    dx[1, 1], dx[1, 2] = sz * sy_cx - cz * sx, -(sz * sy_sx + cz * cx)
+    dx[2, 1], dx[2, 2] = cy_cx, -cy_sx
+    dy[0, 0], dy[0, 1], dy[0, 2] = -cz * sy, cz * cy_sx, cz * cy_cx
+    dy[1, 0], dy[1, 1], dy[1, 2] = -sz * sy, sz * cy_sx, sz * cy_cx
+    dy[2, 0], dy[2, 1], dy[2, 2] = -cy, -sy_sx, -sy_cx
+    dz[0, 0], dz[0, 1], dz[0, 2] = -sz * cy, -(sz * sy_sx + cz * cx), cz * sx - sz * sy_cx
+    dz[1, 0], dz[1, 1], dz[1, 2] = cz * cy, cz * sy_sx - sz * cx, cz * sy_cx + sz * sx
     return d
 
 
@@ -467,7 +476,8 @@ def classify_occlusions(
     arccos(d / amp): the arc (lo, hi) = (psi - delta, psi + delta).
     """
     # Contiguous rows, so that the elementwise math takes the same path for
-    # a batch of one as for many.
+    # a batch of one as for many. Neither is copied for the transposes of
+    # (3, 3, B) and (3, B) planes that the view-factor kernel passes.
     n0, n1, n2 = np.ascontiguousarray(-rotations[:, :, 2].T)
     p1, p2, p3 = np.ascontiguousarray(translations.T)
     d = n0 * p1 + n1 * p2 + n2 * p3

@@ -7,9 +7,12 @@ counts that stops at the coarsest one its error estimate accepts. The
 source side is in closed form for every occlusion class: over the full
 source circle (the Common case), and over the contributing arc and the
 chord that closes it (Partial self-obstruction). So a pose costs a few
-terms per object sample and no sum over source nodes. A brute-force
-discrete surface integral (DSI) over facet pairs serves as the independent
-oracle.
+terms per object sample and no sum over source nodes. The kernel lays each
+per-sample array out as planes (..., samples, rows), a block's pose rows on
+the contiguous inner axis, so each elementwise operation is one loop over
+the block; every sum over samples runs on a row-major copy, so a pose's
+bits do not depend on the batch around it. A brute-force discrete surface
+integral (DSI) over facet pairs serves as the independent oracle.
 
 Orientation convention: both contours are parametrized counterclockwise in
 their own planes and the sign of the kernel is folded into the final
@@ -32,8 +35,8 @@ from .geometry import (
     TWO_PI,
     classify_occlusions,
     pose_rotation,
-    rotation_derivatives_from_euler,
-    rotations_from_euler,
+    rotation_derivative_planes,
+    rotation_planes,
 )
 
 # Floor on the contour-point distance inside the sampled ln kernels of
@@ -144,13 +147,14 @@ def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
 # Contour-integral engine
 # ---------------------------------------------------------------------------
 
-#: Object samples (poses x bottom-rung samples) per vectorized block. Bounds
-#: the bottom rung's Common temporary arrays to about 32 kB each, the
-#: Partial ones (both arc ends, complex) to 128 kB, and its points and
-#: tangents to 96 kB each. A rung of k samples above the bottom holds k / 2
-#: midpoints for each pose that climbs to it, and the degenerate test reads
-#: each rung's midpoint heights for every pose: the top one's are n / 2 per
-#: pose, n / (2 bottom rung) times the budget.
+#: Object samples (poses x bottom-rung samples) per vectorized block. The
+#: per-sample arrays are planes with the block's rows innermost, so the
+#: bottom rung's Common temporaries, (samples, rows), are about 32 kB each,
+#: its Partial ones (both arc ends, complex) 128 kB, its points 96 kB and
+#: the x and y of its tangents 64 kB. A rung of k samples above the bottom
+#: holds k / 2 midpoints for each pose that climbs to it, and the
+#: degenerate test reads each rung's midpoint heights for every pose: the
+#: top one's are n / 2 per pose, n / (2 bottom rung) times the budget.
 BLOCK_SAMPLES = 2**12
 
 _NODE_CACHE: dict = {}
@@ -196,9 +200,10 @@ def _object_nodes(contours: tuple[Contour, ...], n: int, midpoints: bool = False
     rung of 2n adds to the rung of n. Each tangent is scaled by the rule's
     weight period / n: every term is linear in the object tangent, so a
     row's sum over its samples is the integral (or, for midpoints, the
-    rule on the shifted samples). Returns (along_x, along_y, areas): the
-    local x and y of the n points followed by those of their weighted
-    tangents, each (K, 1, 2n), and the (K,) areas.
+    rule on the shifted samples). Returns (x, y, tx, ty, scale): the local
+    x and y of the n points and of their weighted tangents, each (n, 1, K),
+    contour k in column k, and the (K,) factors -2 pi A_k that turn a raw
+    sum into F21.
     """
     offset = 0.5 if midpoints else 0.0
 
@@ -207,11 +212,9 @@ def _object_nodes(contours: tuple[Contour, ...], n: int, midpoints: bool = False
         for contour in contours:
             h = contour.period / n
             t = h * (np.arange(n) + offset)
-            (x, y), (tx, ty) = contour.local_point(t).T, h * contour.local_tangent(t).T
-            columns.append((np.concatenate([x, tx]), np.concatenate([y, ty])))
-        along_x, along_y = (np.stack(c) for c in zip(*columns))
-        areas = np.array([contour.area for contour in contours])
-        return along_x[:, None], along_y[:, None], areas
+            columns.append((*contour.local_point(t).T, *(h * contour.local_tangent(t).T)))
+        tables = tuple(np.stack(c, axis=-1)[:, None] for c in zip(*columns))
+        return *tables, -(TWO_PI * np.array([contour.area for contour in contours]))
 
     return _cached(("object", n, midpoints, *map(_contour_key, contours)), build)
 
@@ -219,7 +222,7 @@ def _object_nodes(contours: tuple[Contour, ...], n: int, midpoints: bool = False
 def _circle_terms(points, radius):
     """Each object sample's x, y, z and A, P and D = A + P (see
     _circle_values)."""
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    x, y, z = points
     rho_sq = x * x + y * y
     z_sq = z * z
     rho = np.sqrt(rho_sq)
@@ -243,21 +246,21 @@ def _circle_values(points, tangents, radius, dof=0):
     of two sums of squares, which keeps it accurate near the rim; it is
     positive, because a non-degenerate sample lies above the source plane.
 
-    points: (rows, 3, m) world object samples; tangents: (rows, 3, m) their
-    weighted tangents. Source curves lie in z = 0, so the z component of the
-    object tangent drops out. A row's sum over its samples is its integral;
-    the terms are kept so that the quadrature ladder can also sum every
-    other sample.
+    points: (3, m, rows) planes of the world object samples' x, y and z;
+    tangents: (2, m, rows), the x and y of their weighted tangents. Source
+    curves lie in z = 0, so the z component of the object tangent drops
+    out. Every operation is elementwise, on planes whose inner axis is the
+    block's rows. A row's sum over its samples is its integral; the terms
+    are kept so that the quadrature ladder can also sum every other sample.
 
     Returns:
-        (terms, partials): terms (rows, m); partials is None for dof 0, else
-        (rows, P, m):
-        per object sample, the derivative of its term by the sample's x, y
-        and z (P = 3) and, for dof 6, by its tangent's x and y (P = 5), with
-        the source curves held fixed.
+        (terms, partials): terms (m, rows); partials is None for dof 0,
+        else (P, m, rows): per object sample, the derivative of its term by
+        the sample's x, y and z (P = 3) and, for dof 6, by its tangent's x
+        and y (P = 5), with the source curves held fixed.
     """
     x, y, z, a, p, d = _circle_terms(points, radius)
-    tx, ty = tangents[:, 0], tangents[:, 1]
+    tx, ty = tangents
     r_sq = radius * radius
     cross = x * ty - y * tx
     k = (-TWO_PI * r_sq) / d
@@ -268,13 +271,13 @@ def _circle_values(points, tangents, radius, dof=0):
     # dD/dz = 2 z (1 + A / P), and for dof 6 those by its tangent.
     q = cross / d
     e = 2.0 * (1.0 + (a - 2.0 * r_sq) / p)
-    partials = np.empty((len(x), 5 if dof == 6 else 3, x.shape[1]))
-    partials[:, 0] = k * (ty - q * x * e)
-    partials[:, 1] = -k * (tx + q * y * e)
-    partials[:, 2] = -k * q * 2.0 * z * (1.0 + a / p)
+    partials = np.empty((5 if dof == 6 else 3,) + x.shape)
+    partials[0] = k * (ty - q * x * e)
+    partials[1] = -k * (tx + q * y * e)
+    partials[2] = -k * q * 2.0 * z * (1.0 + a / p)
     if dof == 6:
-        partials[:, 3] = -k * y
-        partials[:, 4] = k * x
+        partials[3] = -k * y
+        partials[4] = k * x
     return terms, partials
 
 
@@ -300,9 +303,11 @@ def _chi(w, log_w):
 
 
 def _partial_values(points, tangents, lo, hi, radius, dof=0):
-    """The terms _circle_values computes, over each row's contributing arc
-    (lo, hi), each (rows, 1), and the chord that closes it: both in closed
-    form, so a row costs a few terms per object sample.
+    """The terms _circle_values computes, on the same planes, over each
+    row's contributing arc (lo, hi), each (rows,), and the chord that closes
+    it: both in closed form, so a row costs a few terms per object sample.
+    Arrays that differ between the arc's two ends carry a leading axis of
+    two, (2, m, rows).
 
     In complex notation, with A, P and D as in _circle_values, c = 2 (x -
     i y) / D, s = R e^(i theta) and w = c s (|w| < 1): ln|o - s| =
@@ -327,21 +332,21 @@ def _partial_values(points, tangents, lo, hi, radius, dof=0):
     atan(t / h).
     """
     x, y, z, a, p, d = _circle_terms(points, radius)
-    tx, ty = tangents[:, 0], tangents[:, 1]
+    tx, ty = tangents
     r_sq = radius * radius
     c = 2.0 * (x - 1j * y) / d
-    # The arc's ends, lo then hi: (rows, 2, 1) against the samples' (rows, 1, m).
-    theta = np.stack([lo, hi], axis=1)
+    # The arc's ends, lo then hi: (2, 1, rows) against the samples' (m, rows).
+    theta = np.stack([lo, hi])[:, None]
     s = radius * (np.cos(theta) + 1j * np.sin(theta))
-    w = c[:, None] * s
+    w = c * s
     # ln(1 - w), with 1 - Re w > 0; numpy's complex log is far slower.
     re, im = 1.0 - w.real, w.imag
     log_w = 0.5 * np.log(re * re + im * im) + 1j * np.arctan(-im / re)
     s2_chi = s * s * _chi(w, log_w)
     q = log_w.conj() + 1j * theta
-    ends = 2.0 * s * log_w.real - c[:, None] * s2_chi - (r_sq * c.conj())[:, None] * q
-    s_lo, s_hi = s[:, 0], s[:, 1]
-    arc = 0.5 * (np.log(0.5 * d) * (s_hi - s_lo) + ends[:, 1] - ends[:, 0])
+    ends = 2.0 * s * log_w.real - c * s2_chi - (r_sq * c.conj()) * q
+    s_lo, s_hi = s
+    arc = 0.5 * (np.log(0.5 * d) * (s_hi - s_lo) + ends[1] - ends[0])
 
     edge = s_lo - s_hi
     length = np.abs(edge)
@@ -350,11 +355,11 @@ def _partial_values(points, tangents, lo, hi, radius, dof=0):
     along, across = offset.real, offset.imag
     h_sq = across * across + z * z
     h = np.sqrt(h_sq)
-    t = np.stack([-along, length - along], axis=1)
-    log_r = np.log(t * t + h_sq[:, None])
-    atan = np.arctan(t / h[:, None])
-    f = 0.5 * t * log_r - t + h[:, None] * atan
-    total = arc + u * (f[:, 1] - f[:, 0])
+    t = np.stack([-along, length - along])
+    log_r = np.log(t * t + h_sq)
+    atan = np.arctan(t / h)
+    f = 0.5 * t * log_r - t + h * atan
+    total = arc + u * (f[1] - f[0])
     terms = tx * total.real + ty * total.imag
     if not dof:
         return terms, None
@@ -364,63 +369,69 @@ def _partial_values(points, tangents, lo, hi, radius, dof=0):
     e = 2.0 * (1.0 + (a - 2.0 * r_sq) / p)
     d_d = (x * e, y * e, 2.0 * z * (1.0 + a / p))
     dh_dconj_c = -r_sq * q
-    df_dmu = -0.5 * (log_r[:, 1] - log_r[:, 0])
-    df_dh = (atan[:, 1] - atan[:, 0]) / h
+    df_dmu = -0.5 * (log_r[1] - log_r[0])
+    df_dh = (atan[1] - atan[0]) / h
     # across is the offset along the chord-line normal i u, so dh/dx_k is
     # ((-Im u, Re u) across, z) / h, and dmu0/dx_k is (Re u, Im u, 0).
     d_mu = (u.real, u.imag, 0.0)
     d_across = (-u.imag * across, u.real * across, z)
-    partials = np.empty((len(x), 5 if dof == 6 else 3, x.shape[1]))
+    partials = np.empty((5 if dof == 6 else 3,) + x.shape)
     for k, (dd, c_k) in enumerate(zip(d_d, (2.0, -2.0j, 0.0))):
         c_k = (c_k - c * dd) / d
-        by_end = s2_chi * c_k[:, None] + dh_dconj_c * c_k.conj()[:, None]
-        d_total = 0.5 * (dd / d * (s_hi - s_lo) + by_end[:, 1] - by_end[:, 0])
+        by_end = s2_chi * c_k + dh_dconj_c * c_k.conj()
+        d_total = 0.5 * (dd / d * (s_hi - s_lo) + by_end[1] - by_end[0])
         d_total += u * (df_dmu * d_mu[k] + df_dh * d_across[k])
-        partials[:, k] = tx * d_total.real + ty * d_total.imag
+        partials[k] = tx * d_total.real + ty * d_total.imag
     if dof == 6:
-        partials[:, 3] = total.real
-        partials[:, 4] = total.imag
+        partials[3] = total.real
+        partials[4] = total.imag
     return terms, partials
 
 
-def _posed(rotations, translations, along_x, along_y):
-    """World points and weighted tangents, each (..., 3, m), of the node
-    tables along_x and along_y (..., 1, 2m) under rotations (..., 3, 3) and
-    translations (..., 3, 1); the leading axes broadcast. One product per
-    frame axis rotates points and tangents."""
-    rotated = rotations[..., 0, None] * along_x + rotations[..., 1, None] * along_y
-    m = along_x.shape[-1] // 2
-    return rotated[..., :m] + translations, rotated[..., m:]
+def _posed(frames, x, y, tx, ty):
+    """Rotated samples (3, m, rows) and the x and y of their rotated
+    weighted tangents (2, m, rows), as planes with the rows innermost, of
+    the node tables x, y, tx and ty (m, 1, T) under the rotations frames
+    (3, 3, rows), one entry per plane; row r takes column r % T of the
+    tables. Tangents drop their z, which no term reads."""
+    m = len(x)
+    frames = frames.reshape(3, 3, -1, x.shape[-1])
+    points = frames[:, 0, None] * x + frames[:, 1, None] * y
+    tangents = frames[:2, 0, None] * tx + frames[:2, 1, None] * ty
+    return points.reshape(3, m, -1), tangents.reshape(2, m, -1)
 
 
-def _gradients(partials, angles, along_x, along_y):
-    """Gradients (rows, 3 or 6) of the rows' summed terms: the partials by
-    each sample's x, y and z summed and, for dof 6, contracted with how the
-    rows' rotations (angles (rows, 3)) move each sample and turn its
-    tangent. The node tables (T, 1, 2m) are those of the K contours of a
-    block of whole groups (T = K) or one per row (T = rows)."""
-    rows, coordinates, m = partials.shape
-    grads = np.empty((rows, 6 if coordinates == 5 else 3))
-    grads[:, :3] = partials[:, :3].sum(axis=2)
-    if coordinates == 5:
-        # dR/dtheta_j moves each sample by (dR/dtheta_j) c and its tangent
-        # by (dR/dtheta_j) c': (rows, 3 angles, 5 coordinates, m).
-        turned = rotation_derivatives_from_euler(angles).reshape(-1, len(along_x), 3, 3, 3)
-        moved = turned[..., 0, None] * along_x[:, None] + turned[..., 1, None] * along_y[:, None]
-        moved = moved.reshape(rows, 3, 3, 2 * m)
-        jacobian = np.concatenate([moved[..., :m], moved[:, :, :2, m:]], axis=2)
-        grads[:, 3:] = np.einsum("bjsi,bsi->bj", jacobian, partials)
-    return grads
+def _gradients(partials, angles, tables):
+    """Gradients (rows, 3 or 6) of the rows' summed terms: the partials
+    (P, m, rows) by each sample's x, y and z summed and, for dof 6,
+    contracted with how the rows' rotations (angles (3, rows)) move each
+    sample and turn its tangent. `tables` are the node tables that posed
+    the samples (see _posed). Both the sums and the contraction run on a
+    C-contiguous (rows, P, m) copy of the partials, as the values do (see
+    _block_values)."""
+    by_row = np.ascontiguousarray(partials.transpose(2, 0, 1))
+    sums = by_row[:, :3].sum(axis=2)
+    rows, coordinates, m = by_row.shape
+    if coordinates == 3:
+        return sums
+    # dR/dtheta_j moves each sample by (dR/dtheta_j) c and its tangent by
+    # (dR/dtheta_j) c': (rows, 3 angles, 5 coordinates, m).
+    jacobian = np.empty((rows, 3, 5, m))
+    for j, turned in enumerate(rotation_derivative_planes(angles)):
+        moved, turned_tangents = _posed(turned, *tables)
+        jacobian[:, j, :3] = moved.transpose(2, 0, 1)
+        jacobian[:, j, 3:] = turned_tangents.transpose(2, 0, 1)
+    return np.concatenate([sums, np.einsum("bjsi,bsi->bj", jacobian, by_row)], axis=1)
 
 
 def _block_values(poses, source_radius, ladder, dof):
     """View factors, degenerate flags and, for dof > 0, gradients of one
     block of whole pose groups, each pose on the quadrature ladder.
 
-    `ladder` is (bottom, midpoints, areas): the (along_x, along_y) node
-    tables of the bottom rung and those of each lower rung's midpoints, as
-    _object_nodes builds them, and the (K,) areas. Every pose takes the
-    bottom rung of k samples, whose sum is T_k. Its estimate is
+    `ladder` is (bottom, midpoints, scale): the (x, y, tx, ty) node tables
+    of the bottom rung and those of each lower rung's midpoints, as
+    _object_nodes builds them, and the (K,) scale factors. Every pose takes
+    the bottom rung of k samples, whose sum is T_k. Its estimate is
     |T_k - T_(k/2)|, T_(k/2) being twice the sum over every other sample's
     term: no new term. While the estimate exceeds REFINE_TOL (on F21) and a
     rung remains, the pose takes the k midpoints alone, T_2k = (T_k + M_k) / 2
@@ -430,29 +441,34 @@ def _block_values(poses, source_radius, ladder, dof):
     ladder of one rung takes no estimate and no second pass. The degenerate
     flags read all n samples, whichever rung a pose stops on: the bottom
     rung's and every rung's midpoints.
+
+    The pose coordinates, the rotation entries and every per-sample array
+    are planes with the rows innermost, so each elementwise operation runs
+    one long loop over the block. Every sum over samples runs on a
+    C-contiguous (rows, m) copy, whose contiguous last axis numpy adds
+    pairwise: a row's sum has the same bits whatever the batch around it,
+    where a sum across the planes would be a running sum in another order.
     """
-    bottom, midpoints, areas = ladder
-    k_obj = len(areas)
+    bottom, midpoints, scale = ladder
+    k_obj = len(scale)
     groups = len(poses) // k_obj
-    translations = poses[:, :3]
-    rotations = rotations_from_euler(poses[:, 3:])
-    # The bottom rung: (groups, K) frames against the (K, 1, 2m) tables.
-    frames = rotations.reshape(groups, k_obj, 3, 3)
-    points, tangents = _posed(frames, translations.reshape(groups, k_obj, 3, 1), *bottom)
-    m = points.shape[-1]
-    points, tangents = points.reshape(-1, 3, m), tangents.reshape(-1, 3, m)
+    coordinates = np.ascontiguousarray(poses.T)
+    translations, angles = coordinates[:3], coordinates[3:]
+    frames = rotation_planes(angles)
+    points, tangents = _posed(frames, *bottom)
+    points += translations[:, None]
+    m = points.shape[1]
     # The lowest of all n sample heights: the bottom rung's and those each
     # higher rung adds. A height is fl(a_j + p3), a_j the sample's rotated
     # local part; rounding is monotone, so adding p3 after the minimum
     # gives the same bits.
-    lowest = points[:, 2].min(axis=1)
-    for along_x, along_y in midpoints:
-        k = along_x.shape[-1] // 2
-        x, y = along_x[:, 0, :k], along_y[:, 0, :k]
-        heights = frames[..., 2, 0, None] * x + frames[..., 2, 1, None] * y
-        lowest = np.minimum(lowest, heights.min(axis=-1).reshape(-1) + translations[:, 2])
+    lowest = points[2].min(axis=0)
+    for x, y, *_ in midpoints:
+        r20, r21 = frames[2, :2].reshape(2, groups, k_obj)
+        heights = r20 * x + r21 * y
+        lowest = np.minimum(lowest, heights.min(axis=0).reshape(-1) + translations[2])
 
-    occ = classify_occlusions(rotations, translations, source_radius)
+    occ = classify_occlusions(frames.transpose(2, 0, 1), translations.T, source_radius)
     degenerate = occ.coplanar | (~occ.complete & (lowest < MIN_SURFACE_CLEARANCE))
     # Per occlusion class, its rows and the terms of given rows' samples.
     classes = (
@@ -463,42 +479,46 @@ def _block_values(poses, source_radius, ladder, dof):
         (
             occ.partial & ~degenerate,
             lambda rows, *samples: _partial_values(
-                *samples, occ.lo[rows, None], occ.hi[rows, None], source_radius, dof
+                *samples, occ.lo[rows], occ.hi[rows], source_radius, dof
             ),
         ),
     )
     values = np.zeros(len(poses))
-    partials = np.zeros((len(poses), 5 if dof == 6 else 3, m)) if dof else None
-    scale = -(TWO_PI * areas)
+    partials = np.zeros((5 if dof == 6 else 3, m, len(poses))) if dof else None
     tolerance = REFINE_TOL * np.abs(scale) if midpoints else None  # on raw sums
     climbing = []
     for of_class, terms_of in classes:
-        if not np.count_nonzero(of_class):
+        rows = of_class.nonzero()[0]
+        if not len(rows):
             continue
-        terms, class_partials = terms_of(of_class, points[of_class], tangents[of_class])
-        values[of_class] = terms.sum(axis=1)
+        if len(rows) == len(poses):
+            samples = points, tangents
+        else:
+            samples = points[..., rows], tangents[..., rows]
+        terms, class_partials = terms_of(rows, *samples)
+        by_row = np.ascontiguousarray(terms.T)
+        values[rows] = by_row.sum(axis=1)
         if dof:
-            partials[of_class] = class_partials
+            partials[..., rows] = class_partials
         if midpoints:
-            rows = np.flatnonzero(of_class)
-            estimate = np.abs(values[rows] - 2.0 * terms[:, ::2].sum(axis=1))
+            estimate = np.abs(values[rows] - 2.0 * by_row[:, ::2].sum(axis=1))
             climbing.append((terms_of, rows[estimate > tolerance[rows % k_obj]]))
     if dof:
-        grads = _gradients(partials, poses[:, 3:], *bottom)
+        grads = _gradients(partials, angles, bottom)
 
     for terms_of, rows in climbing:
         for tables in midpoints:
             if not len(rows):
                 break
             contour_of = rows % k_obj
-            along_x, along_y = (table[contour_of] for table in tables)
-            terms, mid_partials = terms_of(
-                rows, *_posed(rotations[rows], translations[rows, :, None], along_x, along_y)
-            )
+            tables = tuple(table[..., contour_of] for table in tables)
+            mid_points, mid_tangents = _posed(frames[..., rows], *tables)
+            mid_points += translations[:, rows][:, None]
+            terms, mid_partials = terms_of(rows, mid_points, mid_tangents)
             previous = values[rows]
-            values[rows] = finer = 0.5 * (previous + terms.sum(axis=1))
+            values[rows] = finer = 0.5 * (previous + np.ascontiguousarray(terms.T).sum(axis=1))
             if dof:
-                mid_grads = _gradients(mid_partials, poses[rows, 3:], along_x, along_y)
+                mid_grads = _gradients(mid_partials, angles[:, rows], tables)
                 grads[rows] = 0.5 * (grads[rows] + mid_grads)
             rows = rows[np.abs(finer - previous) > tolerance[contour_of]]
 
@@ -588,9 +608,9 @@ def vf_batch(
     if dof not in (0, 3, 6):
         raise ValueError(f"dof must be 0, 3 or 6, got {dof}")
     rungs = _rungs(spec.n_per_dim)
-    *bottom, areas = _object_nodes(contours, rungs[0])
-    midpoints = [_object_nodes(contours, k, midpoints=True)[:2] for k in rungs[:-1]]
-    ladder = (bottom, midpoints, areas)
+    *bottom, scale = _object_nodes(contours, rungs[0])
+    midpoints = [_object_nodes(contours, k, midpoints=True)[:4] for k in rungs[:-1]]
+    ladder = (bottom, midpoints, scale)
     per_block = len(contours) * max(1, BLOCK_SAMPLES // (len(contours) * rungs[0]))
     if 0 < len(poses) <= per_block:  # one block: its arrays are the results
         return _block_values(poses, source_radius, ladder, dof)
@@ -720,27 +740,30 @@ DSI_BLOCK_PAIRS = 2**18
 
 
 def _dsi_sum(obj_centers, obj_areas, src_centers, src_areas, normal) -> float:
+    """Sum of cos(theta_src) cos(theta_obj) dA dA / (pi r^2) over the facet
+    pairs in front of both surfaces. The source facets lie in z = 0, so for
+    object facet o and source facet s, r^2 = |o|^2 + |s|^2 - 2 o.s is one
+    matrix product per chunk, and the object-side cosine times r,
+    -n.(o - s) = n.s - n.o, a rank-one sum; the source-side one is o_z / r.
+    Near contact the expansion loses about eps |o|^2 / r^2 of r^2."""
+    above = obj_centers[:, 2] > 0.0
+    obj_centers, obj_areas = obj_centers[above], obj_areas[above]
+    src_xy = src_centers[:, :2]
+    src_sq = np.einsum("ij,ij->i", src_xy, src_xy)
+    src_normal = src_xy @ normal[:2]
     total = 0.0
     chunk = max(1, DSI_BLOCK_PAIRS // max(len(src_centers), 1))
-    sx, sy = src_centers[:, 0], src_centers[:, 1]
     for lo in range(0, len(obj_centers), chunk):
         oc = obj_centers[lo : lo + chunk]
-        oa = obj_areas[lo : lo + chunk]
-        dx = oc[:, 0, None] - sx[None, :]
-        dy = oc[:, 1, None] - sy[None, :]
-        dz = np.broadcast_to(oc[:, 2, None], dx.shape)
-        r_sq = dx * dx
-        r_sq += dy * dy
-        r_sq += dz * dz
-        cos_obj = dx * normal[0]
-        cos_obj += dy * normal[1]
-        cos_obj += dz * normal[2]
-        np.negative(cos_obj, out=cos_obj)
-        kernel = dz * cos_obj
-        kernel *= (dz > 0.0) & (cos_obj > 0.0)
+        r_sq = oc[:, :2] @ (-2.0 * src_xy.T)
+        r_sq += src_sq
+        r_sq += np.einsum("ij,ij->i", oc, oc)[:, None]
+        cos_obj = src_normal - (oc @ normal)[:, None]
+        kernel = np.maximum(cos_obj, 0.0, out=cos_obj)
+        kernel *= oc[:, 2, None]
         r_sq *= r_sq
         kernel /= r_sq
-        total += float((oa @ kernel) @ src_areas)
+        total += float((obj_areas[lo : lo + chunk] @ kernel) @ src_areas)
     return total / math.pi
 
 

@@ -5,6 +5,7 @@ its gradients against central differences, contour groups against
 single-contour calls, plus the batched callers: feasibility search and the
 simulator's evaluation and kernel-call counts."""
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -674,6 +675,121 @@ def test_flags_read_every_sample_of_the_top_rung():
         assert np.isfinite(outputs[0][3:]).all()
     bottom, flagged = vf_batch(as_array(poses), SOURCE_RADIUS, contour, QuadratureSpec(16))
     assert not flagged.any()
+
+
+def row_position_poses():
+    """19 poses, two AVX-512 widths of 8 rows and a tail of 3: Common poses
+    high over the source and low enough to climb the n=64 ladder, Partial,
+    Complete and near-contact poses, a Partial pose with a circle sample on
+    the source axis, a coplanar pose, one below the plane and one flagged by
+    a sample of the top rung only."""
+    rng = np.random.default_rng(19)
+    u = rng.uniform
+    rows = []
+    for _ in range(3):
+        rows += [
+            [*u(-0.1, 0.1, 2), u(0.05, 0.3), *u(-0.3, 0.3, 2), u(-3.0, 3.0)],
+            [*u(-0.12, 0.12, 2), u(0.003, 0.02), 0.0, 0.0, 0.0],
+            [*u(-0.08, 0.08, 2), u(0.01, 0.06), u(0.6, 1.5), u(-0.8, 0.8), u(-3.0, 3.0)],
+            [*u(-0.1, 0.1, 2), u(0.01, 0.2), u(2.8, math.pi), 0.1, 0.5],
+            [*u(-0.1, 0.1, 2), u(1e-7, 2e-3), *u(-0.05, 0.05, 2), 1.0],
+        ]
+    rows += [
+        on_axis_poses()[-1].as_vector(),
+        [0.02, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.01, -0.01, 0.2, 0.0, 0.0],
+        tilted_between_samples(-1e-9).as_vector(),
+    ]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dof", [0, 3, 6])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", sorted(CONTOURS))
+def test_bits_do_not_depend_on_the_row_or_the_array_layout(name, n, dof):
+    """Each pose's arrays are one lane of planes whose inner axis is the
+    batch's rows. Every pose of a 19-row batch passes through every row
+    index (the batch rolled by 0-18 rows), and the batch is also passed
+    Fortran-ordered and as a strided view: values, flags and gradients are
+    bitwise those of each pose alone."""
+    contour, spec = CONTOURS[name], QuadratureSpec(n)
+    poses = row_position_poses()
+    alone = [vf_batch(row[None, :], SOURCE_RADIUS, contour, spec, dof=dof) for row in poses]
+    expected = [np.concatenate(a) for a in zip(*alone)]
+    flagged = expected[1]
+    assert flagged.any() and not flagged.all()
+    wide = np.zeros((len(poses), 9))
+    wide[:, 2:8] = poses
+    for batch in (np.asfortranarray(poses), wide[:, 2:8]):
+        assert_same_outputs(vf_batch(batch, SOURCE_RADIUS, contour, spec, dof=dof), expected)
+    for shift in range(len(poses)):
+        order = np.roll(np.arange(len(poses)), shift)
+        outputs = vf_batch(poses[order], SOURCE_RADIUS, contour, spec, dof=dof)
+        assert_same_outputs(outputs, [a[order] for a in expected])
+
+
+#: sha256 of the circle's local points and tangents at the nodes of the n=64
+#: ladder (16 samples and the midpoints of the rungs of 16 and 32), as cos
+#: and sin round them here: correctly, checked against 200-bit references.
+GOLDEN_NODES = "351fe60f59808f2dc6c602756423dd7aea56e2ad5ad6f0bb9d6db836fd39909c"
+#: Zero-rotation Common poses, (p1, p2, p3) per row, and float.hex of F21 and
+#: of its dof-3 gradient: at n=16, and at n=64 for poses that stop on 16,
+#: 16, 16, 32, 32, 32, 64 and 64 samples. Any change in the order of a sum
+#: over samples moves them.
+GOLDEN_BITS = {
+    16: (
+        [[0.0, 0.0, 0.05], [0.01, -0.02, 0.03], [-0.04, 0.03, 0.08], [0.09, 0.0, 0.02],
+         [0.0, 0.12, 0.1], [-0.07, -0.07, 0.015], [0.03, 0.05, 0.25], [0.105, -0.01, 0.04]],
+        [
+            ("0x1.981c02f062046p-1", "-0x1.fc7fe20f49b19p-49", "0x1.d1772291a82e3p-52", "-0x1.9c857b890ab9fp+2"),
+            ("0x1.d0ed5a43fbaccp-1", "-0x1.525a4d37d2c41p-2", "0x1.525a4d37d2bfbp-1", "-0x1.602c7bafb0cb4p+2"),
+            ("0x1.0fb85ff53ae7bp-1", "0x1.3d8b455dc4ac8p+1", "-0x1.dc50e80ca7030p+0", "-0x1.55778953b7725p+2"),
+            ("0x1.4a73970acf732p-1", "-0x1.1dad591ac7d69p+4", "0x1.51bcbe4dcf80dp-50", "-0x1.23a55ae1c9c07p+3"),
+            ("0x1.a9bb3fe6d08ebp-3", "-0x1.6de1ce29a0cb9p-50", "-0x1.96414c25d9498p+1", "-0x1.8617d89fb501bp-1"),
+            ("0x1.ef38c8231084ep-2", "0x1.1cd3820963dffp+4", "0x1.1cd3820963e00p+4", "-0x1.a38d53df3ef9cp+1"),
+            ("0x1.04274a89a8773p-3", "-0x1.69ce0a6bb8ba1p-3", "-0x1.2d8108af19eedp-2", "-0x1.a1895474cbd3cp-1"),
+            ("0x1.5c59415854da7p-2", "-0x1.5340eea248155p+3", "0x1.027a9d6f5c6bep+0", "-0x1.9dea7d58bafc4p-1"),
+        ],
+    ),
+    64: (
+        [[0.1063, -0.1022, 0.2475], [0.0027, -0.0383, 0.1929], [0.1143, -0.0723, 0.1691],
+         [0.0105, -0.0872, 0.1023], [0.0965, -0.0983, 0.0841], [-0.0167, 0.0445, 0.0162],
+         [-0.0282, -0.0911, 0.0135], [0.0737, 0.0752, 0.0122]],
+        [
+            ("0x1.609e89734c627p-4", "-0x1.8324478a5812ap-2", "0x1.7435aa2b6b8dap-2", "-0x1.6d9f5f6976183p-2"),
+            ("0x1.9b907c87ca35fp-3", "-0x1.25dd5d61ff962p-5", "0x1.0488678811641p-1", "-0x1.940557d708ed3p+0"),
+            ("0x1.0d067f99e7636p-3", "-0x1.0984970d33202p+0", "0x1.4fe7921362f21p-1", "-0x1.193efba2fa4efp-1"),
+            ("0x1.4092d0909c545p-2", "-0x1.9f4b41b7b8296p-2", "0x1.af1d5c9a2592dp+1", "-0x1.354a831099bb1p+1"),
+            ("0x1.3ee318032f03fp-3", "-0x1.1513da2e36e15p+1", "0x1.1a3eeef69219cp+1", "0x1.c47aaa67da5acp-3"),
+            ("0x1.e9dd7aaf59b78p-1", "0x1.741e33a1c2b6dp-2", "-0x1.efc9326550db9p-1", "-0x1.3f07399b5b55ep+2"),
+            ("0x1.2b5493df82757p-1", "0x1.e928daf7cf99ap+2", "0x1.8b0e9cdf497abp+4", "-0x1.cf791399d9119p+2"),
+            ("0x1.487465e2ce2c6p-2", "-0x1.1d26b50fd60dbp+4", "-0x1.22f46f1b9f032p+4", "0x1.e05ccf704ced5p+1"),
+        ],
+    ),
+}
+
+
+def test_golden_bits_pin_the_order_of_every_sum():
+    """With zero rotations, cos 0 and sin 0 are exact, so only +, -, *, /
+    and sqrt act on the contour's node tables: the bits are the same on any
+    IEEE platform whose cos and sin round those nodes as here, and change
+    with the order of any sum over samples, the ladder's every-other-sample
+    estimate and the gradient sums included."""
+    contour = CONTOURS["circle"]
+    nodes = []
+    for n, offset in ((16, 0.0), (16, 0.5), (32, 0.5)):
+        t = (TWO_PI / n) * (np.arange(n) + offset)
+        nodes += [contour.local_point(t), contour.local_tangent(t)]
+    if hashlib.sha256(np.concatenate(nodes).tobytes()).hexdigest() != GOLDEN_NODES:
+        pytest.skip("cos or sin round the contour's nodes differently on this platform")
+    for n, (positions, bits) in GOLDEN_BITS.items():
+        poses = np.concatenate([positions, np.zeros((len(positions), 3))], axis=1)
+        values, flagged, grads = vf_batch(poses, SOURCE_RADIUS, contour, QuadratureSpec(n), dof=3)
+        assert not flagged.any()
+        got = [(v.hex(), *map(float.hex, g)) for v, g in zip(values.tolist(), grads.tolist())]
+        assert got == bits
+        if n == 64:
+            assert kernel_rungs(poses, contour, n).tolist() == [16, 16, 16, 32, 32, 32, 64, 64]
 
 
 def seeded_poses(rng, kind, lateral, heights, tilts_x, tilts_y, count=150):

@@ -22,7 +22,7 @@ from thermoservo import (
 )
 from thermoservo.geometry import (
     pose_rotation,
-    rotation_derivatives_from_euler,
+    rotation_derivative_planes,
     rotations_from_euler,
 )
 
@@ -111,7 +111,7 @@ class TestRotation:
         """The closed-form dR/dtheta_j, also next to gimbal lock at
         theta_y = +-pi/2, against central differences of the rotation."""
         a = np.array([tx, ty, tz])
-        derivatives = rotation_derivatives_from_euler(a)
+        derivatives = rotation_derivative_planes(a)
         # Truncation h^2 / 6 ~ 2e-11; rounding of a + h at |a| <= 50 ~ 1e-9.
         h = 1e-5
         for j in range(3):
@@ -122,10 +122,10 @@ class TestRotation:
 
     def test_derivatives_at_gimbal_lock_and_batched(self):
         a = np.array([[0.3, math.pi / 2, -0.7], [0.3, -math.pi / 2, -0.7], [1.0, 2.0, 3.0]])
-        batched = rotation_derivatives_from_euler(a)
+        batched = rotation_derivative_planes(a.T)
         assert batched.shape == (3, 3, 3, 3)
-        for row, derivatives in zip(a, batched):
-            assert derivatives.tobytes() == rotation_derivatives_from_euler(row).tobytes()
+        for row, derivatives in zip(a, np.moveaxis(batched, -1, 0)):
+            assert derivatives.tobytes() == rotation_derivative_planes(row).tobytes()
             r = rotations_from_euler(row)
             # dR/dtheta_x = R [e_x]x and dR/dtheta_z = [e_z]x R.
             assert np.allclose(derivatives[0], r @ np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]]))

@@ -17,10 +17,11 @@ from thermoservo import (
     vf_general,
     vf_parallel_disks,
 )
-from thermoservo.geometry import fit_circle_contour
+from thermoservo import viewfactor
+from thermoservo.geometry import fit_circle_contour, fourier_fit
 from thermoservo.viewfactor import NonFiniteIntegrandError
 
-from conftest import coaxial_disk_view_factor
+from conftest import BUNNY_BUMPS, coaxial_disk_view_factor, star_polyline
 
 
 class TestSimpson:
@@ -217,7 +218,59 @@ class TestGeneral:
         assert fourier == pytest.approx(circle, abs=1e-4)
 
 
+def broadcast_dsi_sum(obj_centers, obj_areas, src_centers, src_areas, normal):
+    """The oracle's facet sum with every facet-pair difference broadcast and
+    r^2 summed from dx, dy and dz: the reference for its matrix-product sum."""
+    total = 0.0
+    chunk = max(1, 2**18 // len(src_centers))
+    sx, sy = src_centers[:, 0], src_centers[:, 1]
+    for lo in range(0, len(obj_centers), chunk):
+        oc = obj_centers[lo : lo + chunk]
+        dx = oc[:, 0, None] - sx[None, :]
+        dy = oc[:, 1, None] - sy[None, :]
+        dz = np.broadcast_to(oc[:, 2, None], dx.shape)
+        r_sq = dx * dx + dy * dy + dz * dz
+        cos_obj = -(dx * normal[0] + dy * normal[1] + dz * normal[2])
+        kernel = dz * cos_obj * ((dz > 0.0) & (cos_obj > 0.0)) / (r_sq * r_sq)
+        total += float((obj_areas[lo : lo + chunk] @ kernel) @ src_areas)
+    return total / math.pi
+
+
 class TestDsiOracle:
+    @pytest.mark.parametrize(
+        "contour",
+        [CircleContour(0.015), fourier_fit(star_polyline(0.018, BUNNY_BUMPS), 5)],
+        ids=["circle", "fourier"],
+    )
+    def test_matrix_product_sum_matches_the_broadcast_sum(self, monkeypatch, contour):
+        """The facet sum with r^2 = |o|^2 + |s|^2 - 2 o.s from one matrix
+        product against the broadcast sum, on Common, Partial and facing-away
+        poses and near-contact ones 1-1.5 mm above the source. There the
+        expansion loses about eps |o|^2 / r^2 of each r^2, under 1e-11 here;
+        elsewhere the sums agree to about 1e-15 (rel=1e-10 covers both)."""
+        poses = [
+            Pose(0, 0, 0.05),
+            Pose(0, 0, 0.03, math.pi / 4, 0, 0),
+            Pose(0.01, -0.02, 0.05, 0.3, 0.2, 0.0),
+            Pose(0, 0, 0.01, 1.4, 0, 0.5),
+            Pose(0, 0, 0.05, math.pi, 0, 0),
+            Pose(0.02, 0.01, 0.001),
+            Pose(0.05, 0.0, 0.0015, 0.05, 0.0, 0.0),
+            Pose(0.099, 0.0, 0.0012, 0.0, 0.0, 1.0),
+        ]
+        matrix_sum, pairs = viewfactor._dsi_sum, []
+
+        def both(*args):
+            pairs.append((matrix_sum(*args), broadcast_dsi_sum(*args)))
+            return 0.0
+
+        monkeypatch.setattr(viewfactor, "_dsi_sum", both)
+        for pose in poses:
+            vf_dsi_oracle(pose, 0.10, contour, 2000)
+        assert pairs[4] == (0.0, 0.0)
+        for value, reference in pairs:
+            assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+
     def test_coaxial_matches_closed_form(self):
         f = vf_dsi_oracle(Pose(0, 0, 0.05), 0.015, CircleContour(0.015), 20000)
         assert f.value == pytest.approx(coaxial_disk_view_factor(0.015, 0.015, 0.05), abs=1e-3)
