@@ -75,10 +75,8 @@ from .thermal import (
 from .viewfactor import (
     DEFAULT_SPEC,
     FAST_SPEC,
-    NonFiniteIntegrandError,
     QuadratureSpec,
     ViewFactor,
-    simpson_2d,
     vf_batch,
     vf_dsi_oracle,
     vf_general,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, viewfactor, isosurface, feasibility, estimate-bench.
-Exit codes: 0 success, 2 invalid scenario/arguments, 3 workspace violation,
-4 numerical failure. A simulation that ends early still writes the log of
+Exit codes: 0 success, 2 invalid scenario/arguments or an unreadable or
+unwritable file, 3 workspace violation, 4 numerical failure. A simulation that ends early still writes the log of
 the ticks it finished: its termination reason gives exit 3 for
 workspace_violation and 4 for degenerate_pose, thermal_divergence or
 non_finite_control.
@@ -31,12 +31,7 @@ from .geometry import CircleContour, DegeneratePoseError, Pose, fourier_fit
 from .simulator import ScenarioError, load_scenario, run_simulation
 from .thermal import ThermalDivergenceError, lambdas
 from .units import cm_to_m, kelvin_to_celsius, m_to_cm
-from .viewfactor import (
-    NonFiniteIntegrandError,
-    QuadratureSpec,
-    vf_dsi_oracle,
-    vf_general,
-)
+from .viewfactor import QuadratureSpec, vf_dsi_oracle, vf_general
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 2
@@ -243,10 +238,10 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    except (ValueError, DegeneratePoseError) as exc:
+    except (ValueError, DegeneratePoseError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    except (NonFiniteIntegrandError, ThermalDivergenceError, np.linalg.LinAlgError) as exc:
+    except (ThermalDivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

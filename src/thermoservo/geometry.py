@@ -430,17 +430,14 @@ class Partial:
     """The object plane cuts the source disk; only the circular segment on
     the object's front side contributes.
 
-    phi1 < phi2 are the two intersection angles on the source circle, both in
-    [0, 2*pi). The contributing segment is bounded by the arc centred on the
-    object normal's direction in the source plane (see classify_occlusions).
+    phi1 = psi - delta and phi2 = psi + delta are the two intersection angles
+    on the source circle, unwrapped, so 0 < phi2 - phi1 < 2*pi: the ends of
+    the contributing arc, centred on the object normal's direction psi in the
+    source plane (see classify_occlusions).
     """
 
     phi1: float
     phi2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.phi1 < self.phi2 < TWO_PI):
-            raise ValueError("require 0 <= phi1 < phi2 < 2*pi")
 
 
 @dataclass(frozen=True)
@@ -505,9 +502,9 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     into the object plane equation gives a*cos(phi) + b*sin(phi) = d. Two
     real roots with the plane actually cutting the disk yield the partial
     self-obstruction case; its phi1 < phi2 are the ends psi -/+ delta of
-    classify_occlusions' arc, wrapped to [0, 2*pi). Otherwise the whole disk
-    lies on one side of the object plane: the side the object normal faces
-    gives the common case, the far side gives complete self-obstruction.
+    classify_occlusions' arc. Otherwise the whole disk lies on one side of
+    the object plane: the side the object normal faces gives the common
+    case, the far side gives complete self-obstruction.
 
     Raises:
         DegeneratePoseError: Object coplanar with the source plane.
@@ -519,8 +516,5 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     if occ.coplanar[0]:
         raise DegeneratePoseError("object lies in the source plane")
     if occ.partial[0]:
-        roots = np.remainder([occ.lo[0], occ.hi[0]], TWO_PI)
-        # x % 2*pi rounds up to exactly 2*pi for tiny negative x
-        roots[roots >= TWO_PI] = 0.0
-        return Partial(phi1=float(roots.min()), phi2=float(roots.max()))
+        return Partial(phi1=float(occ.lo[0]), phi2=float(occ.hi[0]))
     return Complete() if occ.complete[0] else Common()

@@ -8,7 +8,9 @@ matrix J built from view-factor gradients alone.
 The gradient d(F21)/dx comes from the view-factor kernel itself,
 `vf_batch(..., dof=3 or 6)`, which differentiates its contour integral;
 `view_factor_gradient` is its batch of one. `l_parallel` is the
-independent analytic-integrand row for parallel disks.
+independent analytic-integrand row for parallel disks: it differentiates
+under the integral sign and integrates both boundary circles with the
+periodic trapezoid rule, sharing no code with the kernel.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from .geometry import DegeneratePoseError, Pose, TWO_PI
-from .viewfactor import DEFAULT_SPEC, MIN_KERNEL_DISTANCE, QuadratureSpec, simpson_2d, vf_batch
+from .viewfactor import DEFAULT_SPEC, QuadratureSpec, _parallel_grid, vf_batch
 
 
 def l_parallel(
@@ -31,35 +33,23 @@ def l_parallel(
 
     The three translation sensitivities are double integrals of the shared
     scalar kernel h = lambda1 * r1 r2 cos(w1 - w2) / (2 pi A2 s^2) against
-    the components of the contour-point difference.
+    the components (dx, dy, p3) of the contour-point difference, on the
+    same n x n periodic trapezoid grid as `vf_parallel_disks`, built once
+    for all three.
 
     Returns:
         (3,) array: d(rate)/d(p1, p2, p3) in K/s per m/s.
+
+    Raises:
+        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
     """
-    if pose.theta_x != 0.0 or pose.theta_y != 0.0 or pose.theta_z != 0.0:
-        raise ValueError("l_parallel requires a zero-rotation pose")
-    if pose.p3 <= 0.0:
-        raise ValueError("requires p3 > 0")
-    p1, p2, p3 = pose.p1, pose.p2, pose.p3
-    area2 = math.pi * r2**2
-    prefactor = lambda1 * r1 * r2 / (TWO_PI * area2)
-
-    def make_integrand(component: int):
-        def integrand(w1, w2):
-            dx = p1 + r2 * np.cos(w2) - r1 * np.cos(w1)
-            dy = p2 + r2 * np.sin(w2) - r1 * np.sin(w1)
-            s_sq = np.maximum(dx * dx + dy * dy + p3 * p3, MIN_KERNEL_DISTANCE**2)
-            g = (dx, dy, p3)[component]
-            return np.cos(w1 - w2) / s_sq * g
-
-        return integrand
-
-    ranges = ((0.0, TWO_PI), (0.0, TWO_PI))
-    return np.array(
-        [
-            -prefactor * simpson_2d(make_integrand(k), ranges, spec)
-            for k in range(3)
-        ]
+    n = spec.n_per_dim
+    dx, dy, s_sq, cos_dw = _parallel_grid(pose, r1, r2, n)
+    kernel = cos_dw / s_sq
+    # Trapezoid weight (2 pi / n)^2, A2 = pi r2^2.
+    prefactor = lambda1 * r1 * r2 * (TWO_PI / n) ** 2 / (TWO_PI * math.pi * r2**2)
+    return -prefactor * np.array(
+        [np.sum(kernel * dx), np.sum(kernel * dy), pose.p3 * np.sum(kernel)]
     )
 
 

@@ -71,8 +71,8 @@ class SourceSchedule:
     centers: np.ndarray  # shape (k, 3)
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.centers) or len(self.times) == 0:
-            raise ScenarioError("schedule needs matching, non-empty times/centers")
+        if len(self.times) == 0 or np.shape(self.centers) != (len(self.times), 3):
+            raise ScenarioError("schedule needs non-empty times and one (x, y, z) center per time")
         if np.any(np.diff(self.times) <= 0.0):
             raise ScenarioError("schedule times must be strictly increasing")
 

@@ -39,7 +39,7 @@ from .geometry import (
     rotation_planes,
 )
 
-# Floor on the contour-point distance inside the sampled ln kernels of
+# Floor on the contour-point distance inside the sampled kernels of
 # `vf_parallel_disks` and `interaction.l_parallel`; the integrable
 # singularity is otherwise sharp when surfaces nearly touch. `vf_batch` needs
 # none: it samples no source node, and its samples keep MIN_SURFACE_CLEARANCE
@@ -53,14 +53,6 @@ MIN_KERNEL_DISTANCE = 1e-9
 REFINE_TOL = 1e-10
 
 
-class NonFiniteIntegrandError(RuntimeError):
-    """An integrand sample evaluated to NaN/inf; carries the sample location."""
-
-    def __init__(self, location: tuple[float, float]):
-        self.location = location
-        super().__init__(f"non-finite integrand sample at {location}")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature resolution n: at most n periodic-trapezoid samples per
@@ -68,9 +60,10 @@ class QuadratureSpec:
     n/2, n/4, ... (halving while the half is an even count of at least 16)
     from the bottom and stops each pose on the first rung whose error
     estimate it accepts; for n <= 16 the ladder is the single rung n. The
-    source side of `vf_batch` is in closed form and needs no nodes.
-    `simpson_2d` and `vf_parallel_disks` take n composite-Simpson intervals
-    on both of their dimensions, which is why n stays even."""
+    source side of `vf_batch` is in closed form and needs no nodes. The
+    parallel-disk references `vf_parallel_disks` and
+    `interaction.l_parallel` take the n x n periodic trapezoid rule on their
+    two boundary angles."""
 
     n_per_dim: int = 64
 
@@ -106,48 +99,11 @@ class ViewFactor:
         return ViewFactor(value)
 
 
-def _simpson_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(a, b, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / (3.0 * n)
-    return x, w
-
-
-def simpson_2d(f, ranges, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Tensor-product composite Simpson estimate of f over a rectangle.
-
-    Args:
-        f: Integrand f(x, y). Called once with broadcastable column/row node
-            arrays; plain scalar functions are vectorized as a fallback.
-        ranges: ((x_lo, x_hi), (y_lo, y_hi)).
-        spec: Quadrature resolution.
-
-    Raises:
-        NonFiniteIntegrandError: A sampled value is NaN or infinite.
-    """
-    (a1, b1), (a2, b2) = ranges
-    n = spec.n_per_dim
-    x1, w1 = _simpson_nodes(a1, b1, n)
-    x2, w2 = _simpson_nodes(a2, b2, n)
-    try:
-        vals = np.asarray(f(x1[:, None], x2[None, :]), dtype=float)
-        if vals.shape != (n + 1, n + 1):
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.vectorize(f)(x1[:, None], x2[None, :]).astype(float)
-    if not np.isfinite(vals).all():
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise NonFiniteIntegrandError((float(x1[i]), float(x2[j])))
-    return float(w1 @ vals @ w2)
-
-
 # ---------------------------------------------------------------------------
 # Contour-integral engine
 # ---------------------------------------------------------------------------
 
-#: Object samples (poses x bottom-rung samples) per vectorized block. The
+#: Object samples (poses x bottom-rung samples) per array block. The
 #: per-sample arrays are planes with the block's rows innermost, so the
 #: bottom rung's Common temporaries, (samples, rows), are about 32 kB each,
 #: its Partial ones (both arc ends, complex) 128 kB, its points 96 kB and
@@ -652,42 +608,51 @@ def vf_general(
     return ViewFactor.from_raw(float(values[0]))
 
 
-def vf_parallel_disks(
-    pose: Pose, r1: float, r2: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> ViewFactor:
-    """View factor between parallel circular surfaces (zero-rotation pose).
+def _parallel_grid(pose: Pose, r1: float, r2: float, n: int):
+    """Both circles of the parallel-disk references on the n x n periodic
+    trapezoid grid w = 2 pi j / n: the source circle (radius r1, angle w1)
+    on axis 0, the object circle (radius r2, angle w2) on axis 1.
 
-    Evaluates the closed-form-kernel double integral over the two boundary
-    angles directly, with the contour-point distance expanded analytically.
+    Returns:
+        (dx, dy, s_sq, cos_dw), each (n, n): the contour-point difference
+        (object minus source) in the plane, the squared distance floored at
+        MIN_KERNEL_DISTANCE**2, and cos(w1 - w2).
 
     Raises:
         ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
     """
     if pose.theta_x != 0.0 or pose.theta_y != 0.0 or pose.theta_z != 0.0:
-        raise ValueError("vf_parallel_disks requires a zero-rotation pose")
+        raise ValueError("the parallel-disk references require a zero-rotation pose")
     if pose.p3 <= 0.0:
         raise ValueError("requires p3 > 0 (object above the source plane)")
-    if r1 <= 0.0 or r2 <= 0.0:
+    if not (r1 > 0.0 and r2 > 0.0):
         raise ValueError("radii must be positive")
-    p1, p2, p3 = pose.p1, pose.p2, pose.p3
-    area2 = math.pi * r2**2
+    w = TWO_PI / n * np.arange(n)
+    cos_w, sin_w = np.cos(w), np.sin(w)
+    dx = pose.p1 + r2 * cos_w[None, :] - r1 * cos_w[:, None]
+    dy = pose.p2 + r2 * sin_w[None, :] - r1 * sin_w[:, None]
+    s_sq = np.maximum(dx * dx + dy * dy + pose.p3**2, MIN_KERNEL_DISTANCE**2)
+    return dx, dy, s_sq, np.cos(w[:, None] - w[None, :])
 
-    def integrand(w1, w2):
-        s_sq = (
-            p1**2
-            + p2**2
-            + p3**2
-            + 2.0 * p1 * (r2 * np.cos(w2) - r1 * np.cos(w1))
-            + 2.0 * p2 * (r2 * np.sin(w2) - r1 * np.sin(w1))
-            + r1**2
-            + r2**2
-            - 2.0 * r1 * r2 * np.cos(w2 - w1)
-        )
-        s = np.sqrt(np.maximum(s_sq, MIN_KERNEL_DISTANCE**2))
-        return r1 * r2 * np.cos(w1 - w2) * np.log(s)
 
-    raw = simpson_2d(integrand, ((0.0, TWO_PI), (0.0, TWO_PI)), spec)
-    return ViewFactor.from_raw(-raw / (TWO_PI * area2))
+def vf_parallel_disks(
+    pose: Pose, r1: float, r2: float, spec: QuadratureSpec = DEFAULT_SPEC
+) -> ViewFactor:
+    """View factor between parallel circular surfaces (zero-rotation pose).
+
+    F21 = -1 / (2 pi A2) * double integral of r1 r2 cos(w1 - w2) ln s over
+    the two boundary angles, on the n x n periodic trapezoid rule, which
+    converges geometrically on this smooth periodic integrand. Independent
+    of `vf_batch`: it shares no nodes or code with the kernel.
+
+    Raises:
+        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
+    """
+    n = spec.n_per_dim
+    _, _, s_sq, cos_dw = _parallel_grid(pose, r1, r2, n)
+    # ln s = ln(s^2) / 2, trapezoid weight (2 pi / n)^2, A2 = pi r2^2.
+    raw = r1 * r2 * (TWO_PI / n) ** 2 * np.sum(cos_dw * (0.5 * np.log(s_sq)))
+    return ViewFactor.from_raw(-raw / (TWO_PI * math.pi * r2**2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from thermoservo import cli, load_scenario, run_simulation
-from thermoservo.viewfactor import NonFiniteIntegrandError
+from thermoservo.thermal import ThermalDivergenceError
 
 from conftest import coaxial_disk_view_factor
 
@@ -61,6 +61,13 @@ class TestViewfactorCommand:
     def test_bad_pose_returns_invalid(self, capsys):
         code = cli.main(["viewfactor", "--pose", "1,2,3"])
         assert code == cli.EXIT_INVALID_SCENARIO
+
+    def test_missing_contour_csv_returns_invalid(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = cli.main(["viewfactor", "--pose", "0,0,5,0,0,0", "--contour-csv", str(missing)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
 
 class TestSimulateCommand:
@@ -160,9 +167,18 @@ class TestSimulateCommand:
         assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
         assert "non_finite_control" in capsys.readouterr().err
 
+    def test_malformed_waypoint_returns_invalid(self, quick_scenario_file, tmp_path, capsys):
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": [0, 0]}]
+        path = tmp_path / "waypoint.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        code = cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err.startswith("invalid scenario:")
+
     def test_numerical_failure_exit_code(self, quick_scenario_file, tmp_path, monkeypatch):
         def boom(scenario):
-            raise NonFiniteIntegrandError((0.0, 0.0))
+            raise ThermalDivergenceError("non-finite temperature")
 
         monkeypatch.setattr(cli, "run_simulation", boom)
         code = cli.main(["simulate", str(quick_scenario_file), "--out", str(tmp_path / "x.csv")])

@@ -50,6 +50,11 @@ class TestLParallel:
         with pytest.raises(ValueError):
             l_parallel(Pose(0, 0, 0.05, 0.1, 0, 0), R1, R2, aluminum_lambdas.lambda1)
 
+    @pytest.mark.parametrize("r1, r2", [(0.1, 0.0), (0.0, 0.015), (-0.1, 0.015)])
+    def test_requires_positive_radii(self, r1, r2):
+        with pytest.raises(ValueError):
+            l_parallel(Pose(0, 0, 0.05), r1, r2, 1.0)
+
     def test_scaling_in_lambda1(self):
         pose = Pose(0.01, 0.0, 0.05)
         row = l_parallel(pose, R1, R2, 2.0, SPEC64)

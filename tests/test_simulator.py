@@ -97,6 +97,13 @@ class TestScenarioValidation:
             with pytest.raises(ScenarioError):
                 quick_scenario(**common, adaptive_init=AdaptiveInit("values", a1=a1, a2=a2))
 
+    @pytest.mark.parametrize("center_cm", [[0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    def test_waypoint_center_needs_three_coordinates(self, center_cm):
+        raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
+        raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": center_cm}]
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(raw)
+
 
 @pytest.fixture(scope="module")
 def short_log():
