@@ -25,7 +25,6 @@ from .feasibility import (
     isosurface_grid,
     pairwise_feasibility,
     required_view_factor,
-    steady_state_field,
     steady_state_temperature,
     target_bounds,
 )
@@ -40,14 +39,11 @@ from .geometry import (
     Partial,
     Pose,
     classify_occlusion,
-    contour_eval,
-    euler_from_rotation,
     fourier_fit,
-    object_normal,
     rotation_from_euler,
     wrap_angle,
 )
-from .interaction import assemble, l_parallel, view_factor_gradient
+from .interaction import l_parallel, view_factor_gradient
 from .simulator import (
     AdaptiveInit,
     ObjectSpec,
@@ -70,7 +66,6 @@ from .thermal import (
     ThermoParams,
     integrate_thermal,
     lambdas,
-    temperature_rate,
 )
 from .viewfactor import (
     DEFAULT_SPEC,

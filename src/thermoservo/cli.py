@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands: simulate, viewfactor, isosurface, feasibility, estimate-bench.
+Subcommands: simulate, viewfactor, isosurface, feasibility.
 Exit codes: 0 success, 2 invalid scenario/arguments or an unreadable or
-unwritable file, 3 workspace violation, 4 numerical failure. A simulation that ends early still writes the log of
-the ticks it finished: its termination reason gives exit 3 for
-workspace_violation and 4 for degenerate_pose, thermal_divergence or
-non_finite_control.
+unwritable file, 3 workspace violation, 4 numerical failure. `simulate`
+opens its log before the run, so an unwritable path exits 2 at once. A
+simulation that ends early still writes the log of the ticks it finished:
+its termination reason gives exit 3 for workspace_violation and 4 for
+degenerate_pose, thermal_divergence or non_finite_control.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .estimation import SampleWindow
 from .feasibility import (
     DEFAULT_GRID_STEP_CM,
     ROTATION_GRID,
@@ -71,6 +71,7 @@ _TERMINATION_EXIT = {
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
+    open(args.out, "w").close()  # an unwritable path fails before the run
     log = run_simulation(scenario)
     log.to_csv(args.out)
     if len(log.rows):
@@ -167,22 +168,6 @@ def _cmd_feasibility(args) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    window = SampleWindow()
-    errors = []
-    for k in range(40):
-        t = float(k)
-        temp = 300.0 + 2.0 * t + rng.uniform(-0.1, 0.1)
-        est = window.push_and_estimate(t, temp)
-        if est is not None:
-            errors.append(abs(est[1] - 2.0))
-    print(f"samples: 40, estimates: {len(errors)}")
-    print(f"max slope error [K/s]: {max(errors):.4f}")
-    print(f"mean slope error [K/s]: {sum(errors) / len(errors):.4f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermoservo",
@@ -222,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--grid-step-cm", type=float, default=DEFAULT_GRID_STEP_CM)
     p.set_defaults(func=_cmd_feasibility)
-
-    p = sub.add_parser("estimate-bench", help="seeded estimator noise benchmark")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_estimate_bench)
 
     return parser
 

@@ -102,34 +102,24 @@ ROTATION_GRID = GridSpec(ranges=((-90.0, 90.0), (-90.0, 90.0), (-90.0, 90.0)), s
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Per-cell view-factor or steady-state-temperature values over a
-    3-coordinate pose subset.
+    """Per-cell view-factor values over a 3-coordinate pose subset.
 
     axis_names are ("p1","p2","p3") in cm or ("tx","ty","tz") in degrees.
     Degenerate poses are recorded with the flag set, never dropped.
-    View-factor fields must lie in [0, 1); steady-state fields are Kelvin
-    and must be positive.
+    Values must lie in [0, 1).
     """
 
     axis_names: tuple[str, str, str]
     axis_values: tuple[np.ndarray, np.ndarray, np.ndarray]
     values: np.ndarray
     degenerate: np.ndarray
-    kind: str = "view_factor"  # view_factor | steady_state
 
     def __post_init__(self) -> None:
         shape = tuple(len(a) for a in self.axis_values)
         if self.values.shape != shape or self.degenerate.shape != shape:
             raise ValueError("values/degenerate must match the grid shape")
-        if self.kind == "view_factor":
-            ok = (self.values >= 0.0) & (self.values < 1.0)
-            if not ok.all():
-                raise ValueError("view-factor field values outside [0, 1)")
-        elif self.kind == "steady_state":
-            if not (self.values > 0.0).all():
-                raise ValueError("steady-state field values must be positive")
-        else:
-            raise ValueError(f"unknown field kind: {self.kind}")
+        if not ((self.values >= 0.0) & (self.values < 1.0)).all():
+            raise ValueError("view-factor field values outside [0, 1)")
 
     @property
     def n_cells(self) -> int:
@@ -241,24 +231,6 @@ def isosurface_grid(
     names = ("p1", "p2", "p3") if subset == "translation" else ("tx", "ty", "tz")
     return ScalarField(
         axis_names=names, axis_values=axes, values=values, degenerate=degenerate
-    )
-
-
-def steady_state_field(field: ScalarField, lam: LambdaParams) -> ScalarField:
-    """Map a view-factor field to the steady-state temperature field T_v0.
-
-    Degenerate cells map to the ambient equilibrium (their view factor is
-    recorded as 0) and keep their flag.
-    """
-    if field.kind != "view_factor":
-        raise ValueError("input must be a view-factor field")
-    values = steady_state_temperature(field.values, lam)
-    return ScalarField(
-        axis_names=field.axis_names,
-        axis_values=field.axis_values,
-        values=values,
-        degenerate=field.degenerate.copy(),
-        kind="steady_state",
     )
 
 

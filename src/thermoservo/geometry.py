@@ -138,32 +138,8 @@ def rotation_from_euler(theta_x: float, theta_y: float, theta_z: float) -> np.nd
     return rotations_from_euler((theta_x, theta_y, theta_z))
 
 
-def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
-    """Extrinsic X-Y-Z angles of a rotation matrix (inverse of rotation_from_euler).
-
-    At the gimbal-lock singularity (|R[2,0]| = 1) theta_z is set to 0 and the
-    remaining freedom folded into theta_x.
-    """
-    r = np.asarray(rotation, dtype=float)
-    sy = -r[2, 0]
-    sy = min(1.0, max(-1.0, sy))
-    theta_y = math.asin(sy)
-    if abs(sy) < 1.0 - 1e-12:
-        theta_x = math.atan2(r[2, 1], r[2, 2])
-        theta_z = math.atan2(r[1, 0], r[0, 0])
-    else:
-        theta_x = math.atan2(-r[0, 1], r[1, 1]) * (1.0 if sy > 0 else -1.0)
-        theta_z = 0.0
-    return theta_x, theta_y, theta_z
-
-
 def pose_rotation(pose: Pose) -> np.ndarray:
     return rotation_from_euler(pose.theta_x, pose.theta_y, pose.theta_z)
-
-
-def object_normal(rotation: np.ndarray) -> np.ndarray:
-    """Unit normal of the object plane: the rotated -z axis."""
-    return -np.asarray(rotation, dtype=float)[:, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -270,53 +246,8 @@ class FourierContour:
         dz = np.exp(-2j * math.pi * np.multiply.outer(phi, self.orders)) @ dc
         return np.stack([dz.real, dz.imag], axis=-1)
 
-    def harmonic_magnitude(self, order: int) -> float:
-        """Combined magnitude of the +order and -order coefficient pairs."""
-        if order < 0 or order > self.harmonics:
-            raise ValueError("order out of range")
-        c = self.coefficients
-        f = self.harmonics
-        if order == 0:
-            return float(abs(c[f]))
-        return float(math.hypot(abs(c[f + order]), abs(c[f - order])))
-
 
 Contour = CircleContour | FourierContour
-
-
-def contour_eval(
-    contour: Contour, pose: Pose, param: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame point and tangent differential of a posed object contour.
-
-    The local boundary point is rotated by the pose rotation and translated
-    by the pose position. The returned tangent is the exact derivative of the
-    world point with respect to the parameter (radians for circles, unit arc
-    length for Fourier contours).
-
-    Args:
-        contour: Object boundary.
-        pose: Object pose in the source frame.
-        param: Scalar or array parameter inside the contour's domain.
-
-    Returns:
-        (point, tangent): arrays of shape (..., 3).
-
-    Raises:
-        ValueError: If the parameter lies outside the contour's domain.
-    """
-    p = np.asarray(param, dtype=float)
-    if np.any(p < 0.0) or np.any(p >= contour.period):
-        raise ValueError(f"parameter outside [0, {contour.period})")
-    rotation = pose_rotation(pose)
-    local_pt = contour.local_point(p)
-    local_tan = contour.local_tangent(p)
-    zeros = np.zeros(local_pt.shape[:-1] + (1,))
-    pt3 = np.concatenate([local_pt, zeros], axis=-1)
-    tan3 = np.concatenate([local_tan, zeros], axis=-1)
-    point = pt3 @ rotation.T + pose.translation
-    tangent = tan3 @ rotation.T
-    return point, tangent
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +339,6 @@ def fourier_fit(polyline: np.ndarray, harmonics: int) -> FourierContour:
     )
 
 
-def fit_circle_contour(radius: float, harmonics: int = 5, samples: int = 64) -> FourierContour:
-    """Fourier contour of a circle, via fitting sampled boundary points."""
-    w = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    pts = radius * np.stack([np.cos(w), np.sin(w)], axis=-1)
-    return fourier_fit(pts, harmonics)
-
-
 # ---------------------------------------------------------------------------
 # Occlusion classification
 # ---------------------------------------------------------------------------
@@ -428,16 +352,8 @@ class Common:
 @dataclass(frozen=True)
 class Partial:
     """The object plane cuts the source disk; only the circular segment on
-    the object's front side contributes.
-
-    phi1 = psi - delta and phi2 = psi + delta are the two intersection angles
-    on the source circle, unwrapped, so 0 < phi2 - phi1 < 2*pi: the ends of
-    the contributing arc, centred on the object normal's direction psi in the
-    source plane (see classify_occlusions).
-    """
-
-    phi1: float
-    phi2: float
+    the object's front side contributes. classify_occlusions gives the ends
+    of its arc."""
 
 
 @dataclass(frozen=True)
@@ -501,10 +417,10 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     Substituting the source circle x = r1 cos(phi), y = r1 sin(phi), z = 0
     into the object plane equation gives a*cos(phi) + b*sin(phi) = d. Two
     real roots with the plane actually cutting the disk yield the partial
-    self-obstruction case; its phi1 < phi2 are the ends psi -/+ delta of
-    classify_occlusions' arc. Otherwise the whole disk lies on one side of
-    the object plane: the side the object normal faces gives the common
-    case, the far side gives complete self-obstruction.
+    self-obstruction case, whose arc ends classify_occlusions returns.
+    Otherwise the whole disk lies on one side of the object plane: the side
+    the object normal faces gives the common case, the far side gives
+    complete self-obstruction.
 
     Raises:
         DegeneratePoseError: Object coplanar with the source plane.
@@ -516,5 +432,5 @@ def classify_occlusion(pose: Pose, source_radius: float) -> Occlusion:
     if occ.coplanar[0]:
         raise DegeneratePoseError("object lies in the source plane")
     if occ.partial[0]:
-        return Partial(phi1=float(occ.lo[0]), phi2=float(occ.hi[0]))
+        return Partial()
     return Complete() if occ.complete[0] else Common()

@@ -86,32 +86,3 @@ def view_factor_gradient(
     grad[idx] = grads[0, idx]
     return grad
 
-
-def assemble(rows, lambda1s) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-object interaction rows into L and the parameter-free J.
-
-    J divides each row by its object's lambda1, so diag(lambda1) @ J
-    reproduces L exactly (bit for bit; L is recomposed from J to make the
-    identity hold in floating point).
-
-    Args:
-        rows: N interaction rows of equal length n, N <= n.
-        lambda1s: N positive scalars.
-
-    Returns:
-        (L, J): arrays of shape (N, n).
-    """
-    stacked = np.atleast_2d(np.asarray(rows, dtype=float))
-    lam = np.asarray(lambda1s, dtype=float).reshape(-1)
-    n_obj, n_dof = stacked.shape
-    if lam.shape != (n_obj,):
-        raise ValueError("one lambda1 per row required")
-    if np.any(lam <= 0.0):
-        raise ValueError("lambda1 values must be positive")
-    if n_obj > n_dof:
-        raise ValueError(
-            f"need at least as many DOF as objects (N={n_obj} > n={n_dof})"
-        )
-    j_matrix = stacked / lam[:, None]
-    l_matrix = lam[:, None] * j_matrix
-    return l_matrix, j_matrix

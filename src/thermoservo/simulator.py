@@ -144,6 +144,13 @@ class Workspace:
 
     bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
+    def __post_init__(self) -> None:
+        for axis, (lo, hi) in zip(("p1", "p2", "p3"), self.bounds):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ScenarioError(
+                    f"workspace {axis} range needs finite lo <= hi, got ({lo}, {hi}) m"
+                )
+
     def contains(self, pose: Pose) -> bool:
         p = (pose.p1, pose.p2, pose.p3)
         return all(lo <= v <= hi for v, (lo, hi) in zip(p, self.bounds))
@@ -522,7 +529,7 @@ def _load_object(spec: dict, index: int) -> ObjectSpec:
         emittance=float(_require(mat, "emittance", f"{ctx}.material")),
         absorptance=float(_require(mat, "absorptance", f"{ctx}.material")),
         specific_heat=float(_require(mat, "specific_heat", f"{ctx}.material")),
-        mass=float(mat["density"])
+        mass=float(_require(mat, "density", f"{ctx}.material"))
         * contour.area
         * cm_to_m(float(_require(mat, "thickness_cm", f"{ctx}.material"))),
         area=contour.area,
@@ -556,9 +563,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         schedule = None
         if source.get("waypoints"):
             pts = source["waypoints"]
-            times = np.array([float(p["time_s"]) for p in pts])
+            ctx = "source.waypoints"
+            times = np.array([float(_require(p, "time_s", ctx)) for p in pts])
             centers = np.array(
-                [[cm_to_m(float(v)) for v in p["center_cm"]] for p in pts]
+                [[cm_to_m(float(v)) for v in _require(p, "center_cm", ctx)] for p in pts]
             )
             schedule = SourceSchedule(times=times, centers=centers)
 
@@ -620,11 +628,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if ws_raw is None:
             workspace = DEFAULT_WORKSPACE
         else:
+            ranges = [_require(ws_raw, k, "workspace_cm") for k in ("p1", "p2", "p3")]
             workspace = Workspace(
-                bounds=tuple(
-                    (cm_to_m(float(ws_raw[k][0])), cm_to_m(float(ws_raw[k][1])))
-                    for k in ("p1", "p2", "p3")
-                )
+                bounds=tuple((cm_to_m(float(lo)), cm_to_m(float(hi))) for lo, hi in ranges)
             )
 
         return Scenario(

@@ -102,10 +102,9 @@ class LambdaParams:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Object temperature and rate."""
+    """Object temperature."""
 
     temperature: float
-    rate: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
@@ -130,13 +129,6 @@ def lambdas(obj: ThermoParams, env: Environment) -> LambdaParams:
         lambda2=scale * obj.emittance,
         lambda3=scale * obj.absorptance * env.ambient_temp**4,
     )
-
-
-def temperature_rate(f21: float, temperature: float, lam: LambdaParams) -> float:
-    """Instantaneous temperature rate dT2/dt in K/s."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    return lam.lambda1 * f21 - lam.lambda2 * temperature**4 + lam.lambda3
 
 
 def integrate_thermal(

@@ -1,4 +1,5 @@
-"""Shared fixtures: bench materials, environments, contours, oracles."""
+"""Shared fixtures: bench materials, environments, contours, oracles and
+reference helpers."""
 from __future__ import annotations
 
 import math
@@ -9,6 +10,7 @@ import pytest
 from thermoservo import (
     CircleContour,
     Environment,
+    LambdaParams,
     ThermoParams,
     fourier_fit,
     lambdas,
@@ -27,6 +29,33 @@ def coaxial_disk_view_factor(r_from: float, r_to: float, gap: float) -> float:
     r_to_n = r_to / gap
     s = 1.0 + (1.0 + r_to_n**2) / r_from_n**2
     return 0.5 * (s - math.sqrt(s**2 - 4.0 * (r_to / r_from) ** 2))
+
+
+def temperature_rate(f21: float, temperature: float, lam: LambdaParams) -> float:
+    """Right-hand side of the thermal ODE, dT2/dt in K/s: the reference the
+    plant, the steady state and the control laws are checked against."""
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    return lam.lambda1 * f21 - lam.lambda2 * temperature**4 + lam.lambda3
+
+
+def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
+    """Extrinsic X-Y-Z angles of a rotation matrix, the inverse of
+    rotation_from_euler (R = Rz @ Ry @ Rx), for building rotated poses.
+
+    At the gimbal-lock singularity (|R[2,0]| = 1) theta_z is set to 0 and the
+    remaining freedom folded into theta_x.
+    """
+    r = np.asarray(rotation, dtype=float)
+    sy = min(1.0, max(-1.0, -r[2, 0]))
+    theta_y = math.asin(sy)
+    if abs(sy) < 1.0 - 1e-12:
+        theta_x = math.atan2(r[2, 1], r[2, 2])
+        theta_z = math.atan2(r[1, 0], r[0, 0])
+    else:
+        theta_x = math.atan2(-r[0, 1], r[1, 1]) * (1.0 if sy > 0 else -1.0)
+        theta_z = 0.0
+    return theta_x, theta_y, theta_z
 
 
 def star_polyline(mean_radius_m: float, bumps, samples: int = 160) -> np.ndarray:

@@ -184,6 +184,18 @@ class TestSimulateCommand:
         code = cli.main(["simulate", str(quick_scenario_file), "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_NUMERICAL_FAILURE
 
+    def test_unwritable_out_fails_before_the_run(
+        self, quick_scenario_file, tmp_path, monkeypatch, capsys
+    ):
+        def not_called(scenario):
+            raise AssertionError("the run started before --out was opened")
+
+        monkeypatch.setattr(cli, "run_simulation", not_called)
+        out = tmp_path / "no" / "such" / "x.csv"
+        code = cli.main(["simulate", str(quick_scenario_file), "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err.startswith("invalid input:")
+
 
 class TestIsosurfaceCommand:
     def test_small_grid_export(self, tmp_path, capsys):
@@ -217,11 +229,3 @@ class TestFeasibilityCommand:
         out = capsys.readouterr().out
         assert "condition 1 interval" in out
         assert "feasible:" in out
-
-
-class TestEstimateBench:
-    def test_runs_and_reports(self, capsys):
-        code = cli.main(["estimate-bench", "--seed", "3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "max slope error" in out

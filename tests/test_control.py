@@ -14,9 +14,10 @@ from thermoservo import (
     l_parallel,
     lambdas,
     model_based_control,
-    temperature_rate,
     vf_parallel_disks,
 )
+
+from conftest import temperature_rate
 
 R1, R2 = 0.10, 0.015
 SPEC = QuadratureSpec(32)

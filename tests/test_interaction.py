@@ -7,7 +7,6 @@ from thermoservo import (
     CircleContour,
     Pose,
     QuadratureSpec,
-    assemble,
     l_parallel,
     vf_batch,
     vf_parallel_disks,
@@ -129,37 +128,16 @@ class TestFiniteDifferenceRow:
     def test_j_row_invariant_to_lambda1(self):
         pose = Pose(0.01, 0.0, 0.05)
         grad = view_factor_gradient(pose, R1, CircleContour(R2), SPEC64)
-        _, j_matrix = assemble([kernel_row(pose, 3.0)], [3.0])
-        assert np.allclose(j_matrix[0], grad, rtol=1e-14)
+        # J = L / lambda1: the row divided by its lambda1 is the gradient.
+        assert np.allclose(kernel_row(pose, 3.0) / 3.0, grad, rtol=1e-14)
 
 
 class TestAssemble:
-    def test_single_row(self):
-        row = np.array([1.0, 2.0, 3.0])
-        l_matrix, j_matrix = assemble([row], [2.0])
-        assert l_matrix.shape == (1, 3)
-        assert np.allclose(j_matrix, row / 2.0)
-
-    def test_exact_diagonal_identity(self):
-        rng = np.random.default_rng(0)
-        rows = rng.normal(size=(3, 6)) * 1e-3
-        lam1 = np.abs(rng.normal(size=3)) + 0.1
-        l_matrix, j_matrix = assemble(rows, lam1)
-        assert np.array_equal(np.diag(lam1) @ j_matrix, l_matrix)
-        assert np.allclose(l_matrix, rows, rtol=1e-15)
+    """Rows of L, one per object, as the controllers stack them."""
 
     def test_mirrored_rows(self, aluminum_lambdas):
         lam1 = aluminum_lambdas.lambda1
         left = l_parallel(Pose(-0.03, 0, 0.05), R1, R2, lam1, SPEC64)
         right = l_parallel(Pose(0.03, 0, 0.05), R1, R2, lam1, SPEC64)
-        l_matrix, _ = assemble([left, right], [lam1, lam1])
-        assert l_matrix[0, 0] == pytest.approx(-l_matrix[1, 0], rel=1e-9)
-        assert l_matrix[0, 2] == pytest.approx(l_matrix[1, 2], rel=1e-9)
-
-    def test_more_objects_than_dof_rejected(self):
-        with pytest.raises(ValueError):
-            assemble(np.ones((4, 3)), np.ones(4))
-
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            assemble(np.ones((1, 3)), [0.0])
+        assert left[0] == pytest.approx(-right[0], rel=1e-9)
+        assert left[2] == pytest.approx(right[2], rel=1e-9)

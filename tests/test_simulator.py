@@ -30,9 +30,10 @@ from thermoservo import (
     load_scenario,
     run_simulation,
     scenario_from_dict,
-    temperature_rate,
 )
 from thermoservo.units import celsius_to_kelvin as c2k
+
+from conftest import temperature_rate
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -102,6 +103,34 @@ class TestScenarioValidation:
         raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
         raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": center_cm}]
         with pytest.raises(ScenarioError):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "p3_cm", [[10.0, 0.0], [1.0, float("inf")], [float("nan"), 45.0]]
+    )
+    def test_workspace_range_must_be_finite_and_ordered(self, p3_cm):
+        raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
+        raw["workspace_cm"]["p3"] = p3_cm
+        with pytest.raises(ScenarioError, match="workspace p3 range"):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "where, key, context",
+        [
+            (("objects", 0, "material"), "density", r"objects\[0\]\.material"),
+            (("workspace_cm",), "p3", "workspace_cm"),
+            (("source", "waypoints", 0), "time_s", r"source\.waypoints"),
+        ],
+        ids=["density", "workspace_axis", "waypoint_time"],
+    )
+    def test_missing_key_names_its_context(self, where, key, context):
+        raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
+        raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": [0.0, 0.0, 0.0]}]
+        mapping = raw
+        for k in where:
+            mapping = mapping[k]
+        del mapping[key]
+        with pytest.raises(ScenarioError, match=f"missing '{key}' in {context}"):
             scenario_from_dict(raw)
 
 

@@ -14,9 +14,10 @@ from thermoservo import (
     integrate_thermal,
     lambdas,
     steady_state_temperature,
-    temperature_rate,
 )
 from thermoservo.thermal import STEFAN_BOLTZMANN
+
+from conftest import temperature_rate
 
 
 def reference_lambdas(obj: ThermoParams, env: Environment):

@@ -9,15 +9,14 @@ from thermoservo import (
     Pose,
     QuadratureSpec,
     ViewFactor,
-    euler_from_rotation,
     vf_dsi_oracle,
     vf_general,
     vf_parallel_disks,
 )
 from thermoservo import viewfactor
-from thermoservo.geometry import fit_circle_contour, fourier_fit
+from thermoservo.geometry import fourier_fit
 
-from conftest import BUNNY_BUMPS, coaxial_disk_view_factor, star_polyline
+from conftest import BUNNY_BUMPS, coaxial_disk_view_factor, euler_from_rotation, star_polyline
 
 
 class TestQuadratureSpec:
@@ -175,7 +174,9 @@ class TestGeneral:
         pose = Pose(0.01, 0.005, 0.05, 0.3, 0.0, 0.0)
         spec = QuadratureSpec(64)
         circle = vf_general(pose, 0.10, CircleContour(0.015), spec).value
-        fourier = vf_general(pose, 0.10, fit_circle_contour(0.015, 5), spec).value
+        w = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        fitted = fourier_fit(0.015 * np.stack([np.cos(w), np.sin(w)], axis=-1), 5)
+        fourier = vf_general(pose, 0.10, fitted, spec).value
         assert fourier == pytest.approx(circle, abs=1e-4)
 
 
