@@ -3,7 +3,7 @@
 Subcommands: simulate, viewfactor, isosurface, feasibility.
 Exit codes: 0 success, 2 invalid scenario/arguments or an unreadable or
 unwritable file, 3 workspace violation, 4 numerical failure. `simulate`
-opens its log before the run, so an unwritable path exits 2 at once. A
+and `isosurface` open their output first: an unwritable path exits 2. A
 simulation that ends early still writes the log of the ticks it finished:
 its termination reason gives exit 3 for workspace_violation and 4 for
 degenerate_pose, thermal_divergence or non_finite_control.
@@ -113,13 +113,13 @@ def _cmd_isosurface(args) -> int:
     if args.step is not None:
         default = TRANSLATION_GRID if args.subset == "translation" else ROTATION_GRID
         grid = dataclasses.replace(default, step=args.step)
+    open(args.out, "w").close()  # an unwritable path fails before the grid
     field = isosurface_grid(
         cm_to_m(args.source_radius_cm),
         contour,
         subset=args.subset,
         grid=grid,
         spec=QuadratureSpec(args.quadrature_n),
-        workers=args.workers,
     )
     export_field(field, args.out)
     print(f"{field.n_cells} cells written to {args.out}")
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--harmonics", type=int, default=5)
     p.add_argument("--step", type=float, default=None, help="grid step (cm or deg)")
     p.add_argument("--quadrature-n", type=int, default=64)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_isosurface)
 
     p = sub.add_parser("feasibility", help="target feasibility report for a scenario")

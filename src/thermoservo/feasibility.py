@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -39,6 +40,11 @@ DEFAULT_GRID_STEP_CM = 0.5
 #: End-effector poses evaluated together in a condition-2 search; bounds
 #: its per-pose arrays whatever the grid size.
 SEARCH_CHUNK = 4096
+
+#: A condition-2 search without a witness re-centers on its best cell this
+#: many times, each at the step divided by SEARCH_REFINE_FACTOR.
+SEARCH_REFINE_LEVELS = 2
+SEARCH_REFINE_FACTOR = 4
 
 
 def steady_state_temperature(f21, lam: LambdaParams):
@@ -191,18 +197,15 @@ def isosurface_grid(
     subset: str = "translation",
     grid: GridSpec | None = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    workers: int | None = None,
 ) -> ScalarField:
     """Evaluate F21 over a regular grid of one controlled-variable subset.
 
     The translation subset varies (p1, p2, p3) in cm at zero rotation; the
     rotation subset varies (theta_x, theta_y, theta_z) in degrees at the
-    fixed translation (0, 0, 5 cm). Cells are evaluated independently
-    (optionally across worker processes) and merged deterministically in
-    row-major cell order.
-
-    Args:
-        workers: Process count; None picks the CPU count, 1 stays serial.
+    fixed translation (0, 0, 5 cm). Cells are evaluated independently and
+    merged deterministically in row-major cell order. A grid of more than
+    256 cells is split across one worker process per CPU this process may
+    run on, if there are two or more; the values are the same either way.
     """
     if subset not in ("translation", "rotation"):
         raise ValueError("subset must be 'translation' or 'rotation'")
@@ -211,8 +214,8 @@ def isosurface_grid(
     axes = tuple(grid.axis_values(k) for k in range(3))
     shape = tuple(len(a) for a in axes)
     coords = _grid_cells(axes)
-    if workers is None:
-        workers = multiprocessing.cpu_count()
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers > 1 and len(coords) > 256:
         n_chunks = workers * 8
         chunk_size = max(1, (len(coords) + n_chunks - 1) // n_chunks)
@@ -269,9 +272,6 @@ def pairwise_feasibility(
     env: Environment,
     grid: GridSpec,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    tolerance: float = FEASIBILITY_TOLERANCE_K,
-    refine_levels: int = 2,
-    refine_factor: int = 4,
 ) -> FeasibilityReport:
     """Check whether rigidly arranged objects can all reach their targets.
 
@@ -280,8 +280,8 @@ def pairwise_feasibility(
     when each object's steady-state temperature lies within tolerance of its
     target. Degenerate object poses (touching the source plane) are skipped.
     After the base sweep the grid is re-centered on the best cell and
-    refined `refine_levels` times (step / refine_factor each level), since
-    steady-state temperatures move by several Kelvin per base grid cell.
+    refined SEARCH_REFINE_LEVELS times, since steady-state temperatures
+    move by several Kelvin per base grid cell.
 
     Args:
         targets: Per-object target temperatures, Kelvin.
@@ -357,12 +357,12 @@ def pairwise_feasibility(
     evaluate(_grid_cells(axes))
 
     step = grid.step
-    for _ in range(refine_levels):
-        if best_pose is None or best_residual <= tolerance:
+    for _ in range(SEARCH_REFINE_LEVELS):
+        if best_pose is None or best_residual <= FEASIBILITY_TOLERANCE_K:
             break
         center = np.array([best_pose.p1, best_pose.p2, best_pose.p3]) * 1e2
-        fine = step / refine_factor
-        offsets = fine * np.arange(-refine_factor, refine_factor + 1)
+        fine = step / SEARCH_REFINE_FACTOR
+        offsets = fine * np.arange(-SEARCH_REFINE_FACTOR, SEARCH_REFINE_FACTOR + 1)
         local_axes = []
         for k in range(3):
             lo, hi = grid.ranges[k]
@@ -374,22 +374,13 @@ def pairwise_feasibility(
         evaluate(_grid_cells(local_axes))
         step = fine
 
-    delta_range = (delta_min, delta_max) if n_obj >= 2 else None
-    if best_pose is not None and best_residual <= tolerance:
-        return FeasibilityReport(
-            feasible=True,
-            reason="witness pose places every object within tolerance of its target",
-            bounds=bounds,
-            bound_violations=(),
-            witness=best_pose,
-            residual=best_residual,
-            steady_states=best_tv0,
-            delta_range=delta_range,
-        )
+    feasible = best_pose is not None and best_residual <= FEASIBILITY_TOLERANCE_K
     return FeasibilityReport(
-        feasible=False,
+        feasible=feasible,
         reason=(
-            "condition 2 violated: no grid pose places all objects on their "
+            "witness pose places every object within tolerance of its target"
+            if feasible
+            else "condition 2 violated: no grid pose places all objects on their "
             f"target isosurfaces (best residual {best_residual:.3f} K)"
         ),
         bounds=bounds,
@@ -397,5 +388,5 @@ def pairwise_feasibility(
         witness=best_pose,
         residual=best_residual,
         steady_states=best_tv0,
-        delta_range=delta_range,
+        delta_range=(delta_min, delta_max) if n_obj >= 2 else None,
     )

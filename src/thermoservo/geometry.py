@@ -103,14 +103,6 @@ def rotation_planes(angles) -> np.ndarray:
     return r
 
 
-def rotations_from_euler(angles) -> np.ndarray:
-    """Rotation matrices R = Rz @ Ry @ Rx for (..., 3) extrinsic X-Y-Z
-    angles, shape (..., 3, 3): a view of rotation_planes."""
-    a = np.asarray(angles, dtype=float)
-    r = rotation_planes(a.transpose(-1, *range(a.ndim - 1)))
-    return r.transpose(*range(2, r.ndim), 0, 1)
-
-
 def rotation_derivative_planes(angles) -> np.ndarray:
     """Derivatives dR/dtheta_j of R = Rz @ Ry @ Rx for (3, ...) planes of
     extrinsic X-Y-Z angles, as (3, 3, 3, ...) planes: [j] is dR/dtheta_j.
@@ -135,7 +127,7 @@ def rotation_derivative_planes(angles) -> np.ndarray:
 
 def rotation_from_euler(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
     """Rotation matrix for extrinsic X-Y-Z angles, R = Rz @ Ry @ Rx."""
-    return rotations_from_euler((theta_x, theta_y, theta_z))
+    return rotation_planes(np.array([theta_x, theta_y, theta_z]))
 
 
 def pose_rotation(pose: Pose) -> np.ndarray:

@@ -74,7 +74,6 @@ class Environment:
     source_temp: float
     source_emittance: float
     ambient_temp: float
-    sigma: float = STEFAN_BOLTZMANN
 
     def __post_init__(self) -> None:
         if not (self.source_temp > self.ambient_temp > 0.0):
@@ -123,7 +122,7 @@ def lambdas(obj: ThermoParams, env: Environment) -> LambdaParams:
         raise ValueError(
             "source too cold: eps1*T1^4 must exceed T3^4 for lambda1 > 0"
         )
-    scale = obj.area * env.sigma / (obj.mass * obj.specific_heat)
+    scale = obj.area * STEFAN_BOLTZMANN / (obj.mass * obj.specific_heat)
     return LambdaParams(
         lambda1=scale * obj.absorptance * drive,
         lambda2=scale * obj.emittance,

@@ -469,7 +469,6 @@ def test_criterion_9_isosurface_grid(tmp_path):
         "translation",
         TRANSLATION_GRID,
         QuadratureSpec(64),
-        workers=None,
     )
     elapsed = time.perf_counter() - t0
     assert field.n_cells == 48000

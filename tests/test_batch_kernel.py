@@ -1175,10 +1175,11 @@ def test_feasibility_matches_per_pose_loop(bench_env, aluminum_lambdas, printed_
     grid = GridSpec(ranges=((-4.0, 4.5), (-2.0, 2.5), (1.0, 7.5)), step=1.5)
     targets = [celsius_to_kelvin(30.0), celsius_to_kelvin(45.0)]
     spec = QuadratureSpec(16)
-    with mock.patch.object(feasibility_module, "SEARCH_CHUNK", chunk):
+    with mock.patch.object(feasibility_module, "SEARCH_CHUNK", chunk), mock.patch.object(
+        feasibility_module, "SEARCH_REFINE_LEVELS", 0
+    ):
         report = pairwise_feasibility(
-            targets, displacements, objects, SOURCE_RADIUS, bench_env, grid, spec,
-            tolerance=0.0, refine_levels=0,
+            targets, displacements, objects, SOURCE_RADIUS, bench_env, grid, spec
         )
     (residual, witness, tv0), delta_range = per_pose_search(
         targets, displacements, objects, grid, spec
@@ -1192,12 +1193,13 @@ def test_feasibility_matches_per_pose_loop(bench_env, aluminum_lambdas, printed_
 def test_feasibility_skips_pose_when_any_object_degenerate(bench_env, aluminum_lambdas):
     contour = CircleContour(0.015)
     grid = GridSpec(ranges=((0.0, 0.5), (0.0, 0.5), (1.0, 3.5)), step=1.0)
-    report = pairwise_feasibility(
-        [celsius_to_kelvin(30.0)] * 2,
-        [(0.0, 0.0, -0.01), (0.0, 0.0, 0.0)],
-        [(contour, aluminum_lambdas)] * 2,
-        SOURCE_RADIUS, bench_env, grid, QuadratureSpec(16), refine_levels=0,
-    )
+    with mock.patch.object(feasibility_module, "SEARCH_REFINE_LEVELS", 0):
+        report = pairwise_feasibility(
+            [celsius_to_kelvin(30.0)] * 2,
+            [(0.0, 0.0, -0.01), (0.0, 0.0, 0.0)],
+            [(contour, aluminum_lambdas)] * 2,
+            SOURCE_RADIUS, bench_env, grid, QuadratureSpec(16),
+        )
     # Only the p3 = 2 and 3 cm poses count; object 1 touches the source at 1 cm.
     assert report.witness.p3 in (0.02, 0.03)
 

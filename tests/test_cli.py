@@ -207,13 +207,22 @@ class TestIsosurfaceCommand:
                 "--out", str(out),
                 "--step", "10",
                 "--quadrature-n", "16",
-                "--workers", "1",
             ]
         )
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "p1,p2,p3,value"
         assert len(lines) == 4 * 4 * 3 + 1
+
+    def test_unwritable_out_fails_before_the_grid(self, tmp_path, monkeypatch, capsys):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the grid was computed before --out was opened")
+
+        monkeypatch.setattr(cli, "isosurface_grid", not_called)
+        out = tmp_path / "no" / "such" / "x.csv"
+        code = cli.main(["isosurface", "--subset", "rotation", "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err.startswith("invalid input:")
 
 
 class TestFeasibilityCommand:

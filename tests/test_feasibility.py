@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,11 +16,36 @@ from thermoservo import (
     steady_state_temperature,
     target_bounds,
 )
+from thermoservo import feasibility as feasibility_module
 from thermoservo.feasibility import ROTATION_GRID, TRANSLATION_GRID
+from thermoservo.geometry import classify_occlusions, rotation_planes
 from thermoservo.units import celsius_to_kelvin, kelvin_to_celsius
 from thermoservo.viewfactor import QuadratureSpec
 
 from conftest import temperature_rate
+
+USABLE_CPUS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+#: Grids above the 256-cell pool threshold: the translation grid includes
+#: the degenerate p3 = 0 layer, and the rotation grid tilts the object plane
+#: through the source disk (Partial cells).
+POOLED_GRIDS = {
+    "translation": GridSpec(ranges=((-6.0, 7.0), (-6.0, 7.0), (0.0, 12.0)), step=2.0),
+    "rotation": GridSpec(ranges=((-75.0, 76.0), (-75.0, 76.0), (-30.0, 31.0)), step=15.0),
+}
+
+
+def chunk_reference(subset, grid):
+    """Values and degenerate flags of `_grid_chunk` run on every cell at
+    once, in the grid's shape."""
+    axes = tuple(grid.axis_values(k) for k in range(3))
+    cells = feasibility_module._grid_cells(axes)
+    values, degenerate = feasibility_module._grid_chunk(
+        (subset, cells, 0.10, CircleContour(0.015), QuadratureSpec(16))
+    )
+    return values.reshape(grid.shape), degenerate.reshape(grid.shape)
 
 
 class TestSteadyState:
@@ -94,7 +123,7 @@ class TestGridSpec:
 def small_field():
     grid = GridSpec(ranges=((-6.0, 7.0), (-6.0, 7.0), (0.0, 12.0)), step=3.0)
     return isosurface_grid(
-        0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(32), workers=1
+        0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(32)
     )
 
 
@@ -134,20 +163,43 @@ class TestIsosurfaceGrid:
         assert np.all(small_field.values[:, :, k] == 0.0)
         assert not small_field.degenerate[:, :, k + 1 :].any()
 
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="the pool needs two or more usable CPUs")
     def test_parallel_matches_serial(self):
-        grid = GridSpec(ranges=((-4.0, 5.0), (-4.0, 5.0), (2.0, 8.0)), step=4.0)
-        serial = isosurface_grid(
-            0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(16), workers=1
+        """The pooled grid equals one serial chunk over every cell, bit for
+        bit, on both subsets."""
+        for subset, grid in POOLED_GRIDS.items():
+            with mock.patch.object(multiprocessing, "Pool", wraps=multiprocessing.Pool) as pool:
+                field = isosurface_grid(
+                    0.10, CircleContour(0.015), subset, grid, QuadratureSpec(16)
+                )
+            pool.assert_called_once_with(USABLE_CPUS)
+            values, degenerate = chunk_reference(subset, grid)
+            assert field.values.tobytes() == values.tobytes()
+            assert field.degenerate.tobytes() == degenerate.tobytes()
+            if subset == "translation":  # the degenerate p3 = 0 layer is covered
+                assert degenerate[..., 0].all() and not degenerate[..., 1:].any()
+        # So are Partial cells.
+        grid = POOLED_GRIDS["rotation"]
+        poses = feasibility_module._cell_poses(
+            "rotation", feasibility_module._grid_cells([grid.axis_values(k) for k in range(3)])
         )
-        parallel = isosurface_grid(
-            0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(16), workers=2
-        )
-        assert np.array_equal(serial.values, parallel.values)
+        rotations = np.moveaxis(rotation_planes(poses[:, 3:].T), -1, 0)
+        assert classify_occlusions(rotations, poses[:, :3], 0.10).partial.any()
+
+    def test_one_usable_cpu_starts_no_pool(self):
+        grid = POOLED_GRIDS["rotation"]
+        no_pool = AssertionError("a pool was started on one usable CPU")
+        with mock.patch.object(os, "sched_getaffinity", return_value={0}, create=True), \
+                mock.patch.object(multiprocessing, "Pool", side_effect=no_pool):
+            field = isosurface_grid(0.10, CircleContour(0.015), "rotation", grid, QuadratureSpec(16))
+        values, degenerate = chunk_reference("rotation", grid)
+        assert field.values.tobytes() == values.tobytes()
+        assert field.degenerate.tobytes() == degenerate.tobytes()
 
     def test_rotation_subset(self):
         grid = GridSpec(ranges=((-60.0, 61.0), (-0.5, 0.5), (-0.5, 0.5)), step=30.0)
         field = isosurface_grid(
-            0.10, CircleContour(0.015), "rotation", grid, QuadratureSpec(16), workers=1
+            0.10, CircleContour(0.015), "rotation", grid, QuadratureSpec(16)
         )
         assert field.axis_names == ("tx", "ty", "tz")
         assert np.all(field.values >= 0.0) and np.all(field.values < 1.0)

@@ -143,7 +143,7 @@ def short_log():
 def tiny_field():
     grid = GridSpec(ranges=((-2.0, 3.0), (-2.0, 3.0), (2.0, 8.0)), step=2.0)
     return isosurface_grid(
-        0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(16), workers=1
+        0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(16)
     )
 
 
@@ -339,7 +339,7 @@ class TestExportField:
         from thermoservo.feasibility import write_csv
 
         grid = GridSpec(ranges=((-3.5, 3.0), (-2.0, 1.5), (0.0, 6.0)), step=1.25)
-        field = isosurface_grid(0.10, CircleContour(0.015), "translation", grid, workers=1)
+        field = isosurface_grid(0.10, CircleContour(0.015), "translation", grid)
         assert field.degenerate[..., 0].all() and not field.degenerate[..., 1:].any()
         assert (field.axis_values[0] < 0.0).any() and (field.axis_values[1] < 0.0).any()
         export_field(field, tmp_path / "field.csv")
