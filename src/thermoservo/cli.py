@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 import numpy as np
@@ -27,30 +26,16 @@ from .feasibility import (
     pairwise_feasibility,
     target_bounds,
 )
-from .geometry import CircleContour, DegeneratePoseError, Pose, fourier_fit
-from .simulator import ScenarioError, load_scenario, run_simulation
+from .geometry import CircleContour, DegeneratePoseError, fourier_fit
+from .simulator import ScenarioError, load_scenario, pose_from_cm_deg, run_simulation
 from .thermal import ThermalDivergenceError, lambdas
 from .units import cm_to_m, kelvin_to_celsius, m_to_cm
-from .viewfactor import QuadratureSpec, vf_dsi_oracle, vf_general
+from .viewfactor import DEFAULT_SPEC, QuadratureSpec, vf_dsi_oracle, vf_general
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 2
 EXIT_WORKSPACE_VIOLATION = 3
 EXIT_NUMERICAL_FAILURE = 4
-
-
-def _parse_pose(text: str) -> Pose:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 6:
-        raise ValueError("pose needs 6 comma-separated values: p1,p2,p3,tx,ty,tz")
-    return Pose(
-        cm_to_m(parts[0]),
-        cm_to_m(parts[1]),
-        cm_to_m(parts[2]),
-        math.radians(parts[3]),
-        math.radians(parts[4]),
-        math.radians(parts[5]),
-    )
 
 
 def _object_contour(args):
@@ -93,16 +78,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_viewfactor(args) -> int:
-    pose = _parse_pose(args.pose)
+    pose = pose_from_cm_deg(args.pose.split(","))
     contour = _object_contour(args)
     if args.method == "contour":
         value = vf_general(
             pose, cm_to_m(args.source_radius_cm), contour, QuadratureSpec(args.quadrature_n)
         ).value
     else:
-        value = vf_dsi_oracle(
-            pose, cm_to_m(args.source_radius_cm), contour, args.facets
-        ).value
+        value = vf_dsi_oracle(pose, cm_to_m(args.source_radius_cm), contour, args.facets).value
     print(f"{value:.9g}")
     return EXIT_OK
 
@@ -180,26 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV log path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("viewfactor", help="single view-factor evaluation")
+    # Arguments of the view-factor commands: the source disk and one object.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--source-radius-cm", type=float, default=10.0)
+    shared.add_argument("--object-radius-cm", type=float, default=1.5)
+    shared.add_argument("--contour-csv", help="boundary points (x_cm,y_cm) for a Fourier contour")
+    shared.add_argument("--harmonics", type=int, default=5)
+    shared.add_argument("--quadrature-n", type=int, default=DEFAULT_SPEC.n_per_dim)
+
+    p = sub.add_parser("viewfactor", parents=[shared], help="single view-factor evaluation")
     p.add_argument("--pose", required=True, help="p1,p2,p3 [cm], tx,ty,tz [deg]")
-    p.add_argument("--source-radius-cm", type=float, default=10.0)
-    p.add_argument("--object-radius-cm", type=float, default=1.5)
-    p.add_argument("--contour-csv", help="boundary points (x_cm,y_cm) for a Fourier contour")
-    p.add_argument("--harmonics", type=int, default=5)
     p.add_argument("--method", choices=("contour", "dsi"), default="contour")
     p.add_argument("--facets", type=int, default=20000)
-    p.add_argument("--quadrature-n", type=int, default=64)
     p.set_defaults(func=_cmd_viewfactor)
 
-    p = sub.add_parser("isosurface", help="export a view-factor grid")
+    p = sub.add_parser("isosurface", parents=[shared], help="export a view-factor grid")
     p.add_argument("--subset", choices=("translation", "rotation"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--source-radius-cm", type=float, default=10.0)
-    p.add_argument("--object-radius-cm", type=float, default=1.5)
-    p.add_argument("--contour-csv")
-    p.add_argument("--harmonics", type=int, default=5)
     p.add_argument("--step", type=float, default=None, help="grid step (cm or deg)")
-    p.add_argument("--quadrature-n", type=int, default=64)
     p.set_defaults(func=_cmd_isosurface)
 
     p = sub.add_parser("feasibility", help="target feasibility report for a scenario")

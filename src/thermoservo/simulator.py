@@ -9,8 +9,8 @@ gradient at the period's ends; the end pose is the next tick's, so that
 tick's interaction matrix comes from the carried gradient. Runs are fully
 deterministic for a fixed scenario and seed.
 
-Scenario files are YAML with centimeters/Celsius at the boundary; see
-`load_scenario` for the schema.
+Scenario files are YAML with centimeters/Celsius at the boundary; README
+"Scenario files" lists every key.
 """
 from __future__ import annotations
 
@@ -136,6 +136,8 @@ class AdaptiveInit:
             raise ScenarioError(f"unknown adaptive init mode: {self.mode}")
         if self.mode == "values" and (self.a1 is None or self.a2 is None):
             raise ScenarioError("adaptive init 'values' needs a1 and a2")
+        if not 1.0 <= self.spread < math.inf:
+            raise ScenarioError(f"adaptive init spread must be finite and >= 1, got {self.spread}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,6 @@ class Workspace:
         return np.clip(translation, lo, hi)
 
 
-DEFAULT_WORKSPACE = Workspace(bounds=((-0.4, 0.4), (-0.4, 0.4), (0.002, 0.5)))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Full simulation description."""
@@ -182,7 +181,7 @@ class Scenario:
     control_period: float = 1.0
     plant_dt: float = 0.1
     duration: float = 600.0
-    workspace: Workspace = DEFAULT_WORKSPACE
+    workspace: Workspace = Workspace(bounds=((-0.4, 0.4), (-0.4, 0.4), (0.002, 0.5)))
     boundary_mode: str = "terminate"  # terminate | clip
     quadrature: QuadratureSpec = FAST_SPEC
     source_schedule: SourceSchedule | None = None
@@ -207,6 +206,8 @@ class Scenario:
             raise ScenarioError("plant_dt must be positive")
         if self.source_radius <= 0.0:
             raise ScenarioError("source radius must be positive")
+        if not 0.0 <= self.pinv_damping < math.inf:
+            raise ScenarioError(f"pinv_damping must be finite and >= 0, got {self.pinv_damping}")
         if any(o.unknown_params for o in self.objects) and self.controller != "adaptive":
             raise ScenarioError(
                 "objects with unknown parameters require the adaptive controller"
@@ -310,9 +311,9 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
     A run that leaves the configured workspace box, reaches a degenerate
     pose, moves an object through the source plane within one period,
-    whose temperature diverges or whose control output is not finite ends
-    early. Its log keeps the rows of the finished ticks and names the
-    reason in `termination`.
+    whose temperature diverges or whose control output or adaptive
+    estimates are not finite ends early. Its log keeps the rows of the
+    finished ticks and names the reason in `termination`.
     """
     n_obj = scenario.n_objects
     dof = scenario.dof
@@ -327,7 +328,8 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
     rng = np.random.default_rng(scenario.sensor.seed)
     window = SampleWindow()
-    adaptive_state = _initial_adaptive_state(scenario, lambdas(aluminum_reference_params(), env))
+    initial = _initial_adaptive_state(scenario, lambdas(aluminum_reference_params(), env))
+    a_hat = initial.a1_hat, initial.a2_hat  # logged each tick, then the next tick's
 
     x = scenario.initial_pose.as_vector()  # end-effector pose
     temps = np.array([o.initial_temp for o in scenario.objects])
@@ -392,6 +394,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
                     dtau = t_hat - targets
                     t_cubed = t_hat**3
                     if adaptive:
+                        adaptive_state = AdaptiveState(*a_hat)
                         output = adaptive_control(
                             g_now,
                             v_hat,
@@ -408,9 +411,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
                         lyap = adaptive_lyapunov(
                             output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
                         )
-                        adaptive_state = AdaptiveState(
-                            adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
-                        )
+                        a_hat = adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
                     else:
                         output = model_based_control(
                             lambda1s[:, None] * g_now,
@@ -434,8 +435,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
             obj_row[:, 4] = dtau
             obj_row[:, 5] = f_now
             if adaptive:
-                obj_row[:, 6] = adaptive_state.a1_hat
-                obj_row[:, 7] = adaptive_state.a2_hat
+                obj_row[:, 6], obj_row[:, 7] = a_hat
             rows[tick, 1 + 8 * n_obj :] = (*u, *x, lyap, 1.0 if clamped else 0.0)
             logged = tick + 1
 
@@ -444,6 +444,10 @@ def run_simulation(scenario: Scenario) -> RunLog:
             if not np.isfinite(u).all():
                 termination = "non_finite_control"
                 detail = f"control output {u.tolist()} at {t:g} s is not finite"
+                break
+            if adaptive and not np.isfinite(a_hat).all():
+                termination = "non_finite_control"
+                detail = f"adaptive estimates {np.array(a_hat).tolist()} at {t:g} s are not finite"
                 break
 
             # Position-stepping robot: apply the commanded velocity for one
@@ -504,160 +508,177 @@ def run_simulation(scenario: Scenario) -> RunLog:
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"missing '{key}' in {context}")
-    return mapping[key]
+def _read(mapping, ctx: str, table: dict, required: tuple[str, ...] = ()) -> dict:
+    """The fields the mapping at path `ctx` sets: `table` maps each allowed
+    key to (field, convert), and a field of None merges the fields convert
+    returns. A key the mapping leaves out keeps its dataclass default."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{ctx} must be a mapping")
+    fields = {}
+    for key, value in mapping.items():
+        if key not in table:
+            raise ScenarioError(f"unknown key '{key}' in {ctx}")
+        field, convert = table[key]
+        try:
+            value = convert(value)
+        except ScenarioError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"'{key}' in {ctx}: {exc}") from exc
+        fields.update(value if field is None else {field: value})
+    for key in required:
+        if key not in mapping:
+            raise ScenarioError(f"missing '{key}' in {ctx}")
+    return fields
 
 
-def _load_contour(spec: dict) -> Contour:
-    kind = _require(spec, "type", "contour")
+def _each(convert):
+    return lambda values: tuple(map(convert, values))
+
+
+def _whole(value) -> int:
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def pose_from_cm_deg(values) -> Pose:
+    """The pose (p1, p2, p3 in cm, tx, ty, tz in degrees) as a Pose."""
+    if len(values) != 6:
+        raise ValueError(f"pose needs 6 values p1,p2,p3,tx,ty,tz, got {len(values)}")
+    p = [float(v) for v in values]
+    return Pose(*map(cm_to_m, p[:3]), *map(math.radians, p[3:]))
+
+
+def _environment(spec) -> Environment:
+    fields = _read(spec, "environment", _ENVIRONMENT_KEYS, ("source_temp_c", "source_emittance"))
+    return Environment(**{"ambient_temp": celsius_to_kelvin(23.0), **fields})
+
+
+def _schedule(points) -> SourceSchedule | None:
+    if not points:
+        return None
+    read = [
+        _read(p, f"source.waypoints[{i}]", _WAYPOINT_KEYS, tuple(_WAYPOINT_KEYS))
+        for i, p in enumerate(points)
+    ]
+    return SourceSchedule(*(np.array([p[k] for p in read]) for k in ("time", "center")))
+
+
+def _contour(spec, ctx: str) -> Contour:
+    kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "circle":
-        return CircleContour(cm_to_m(float(_require(spec, "radius_cm", "contour"))))
+        return CircleContour(**_read(spec, ctx, _CIRCLE_KEYS, ("radius_cm",)))
     if kind == "fourier":
-        points = np.asarray(_require(spec, "points_cm", "contour"), dtype=float)
-        harmonics = int(spec.get("harmonics", 5))
-        return fourier_fit(points * 1e-2, harmonics)
-    raise ScenarioError(f"unknown contour type: {kind}")
+        return fourier_fit(**{"harmonics": 5, **_read(spec, ctx, _FOURIER_KEYS, ("points_cm",))})
+    _read(spec, ctx, {**_CIRCLE_KEYS, **_FOURIER_KEYS}, ("type",))  # an unknown key first
+    raise ScenarioError(f"{ctx} needs type circle or fourier, got {kind!r}")
 
 
-def _load_object(spec: dict, index: int) -> ObjectSpec:
-    ctx = f"objects[{index}]"
-    contour = _load_contour(_require(spec, "contour", ctx))
-    mat = _require(spec, "material", ctx)
-    material = ThermoParams(
-        emittance=float(_require(mat, "emittance", f"{ctx}.material")),
-        absorptance=float(_require(mat, "absorptance", f"{ctx}.material")),
-        specific_heat=float(_require(mat, "specific_heat", f"{ctx}.material")),
-        mass=float(_require(mat, "density", f"{ctx}.material"))
-        * contour.area
-        * cm_to_m(float(_require(mat, "thickness_cm", f"{ctx}.material"))),
-        area=contour.area,
-    )
-    displacement = np.array(
-        [cm_to_m(float(v)) for v in spec.get("displacement_cm", (0.0, 0.0, 0.0))]
-    )
-    if displacement.shape != (3,):
-        raise ScenarioError(f"{ctx}: displacement_cm needs 3 entries")
-    return ObjectSpec(
-        name=str(spec.get("name", f"object{index + 1}")),
-        contour=contour,
-        material=material,
-        displacement=displacement,
-        initial_temp=celsius_to_kelvin(float(spec.get("initial_temp_c", 23.0))),
-        unknown_params=bool(spec.get("unknown_params", False)),
-    )
+def _workspace(spec) -> Workspace:
+    ranges = _read(spec, "workspace_cm", _WORKSPACE_KEYS, tuple(_WORKSPACE_KEYS))
+    return Workspace(bounds=tuple(ranges[axis] for axis in _WORKSPACE_KEYS))
+
+
+def _objects(specs) -> tuple[ObjectSpec, ...]:
+    objects = []
+    for i, spec in enumerate(specs):
+        ctx = f"objects[{i}]"
+        obj = dict(
+            name=f"object{i + 1}", displacement=np.zeros(3), initial_temp=celsius_to_kelvin(23.0)
+        )
+        obj.update(_read(spec, ctx, _OBJECT_KEYS, ("contour", "material")))
+        if obj["displacement"].shape != (3,):
+            raise ScenarioError(f"{ctx}: displacement_cm needs 3 entries")
+        contour = obj["contour"] = _contour(obj["contour"], f"{ctx}.contour")
+        mat = _read(obj["material"], f"{ctx}.material", _MATERIAL_KEYS, tuple(_MATERIAL_KEYS))
+        mass = mat.pop("density") * contour.area * mat.pop("thickness")
+        obj["material"] = ThermoParams(mass=mass, area=contour.area, **mat)
+        objects.append(ObjectSpec(**obj))
+    return tuple(objects)
+
+
+# One key table {key: (field, convert)} per mapping; README "Scenario files" lists them.
+_TYPE_KEY = {"type": (None, lambda kind: {})}  # read by `_contour`
+_CIRCLE_KEYS = {**_TYPE_KEY, "radius_cm": ("radius", cm_to_m)}
+_FOURIER_KEYS = {
+    **_TYPE_KEY,
+    "points_cm": ("polyline", lambda points: cm_to_m(np.asarray(points, dtype=float))),
+    "harmonics": ("harmonics", _whole),
+}
+_MATERIAL_KEYS = {
+    **{name: (name, float) for name in ("emittance", "absorptance", "specific_heat", "density")},
+    "thickness_cm": ("thickness", cm_to_m),
+}
+_OBJECT_KEYS = {
+    "name": ("name", str),
+    "contour": ("contour", lambda spec: spec),  # read by `_objects`, as is the material
+    "material": ("material", lambda spec: spec),
+    "displacement_cm": ("displacement", lambda xyz: np.array(_each(cm_to_m)(xyz))),
+    "initial_temp_c": ("initial_temp", celsius_to_kelvin),
+    "unknown_params": ("unknown_params", _flag),
+}
+_ENVIRONMENT_KEYS = {
+    "source_temp_c": ("source_temp", celsius_to_kelvin),
+    "source_emittance": ("source_emittance", float),
+    "ambient_temp_c": ("ambient_temp", celsius_to_kelvin),
+}
+_WAYPOINT_KEYS = {"time_s": ("time", float), "center_cm": ("center", _each(cm_to_m))}
+_SOURCE_KEYS = {
+    "radius_cm": ("source_radius", cm_to_m),
+    "waypoints": ("source_schedule", _schedule),
+}
+_GAINS_KEYS = {name: (name, float) for name in ("d", "k", "mu", "gamma1", "gamma2")}
+_LIMITS_KEYS = {
+    "max_translation_m_s": ("max_translation", float),
+    "max_rotation_rad_s": ("max_rotation", float),
+}
+_ADAPTIVE_INIT_KEYS = {
+    "mode": ("mode", str),
+    "seed": ("seed", _whole),
+    **{name: (name, float) for name in ("spread", "a1_center", "a2_center")},
+    **{name: (name, _each(float)) for name in ("a1", "a2")},
+}
+_CONTROLLER_KEYS = {
+    "type": ("controller", str),
+    "gains": ("gains", lambda m: Gains(**_read(m, "controller.gains", _GAINS_KEYS))),
+    "limits": ("limits", lambda m: VelocityLimits(**_read(m, "controller.limits", _LIMITS_KEYS))),
+    "adaptive_init": (
+        "adaptive_init",
+        lambda m: AdaptiveInit(**_read(m, "controller.adaptive_init", _ADAPTIVE_INIT_KEYS)),
+    ),
+}
+_SENSOR_KEYS = {"noise_c": ("noise_amplitude", float), "seed": ("seed", _whole)}
+_WORKSPACE_KEYS = {axis: (axis, _each(cm_to_m)) for axis in ("p1", "p2", "p3")}
+_SCENARIO_KEYS = {
+    "environment": ("environment", _environment),
+    "source": (None, lambda m: _read(m, "source", _SOURCE_KEYS, ("radius_cm",))),
+    "objects": ("objects", _objects),
+    "targets_c": ("targets", _each(celsius_to_kelvin)),
+    "controller": (None, lambda m: _read(m, "controller", _CONTROLLER_KEYS, ("type",))),
+    "initial_pose_cm_deg": ("initial_pose", pose_from_cm_deg),
+    "dof": ("dof", _whole),
+    "sensor": ("sensor", lambda m: SensorSpec(**_read(m, "sensor", _SENSOR_KEYS))),
+    "control_period_s": ("control_period", float),
+    "plant_dt_s": ("plant_dt", float),
+    "duration_s": ("duration", float),
+    "workspace_cm": ("workspace", _workspace),
+    "boundary_mode": ("boundary_mode", str),
+    "quadrature_n": ("quadrature", lambda n: QuadratureSpec(_whole(n))),
+    "pinv_damping": ("pinv_damping", float),
+}
+_SCENARIO_REQUIRED = ("environment", "source", "objects", "targets_c", "controller", "duration_s")
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build and validate a Scenario from parsed YAML (cm / Celsius units)."""
-    try:
-        env_raw = _require(raw, "environment", "scenario")
-        env = Environment(
-            source_temp=celsius_to_kelvin(float(_require(env_raw, "source_temp_c", "environment"))),
-            source_emittance=float(_require(env_raw, "source_emittance", "environment")),
-            ambient_temp=celsius_to_kelvin(float(env_raw.get("ambient_temp_c", 23.0))),
-        )
-        source = _require(raw, "source", "scenario")
-        source_radius = cm_to_m(float(_require(source, "radius_cm", "source")))
-        schedule = None
-        if source.get("waypoints"):
-            pts = source["waypoints"]
-            ctx = "source.waypoints"
-            times = np.array([float(_require(p, "time_s", ctx)) for p in pts])
-            centers = np.array(
-                [[cm_to_m(float(v)) for v in _require(p, "center_cm", ctx)] for p in pts]
-            )
-            schedule = SourceSchedule(times=times, centers=centers)
-
-        objects = tuple(
-            _load_object(o, i) for i, o in enumerate(_require(raw, "objects", "scenario"))
-        )
-        targets = tuple(
-            celsius_to_kelvin(float(v)) for v in _require(raw, "targets_c", "scenario")
-        )
-
-        ctrl = _require(raw, "controller", "scenario")
-        gains_raw = ctrl.get("gains", {})
-        gains = Gains(
-            d=float(gains_raw.get("d", 0.2)),
-            k=float(gains_raw.get("k", 0.05)),
-            mu=float(gains_raw.get("mu", 0.05)),
-            gamma1=float(gains_raw.get("gamma1", 1.0)),
-            gamma2=float(gains_raw.get("gamma2", 1.0)),
-        )
-        lim_raw = ctrl.get("limits", {})
-        limits = VelocityLimits(
-            max_translation=float(lim_raw.get("max_translation_m_s", 0.05)),
-            max_rotation=float(lim_raw.get("max_rotation_rad_s", 0.2)),
-        )
-        ai_raw = ctrl.get("adaptive_init", {})
-        adaptive_init = AdaptiveInit(
-            mode=str(ai_raw.get("mode", "reference")),
-            seed=int(ai_raw.get("seed", 0)),
-            spread=float(ai_raw.get("spread", 4.0)),
-            a1_center=(
-                float(ai_raw["a1_center"]) if "a1_center" in ai_raw else None
-            ),
-            a2_center=(
-                float(ai_raw["a2_center"]) if "a2_center" in ai_raw else None
-            ),
-            a1=tuple(ai_raw["a1"]) if "a1" in ai_raw else None,
-            a2=tuple(ai_raw["a2"]) if "a2" in ai_raw else None,
-        )
-
-        pose_raw = raw.get("initial_pose_cm_deg", (0.0, 0.0, 10.0, 0.0, 0.0, 0.0))
-        if len(pose_raw) != 6:
-            raise ScenarioError("initial_pose_cm_deg needs 6 entries")
-        initial_pose = Pose(
-            cm_to_m(float(pose_raw[0])),
-            cm_to_m(float(pose_raw[1])),
-            cm_to_m(float(pose_raw[2])),
-            math.radians(float(pose_raw[3])),
-            math.radians(float(pose_raw[4])),
-            math.radians(float(pose_raw[5])),
-        )
-
-        sensor_raw = raw.get("sensor", {})
-        sensor = SensorSpec(
-            noise_amplitude=float(sensor_raw.get("noise_c", 0.1)),
-            seed=int(sensor_raw.get("seed", 0)),
-        )
-
-        ws_raw = raw.get("workspace_cm")
-        if ws_raw is None:
-            workspace = DEFAULT_WORKSPACE
-        else:
-            ranges = [_require(ws_raw, k, "workspace_cm") for k in ("p1", "p2", "p3")]
-            workspace = Workspace(
-                bounds=tuple((cm_to_m(float(lo)), cm_to_m(float(hi))) for lo, hi in ranges)
-            )
-
-        return Scenario(
-            environment=env,
-            source_radius=source_radius,
-            objects=objects,
-            targets=targets,
-            controller=str(_require(ctrl, "type", "controller")),
-            gains=gains,
-            limits=limits,
-            adaptive_init=adaptive_init,
-            initial_pose=initial_pose,
-            dof=int(raw.get("dof", 3)),
-            sensor=sensor,
-            control_period=float(raw.get("control_period_s", 1.0)),
-            plant_dt=float(raw.get("plant_dt_s", 0.1)),
-            duration=float(_require(raw, "duration_s", "scenario")),
-            workspace=workspace,
-            boundary_mode=str(raw.get("boundary_mode", "terminate")),
-            quadrature=QuadratureSpec(int(raw.get("quadrature_n", 16))),
-            source_schedule=schedule,
-            pinv_damping=float(raw.get("pinv_damping", 1e-6)),
-        )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
+    return Scenario(**_read(raw, "scenario", _SCENARIO_KEYS, _SCENARIO_REQUIRED))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -666,6 +687,4 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must contain a mapping")
     return scenario_from_dict(raw)

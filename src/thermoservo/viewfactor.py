@@ -65,7 +65,7 @@ class QuadratureSpec:
     `interaction.l_parallel` take the n x n periodic trapezoid rule on their
     two boundary angles."""
 
-    n_per_dim: int = 64
+    n_per_dim: int
 
     def __post_init__(self) -> None:
         if self.n_per_dim < 2 or self.n_per_dim % 2 != 0:

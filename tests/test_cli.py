@@ -167,6 +167,38 @@ class TestSimulateCommand:
         assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
         assert "non_finite_control" in capsys.readouterr().err
 
+    def test_non_finite_estimate_writes_partial_log(self, tmp_path, capsys):
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        raw["controller"]["gains"]["gamma1"] = 1.0e308
+        raw["duration_s"] = 60.0
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "a.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL_FAILURE
+        log = run_simulation(load_scenario(path))
+        assert log.termination == "non_finite_control"
+        assert len(log.rows) == 10
+        assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
+        assert "non_finite_control" in capsys.readouterr().err
+
+    def test_misspelled_key_fails_before_the_run(
+        self, quick_scenario_file, tmp_path, monkeypatch, capsys
+    ):
+        def not_called(scenario):
+            raise AssertionError("the run started with a misspelled key")
+
+        monkeypatch.setattr(cli, "run_simulation", not_called)
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        raw["controller"]["gain"] = raw["controller"].pop("gains")
+        path = tmp_path / "misspelled.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "m.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err == "invalid scenario: unknown key 'gain' in controller\n"
+        assert not out.exists()
+
     def test_malformed_waypoint_returns_invalid(self, quick_scenario_file, tmp_path, capsys):
         raw = yaml.safe_load(quick_scenario_file.read_text())
         raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": [0, 0]}]

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from thermoservo import (
     load_scenario,
     run_simulation,
     scenario_from_dict,
+    simulator,
 )
 from thermoservo.units import celsius_to_kelvin as c2k
 
@@ -97,6 +100,18 @@ class TestScenarioValidation:
         for a1, a2 in (((1.0, 2.0), (1.0,) * 3), ((1.0,) * 3, (1.0, 2.0))):
             with pytest.raises(ScenarioError):
                 quick_scenario(**common, adaptive_init=AdaptiveInit("values", a1=a1, a2=a2))
+
+    @pytest.mark.parametrize("damping", [-1.0, math.inf, math.nan])
+    def test_pinv_damping_must_be_finite_and_non_negative(self, damping):
+        with pytest.raises(ScenarioError, match="pinv_damping must be finite and >= 0"):
+            quick_scenario(pinv_damping=damping)
+
+    @pytest.mark.parametrize("spread", [0.0, 0.5, math.inf, math.nan])
+    def test_adaptive_spread_must_be_finite_and_at_least_one(self, spread):
+        """Below 1 the interval [1/spread, spread] of the random start is empty."""
+        with pytest.raises(ScenarioError, match="spread must be finite and >= 1"):
+            AdaptiveInit("random", spread=spread)
+        AdaptiveInit("random", spread=1.0)
 
     @pytest.mark.parametrize("center_cm", [[0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     def test_waypoint_center_needs_three_coordinates(self, center_cm):
@@ -253,6 +268,27 @@ class TestRunLoop:
         head = run_simulation(dataclasses.replace(scenario, duration=32.0))
         assert head.termination == "completed"
         assert np.array_equal(log.rows[:9], head.rows, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_estimate_ends_the_run(self):
+        """A learning rate of 1e308 overflows the a1 update at the first
+        estimate (tick 9, 18 s) while that tick's velocity is still finite.
+        The run ends with non_finite_control and keeps that tick's row,
+        whose a1_hat is the overflowed estimate."""
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        raw["controller"]["gains"]["gamma1"] = 1.0e308
+        raw["duration_s"] = 60.0
+        scenario = scenario_from_dict(raw)
+        log = run_simulation(scenario)
+        assert log.termination == "non_finite_control"
+        assert log.detail.startswith("adaptive estimates [[-inf, -inf, -inf], [")
+        assert log.detail.endswith("] at 18 s are not finite")
+        assert len(log.rows) == 10
+        assert [log.column(f"a1_hat_{i}")[-1] for i in (1, 2, 3)] == [-math.inf] * 3
+        assert np.isfinite([log.column(f"u_{k}")[-1] for k in (1, 2, 3)]).all()
+        head = run_simulation(dataclasses.replace(scenario, duration=18.0))
+        assert head.termination == "completed"
+        assert np.array_equal(log.rows, head.rows, equal_nan=True)
 
     def test_six_dof_loop_runs(self):
         """6-DOF control path: rotation gradients enter the loop and the
@@ -450,3 +486,123 @@ class TestScenarioLoading:
         path.write_text(yaml.safe_dump(raw))
         scenario = load_scenario(path)
         assert scenario.objects[0].contour.area == pytest.approx(math.pi * 0.015**2, rel=1e-6)
+
+
+SHIPPED = ("aluminum_model_based.yaml", "three_sheet_adaptive.yaml")
+
+
+def _mapping_paths(node, path=()):
+    """The path (keys and list indices) of every mapping in parsed YAML."""
+    if isinstance(node, dict):
+        yield path
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _mapping_paths(child, path + (key,))
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def _section(path) -> str:
+    """The name a loader message gives the mapping at `path`."""
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    return name.lstrip(".") or "scenario"
+
+
+class TestScenarioSchema:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_misspelled_key_names_the_key_and_its_section(self, name):
+        """Every key of every mapping, misspelled one at a time, is rejected;
+        the scenario gains a (legal) waypoint so that mapping is read too."""
+        raw = yaml.safe_load((SCENARIO_DIR / name).read_text())
+        raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": [0.0, 0.0, 0.0]}]
+        scenario_from_dict(copy.deepcopy(raw))
+        paths = list(_mapping_paths(raw))
+        assert {_section(p) for p in paths} >= {
+            "scenario", "environment", "source", "source.waypoints[0]", "objects[0]",
+            "objects[0].contour", "objects[0].material", "controller", "controller.gains",
+            "controller.limits", "sensor", "workspace_cm",
+        }
+        for path in paths:
+            for key in list(_at(raw, path)):
+                bad = copy.deepcopy(raw)
+                mapping = _at(bad, path)
+                mapping[key.upper()] = mapping.pop(key)
+                message = f"unknown key '{key.upper()}' in {_section(path)}"
+                with pytest.raises(ScenarioError, match=re.escape(message)):
+                    scenario_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "contour, key",
+        [
+            ({"type": "circle", "radius_cm": 1.5, "harmonics": 3}, "harmonics"),
+            ({"type": "fourier", "points_cm": [[1, 0], [0, 1], [-1, 0]], "radius_cm": 1},
+             "radius_cm"),
+        ],
+    )
+    def test_contour_keys_depend_on_its_type(self, contour, key):
+        raw = yaml.safe_load((SCENARIO_DIR / "aluminum_model_based.yaml").read_text())
+        raw["objects"][0]["contour"] = contour
+        message = f"unknown key '{key}' in objects[0].contour"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ((), "dof", 3.7),
+            ((), "dof", True),
+            ((), "quadrature_n", 16.9),
+            (("sensor",), "seed", 11.5),
+            (("controller", "adaptive_init"), "seed", 7.5),
+            (("objects", 0, "contour"), "harmonics", 3.5),
+            (("objects", 0), "unknown_params", "false"),
+            (("objects", 0), "unknown_params", 1),
+        ],
+    )
+    def test_integer_and_boolean_keys_are_strict(self, where, key, value):
+        """Integer keys take whole numbers only and `unknown_params` a YAML
+        boolean only: each rejection names the key and its section."""
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        theta = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+        points = [[1.8 * math.cos(t), 1.8 * math.sin(t)] for t in theta]
+        raw["objects"][0]["contour"] = {"type": "fourier", "harmonics": 3, "points_cm": points}
+        whole = copy.deepcopy(raw)
+        _at(whole, where)[key] = 6.0 if key == "dof" else 16.0 if key == "quadrature_n" else 3.0
+        if key != "unknown_params":
+            scenario_from_dict(whole)  # a whole float is a whole number
+        _at(raw, where)[key] = value
+        with pytest.raises(ScenarioError, match=re.escape(f"'{key}' in {_section(where)}")):
+            scenario_from_dict(raw)
+
+    def test_every_field_has_a_key(self):
+        """Each field of these dataclasses can be set from a scenario file:
+        some entry of the loader's key tables names it."""
+        tables = {
+            Gains: [simulator._GAINS_KEYS],
+            VelocityLimits: [simulator._LIMITS_KEYS],
+            AdaptiveInit: [simulator._ADAPTIVE_INIT_KEYS],
+            SensorSpec: [simulator._SENSOR_KEYS],
+            Scenario: [
+                simulator._SCENARIO_KEYS, simulator._SOURCE_KEYS, simulator._CONTROLLER_KEYS
+            ],
+        }
+        for cls, keys in tables.items():
+            named = {field for table in keys for field, _ in table.values() if field is not None}
+            assert named == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+    def test_pinv_damping_and_spread_are_checked_at_load(self):
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        cases = (((), "pinv_damping", -1.0), (("controller", "adaptive_init"), "spread", 0))
+        for where, key, value in cases:
+            bad = copy.deepcopy(raw)
+            _at(bad, where)[key] = value
+            with pytest.raises(ScenarioError, match=key):
+                scenario_from_dict(bad)
