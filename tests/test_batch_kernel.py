@@ -64,9 +64,11 @@ CONTOURS = {
 TRAPEZOID_NODES = 2**14
 #: Composite Simpson intervals on the reference's Partial arc and chord: for
 #: F21, and for the 24 evaluations of its central differences. For samples
-#: 1 mm or more from both curves, doubling them moves F21 by under 1e-13 and
-#: the gradient by under 1e-8 of its largest component.
-SIMPSON_INTERVALS = 2**13
+#: 1 mm or more from both curves of a 10 cm source, doubling SIMPSON_INTERVALS
+#: moves F21 by under 2e-13 (2**13 intervals left errors up to 5e-11 there),
+#: and doubling GRADIENT_INTERVALS moves the gradient by under 1e-8 of its
+#: largest component.
+SIMPSON_INTERVALS = 2**15
 GRADIENT_INTERVALS = 2**11
 
 
