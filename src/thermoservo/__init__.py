@@ -43,21 +43,18 @@ from .geometry import (
     rotation_from_euler,
     wrap_angle,
 )
-from .interaction import l_parallel, view_factor_gradient
-from .simulator import (
+from .scenario import (
     AdaptiveInit,
     ObjectSpec,
-    RunLog,
     Scenario,
     ScenarioError,
     SensorSpec,
     SourceSchedule,
     Workspace,
-    aluminum_reference_params,
     load_scenario,
-    run_simulation,
     scenario_from_dict,
 )
+from .simulator import RunLog, aluminum_reference_params, run_simulation
 from .thermal import (
     Environment,
     LambdaParams,
@@ -72,10 +69,12 @@ from .viewfactor import (
     FAST_SPEC,
     QuadratureSpec,
     ViewFactor,
+    l_parallel,
     vf_batch,
     vf_dsi_oracle,
     vf_general,
     vf_parallel_disks,
+    view_factor_gradient,
 )
 
 __version__ = "0.1.0"

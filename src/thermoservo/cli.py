@@ -27,7 +27,8 @@ from .feasibility import (
     target_bounds,
 )
 from .geometry import CircleContour, DegeneratePoseError, fourier_fit
-from .simulator import ScenarioError, load_scenario, pose_from_cm_deg, run_simulation
+from .scenario import ScenarioError, load_scenario, pose_from_cm_deg
+from .simulator import run_simulation
 from .thermal import ThermalDivergenceError, lambdas
 from .units import cm_to_m, kelvin_to_celsius, m_to_cm
 from .viewfactor import DEFAULT_SPEC, QuadratureSpec, vf_dsi_oracle, vf_general

@@ -5,6 +5,11 @@ radiative damping and imposes spring-damper error dynamics; it needs the
 true thermophysical parameters. The adaptive law works with the
 parameter-free interaction matrix and estimates the per-object parameters
 a1 = 1/lambda1 and a2 = lambda2/lambda1 online with Lyapunov update rules.
+
+A row l = lambda1 * d(F21)/dx maps end-effector velocity to the object's
+temperature-rate change. Rows are stacked into L for the model-based
+controller; dividing each row by its lambda1 gives the parameter-free
+matrix J built from view-factor gradients alone.
 """
 from __future__ import annotations
 

@@ -30,7 +30,6 @@ from .geometry import (
     CircleContour,
     Contour,
     DegeneratePoseError,
-    FourierContour,
     Pose,
     TWO_PI,
     classify_occlusions,
@@ -40,7 +39,7 @@ from .geometry import (
 )
 
 # Floor on the contour-point distance inside the sampled kernels of
-# `vf_parallel_disks` and `interaction.l_parallel`; the integrable
+# `vf_parallel_disks` and `l_parallel`; the integrable
 # singularity is otherwise sharp when surfaces nearly touch. `vf_batch` needs
 # none: it samples no source node, and its samples keep MIN_SURFACE_CLEARANCE
 # from the source plane.
@@ -61,9 +60,8 @@ class QuadratureSpec:
     from the bottom and stops each pose on the first rung whose error
     estimate it accepts; for n <= 16 the ladder is the single rung n. The
     source side of `vf_batch` is in closed form and needs no nodes. The
-    parallel-disk references `vf_parallel_disks` and
-    `interaction.l_parallel` take the n x n periodic trapezoid rule on their
-    two boundary angles."""
+    parallel-disk references `vf_parallel_disks` and `l_parallel` take the
+    n x n periodic trapezoid rule on their two boundary angles."""
 
     n_per_dim: int
 
@@ -608,6 +606,40 @@ def vf_general(
     return ViewFactor.from_raw(float(values[0]))
 
 
+def view_factor_gradient(
+    pose: Pose,
+    source_radius: float,
+    contour,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    indices: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
+    base_value: float | None = None,
+) -> np.ndarray:
+    """Gradient of F21 over the 6 pose coordinates: a batch of one
+    `vf_batch(..., dof=3)`, or dof=6 if `indices` names an angle.
+
+    Args:
+        indices: Components to return; the others are zero.
+        base_value: Accepted for callers that pass F21 at the pose; ignored,
+            because the kernel computes the value with the gradient.
+
+    Returns:
+        (6,) array d(F21)/d(p1, p2, p3, theta_x, theta_y, theta_z).
+
+    Raises:
+        DegeneratePoseError: Degenerate pose.
+    """
+    idx = np.asarray(indices, dtype=int)
+    dof = 6 if np.any(idx >= 3) else 3
+    _, degenerate, grads = vf_batch(
+        pose.as_vector()[None, :], source_radius, contour, spec, dof=dof
+    )
+    if degenerate[0]:
+        raise DegeneratePoseError(f"pose {pose} is degenerate")
+    grad = np.zeros(6)
+    grad[idx] = grads[0, idx]
+    return grad
+
+
 def _parallel_grid(pose: Pose, r1: float, r2: float, n: int):
     """Both circles of the parallel-disk references on the n x n periodic
     trapezoid grid w = 2 pi j / n: the source circle (radius r1, angle w1)
@@ -655,48 +687,86 @@ def vf_parallel_disks(
     return ViewFactor.from_raw(-raw / (TWO_PI * math.pi * r2**2))
 
 
+def l_parallel(
+    pose: Pose,
+    r1: float,
+    r2: float,
+    lambda1: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> np.ndarray:
+    """Analytic-integrand interaction row lambda1 * d(F21)/d(p1, p2, p3)
+    for parallel circular surfaces, independent of `vf_batch`.
+
+    It differentiates `vf_parallel_disks` under the integral sign: the
+    three translation sensitivities are double integrals of the shared
+    scalar kernel h = lambda1 * r1 r2 cos(w1 - w2) / (2 pi A2 s^2) against
+    the components (dx, dy, p3) of the contour-point difference, on the
+    same n x n periodic trapezoid grid, built once for all three.
+
+    Returns:
+        (3,) array: d(rate)/d(p1, p2, p3) in K/s per m/s.
+
+    Raises:
+        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
+    """
+    n = spec.n_per_dim
+    dx, dy, s_sq, cos_dw = _parallel_grid(pose, r1, r2, n)
+    kernel = cos_dw / s_sq
+    # Trapezoid weight (2 pi / n)^2, A2 = pi r2^2.
+    prefactor = lambda1 * r1 * r2 * (TWO_PI / n) ** 2 / (TWO_PI * math.pi * r2**2)
+    return -prefactor * np.array(
+        [np.sum(kernel * dx), np.sum(kernel * dy), pose.p3 * np.sum(kernel)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Discrete surface integral oracle
 # ---------------------------------------------------------------------------
 
 
-def _disk_facets(radius: float, n_facets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polar-grid facet centers and areas covering a disk, about n_facets cells."""
+def _facets(contour: Contour, n_facets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local centres and areas of about n_facets cells covering a contour's
+    region, on a polar grid about its area centroid c = int b (b x b') dt /
+    (3 A). Ring k spans the scale rho in [k, k + 1] / n_rings about c, cut
+    into sectors of equal parameter length of the boundary b(t). A cell's
+    area is (rho_out^2 - rho_in^2) times its sector's, 1/2 int (b - c) x b'
+    dt by 4-point Gauss-Legendre (exact on a circle); its centre is c +
+    g (b(t_mid) - c), g the annular-sector centroid radius. On a circle
+    this is the polar disk grid.
+
+    Raises:
+        ValueError: A sector of non-positive area: the contour is not
+            star-shaped from c.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(4)
     n_rings = max(2, int(round(math.sqrt(n_facets / math.pi))))
-    centers = []
-    areas = []
-    for k in range(n_rings):
-        r_in = radius * k / n_rings
-        r_out = radius * (k + 1) / n_rings
-        r_mid = 0.5 * (r_in + r_out)
-        n_sec = max(8, int(round(TWO_PI * max(r_mid, radius / (2 * n_rings)) * n_rings / radius)))
-        theta = (np.arange(n_sec) + 0.5) * TWO_PI / n_sec
-        # Area centroid radius of an annular sector.
-        r_c = (2.0 / 3.0) * (r_out**3 - r_in**3) / (r_out**2 - r_in**2)
-        centers.append(
-            np.stack([r_c * np.cos(theta), r_c * np.sin(theta)], axis=1)
-        )
-        areas.append(np.full(n_sec, 0.5 * (r_out**2 - r_in**2) * TWO_PI / n_sec))
+    rho = np.arange(n_rings + 1) / n_rings
+    rings = [
+        (lo, hi, max(8, int(round(TWO_PI * max(0.5 * (lo + hi), 0.5 / n_rings) * n_rings))))
+        for lo, hi in zip(rho[:-1], rho[1:])
+    ]
+
+    def sampled(count):
+        """Points and Gauss-weighted normals (b'_y, -b'_x) dt, so that
+        b x b' dt = b . normal, at 4 nodes in each of `count` sectors."""
+        h = contour.period / count
+        t = h * (np.arange(count)[:, None] + 0.5 * (1.0 + nodes))
+        normals = contour.local_tangent(t)[..., ::-1] * (1.0, -1.0)
+        return contour.local_point(t), (0.5 * h * weights)[:, None] * normals
+
+    points, normals = sampled(rings[-1][2])  # the finest ring
+    moments = (points * normals).sum(axis=-1)
+    c = (points * moments[..., None]).sum(axis=(0, 1)) / (1.5 * moments.sum())
+    centers, areas = [], []
+    for lo, hi, count in rings:
+        points, normals = sampled(count)
+        sectors = 0.5 * ((points - c) * normals).sum(axis=(1, 2))
+        if np.any(sectors <= 0.0):
+            raise ValueError("non-positive facet area: contour not star-shaped from centroid")
+        mid = contour.local_point(contour.period / count * (np.arange(count) + 0.5))
+        centers.append(c + (2.0 / 3.0) * (hi**3 - lo**3) / (hi**2 - lo**2) * (mid - c))
+        areas.append((hi**2 - lo**2) * sectors)
     return np.concatenate(centers), np.concatenate(areas)
-
-
-def _fourier_facets(contour: FourierContour, n_facets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fan triangulation from the centroid: centers and areas of n_facets triangles."""
-    phi = np.arange(n_facets) / n_facets
-    boundary = contour.local_point(phi)
-    nxt = np.roll(boundary, -1, axis=0)
-    # Polygon area centroid.
-    cross = boundary[:, 0] * nxt[:, 1] - nxt[:, 0] * boundary[:, 1]
-    poly_area = 0.5 * cross.sum()
-    centroid = ((boundary + nxt) * cross[:, None]).sum(axis=0) / (6.0 * poly_area)
-    areas = 0.5 * (
-        (boundary[:, 0] - centroid[0]) * (nxt[:, 1] - centroid[1])
-        - (nxt[:, 0] - centroid[0]) * (boundary[:, 1] - centroid[1])
-    )
-    if np.any(areas <= 0.0):
-        raise ValueError("non-positive facet area: contour not star-shaped from centroid")
-    centers = (boundary + nxt + centroid[None, :]) / 3.0
-    return centers, areas
 
 
 #: Facet pairs (object facet x source facet) per chunk of the DSI sum.
@@ -706,21 +776,21 @@ DSI_BLOCK_PAIRS = 2**18
 
 def _dsi_sum(obj_centers, obj_areas, src_centers, src_areas, normal) -> float:
     """Sum of cos(theta_src) cos(theta_obj) dA dA / (pi r^2) over the facet
-    pairs in front of both surfaces. The source facets lie in z = 0, so for
-    object facet o and source facet s, r^2 = |o|^2 + |s|^2 - 2 o.s is one
-    matrix product per chunk, and the object-side cosine times r,
-    -n.(o - s) = n.s - n.o, a rank-one sum; the source-side one is o_z / r.
-    Near contact the expansion loses about eps |o|^2 / r^2 of r^2."""
+    pairs in front of both surfaces. The source facets lie in z = 0, their
+    centres given as (x, y), so for object facet o and source facet s,
+    r^2 = |o|^2 + |s|^2 - 2 o.s is one matrix product per chunk, and the
+    object-side cosine times r, -n.(o - s) = n.s - n.o, a rank-one sum; the
+    source-side one is o_z / r. Near contact the expansion loses about
+    eps |o|^2 / r^2 of r^2."""
     above = obj_centers[:, 2] > 0.0
     obj_centers, obj_areas = obj_centers[above], obj_areas[above]
-    src_xy = src_centers[:, :2]
-    src_sq = np.einsum("ij,ij->i", src_xy, src_xy)
-    src_normal = src_xy @ normal[:2]
+    src_sq = np.einsum("ij,ij->i", src_centers, src_centers)
+    src_normal = src_centers @ normal[:2]
     total = 0.0
     chunk = max(1, DSI_BLOCK_PAIRS // max(len(src_centers), 1))
     for lo in range(0, len(obj_centers), chunk):
         oc = obj_centers[lo : lo + chunk]
-        r_sq = oc[:, :2] @ (-2.0 * src_xy.T)
+        r_sq = oc[:, :2] @ (-2.0 * src_centers.T)
         r_sq += src_sq
         r_sq += np.einsum("ij,ij->i", oc, oc)[:, None]
         cos_obj = src_normal - (oc @ normal)[:, None]
@@ -747,23 +817,15 @@ def vf_dsi_oracle(
         n_facets: Facet count per surface, >= 16.
 
     Raises:
-        ValueError: Too few facets or a contour yielding non-positive facets.
+        ValueError: Too few facets, or a contour that is not star-shaped
+            from its area centroid.
     """
     if n_facets < 16:
         raise ValueError("n_facets must be >= 16")
-    src_centers2d, src_areas = _disk_facets(source_radius, n_facets)
-    src_centers = np.concatenate(
-        [src_centers2d, np.zeros((len(src_centers2d), 1))], axis=1
-    )
-    if isinstance(contour, CircleContour):
-        obj2d, obj_areas = _disk_facets(contour.radius, n_facets)
-    else:
-        obj2d, obj_areas = _fourier_facets(contour, n_facets)
+    src_centers, src_areas = _facets(CircleContour(source_radius), n_facets)
+    obj_local, obj_areas = _facets(contour, n_facets)
     rotation = pose_rotation(pose)
-    obj_centers = (
-        np.concatenate([obj2d, np.zeros((len(obj2d), 1))], axis=1) @ rotation.T
-        + pose.translation
-    )
+    obj_centers = obj_local @ rotation[:, :2].T + pose.translation
     normal = -rotation[:, 2]
     area2 = float(obj_areas.sum())
 

@@ -58,6 +58,28 @@ def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
     return theta_x, theta_y, theta_z
 
 
+def disk_facets(radius: float, n_facets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polar-grid facet centres and areas covering a disk, about n_facets
+    cells: the disk mesh the facet-sum oracle used before it meshed every
+    contour alike, kept as the reference its circle mesh must reproduce."""
+    n_rings = max(2, int(round(math.sqrt(n_facets / math.pi))))
+    centers = []
+    areas = []
+    for k in range(n_rings):
+        r_in = radius * k / n_rings
+        r_out = radius * (k + 1) / n_rings
+        r_mid = 0.5 * (r_in + r_out)
+        n_sec = max(
+            8, int(round(2.0 * math.pi * max(r_mid, radius / (2 * n_rings)) * n_rings / radius))
+        )
+        theta = (np.arange(n_sec) + 0.5) * 2.0 * math.pi / n_sec
+        # Area centroid radius of an annular sector.
+        r_c = (2.0 / 3.0) * (r_out**3 - r_in**3) / (r_out**2 - r_in**2)
+        centers.append(np.stack([r_c * np.cos(theta), r_c * np.sin(theta)], axis=1))
+        areas.append(np.full(n_sec, 0.5 * (r_out**2 - r_in**2) * 2.0 * math.pi / n_sec))
+    return np.concatenate(centers), np.concatenate(areas)
+
+
 def star_polyline(mean_radius_m: float, bumps, samples: int = 160) -> np.ndarray:
     """Smooth star-shaped closed boundary r(theta) with cosine bumps."""
     theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,32 @@ class TestSimulateCommand:
         code = cli.main(["simulate", str(path), "--out", str(out)])
         assert code == cli.EXIT_INVALID_SCENARIO
         assert capsys.readouterr().err == "invalid scenario: unknown key 'gain' in controller\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sensor", "seed", -1),
+            ("adaptive_init", "seed", -3),
+            ("adaptive_init", "a1_center", math.nan),
+        ],
+    )
+    def test_bad_seed_or_start_estimate_fails_before_the_run(
+        self, quick_scenario_file, tmp_path, monkeypatch, capsys, section, key, value
+    ):
+        def not_called(scenario):
+            raise AssertionError(f"the run started with {section}.{key} = {value}")
+
+        monkeypatch.setattr(cli, "run_simulation", not_called)
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        mapping = raw if section == "sensor" else raw["controller"]
+        mapping.setdefault(section, {})[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "bad.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err.startswith("invalid scenario: ")
         assert not out.exists()
 
     def test_malformed_waypoint_returns_invalid(self, quick_scenario_file, tmp_path, capsys):

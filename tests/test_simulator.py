@@ -32,8 +32,8 @@ from thermoservo import (
     load_scenario,
     run_simulation,
     scenario_from_dict,
-    simulator,
 )
+from thermoservo import scenario as schema
 from thermoservo.units import celsius_to_kelvin as c2k
 
 from conftest import temperature_rate
@@ -586,13 +586,11 @@ class TestScenarioSchema:
         """Each field of these dataclasses can be set from a scenario file:
         some entry of the loader's key tables names it."""
         tables = {
-            Gains: [simulator._GAINS_KEYS],
-            VelocityLimits: [simulator._LIMITS_KEYS],
-            AdaptiveInit: [simulator._ADAPTIVE_INIT_KEYS],
-            SensorSpec: [simulator._SENSOR_KEYS],
-            Scenario: [
-                simulator._SCENARIO_KEYS, simulator._SOURCE_KEYS, simulator._CONTROLLER_KEYS
-            ],
+            Gains: [schema._GAINS_KEYS],
+            VelocityLimits: [schema._LIMITS_KEYS],
+            AdaptiveInit: [schema._ADAPTIVE_INIT_KEYS],
+            SensorSpec: [schema._SENSOR_KEYS],
+            Scenario: [schema._SCENARIO_KEYS, schema._SOURCE_KEYS, schema._CONTROLLER_KEYS],
         }
         for cls, keys in tables.items():
             named = {field for table in keys for field, _ in table.values() if field is not None}
@@ -606,3 +604,22 @@ class TestScenarioSchema:
             _at(bad, where)[key] = value
             with pytest.raises(ScenarioError, match=key):
                 scenario_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            (("sensor",), "seed", -1),
+            (("controller", "adaptive_init"), "seed", -3),
+            (("controller", "adaptive_init"), "a1_center", math.nan),
+            (("controller", "adaptive_init"), "a2_center", math.inf),
+            (("controller", "adaptive_init"), "a1", [1.0, math.nan, 1.0]),
+            (("controller", "adaptive_init"), "a2", [1.0, 1.0, -math.inf]),
+        ],
+    )
+    def test_seeds_and_start_estimates_are_checked_at_load(self, where, key, value):
+        """A negative seed or a non-finite start estimate fails at load,
+        naming its key, not once the run starts."""
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        _at(raw, where)[key] = value
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(raw)

@@ -16,7 +16,13 @@ from thermoservo import (
 from thermoservo import viewfactor
 from thermoservo.geometry import fourier_fit
 
-from conftest import BUNNY_BUMPS, coaxial_disk_view_factor, euler_from_rotation, star_polyline
+from conftest import (
+    BUNNY_BUMPS,
+    coaxial_disk_view_factor,
+    disk_facets,
+    euler_from_rotation,
+    star_polyline,
+)
 
 
 class TestQuadratureSpec:
@@ -274,3 +280,51 @@ class TestDsiOracle:
         monkeypatch.setattr(viewfactor, "DSI_BLOCK_PAIRS", 7)
         chunked = vf_dsi_oracle(pose, 0.04, CircleContour(0.015), 600).value
         assert chunked == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "pose",
+        [Pose(0.01, 0.005, 0.05, 0.3, 0.0, 0.0), Pose(0.0, 0.0, 0.03, math.pi / 4, 0.0, 0.0)],
+        ids=["common", "partial"],
+    )
+    def test_fourier_circle_meshes_like_the_circle(self, pose):
+        """A Fourier fit of a circle gets the circle's mesh, so the oracle
+        reads the same value for both."""
+        w = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        fitted = fourier_fit(0.015 * np.stack([np.cos(w), np.sin(w)], axis=-1), 5)
+        circle = vf_dsi_oracle(pose, 0.10, CircleContour(0.015), 2000).value
+        assert vf_dsi_oracle(pose, 0.10, fitted, 2000).value == pytest.approx(circle, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["bunny_contour", "hand_contour"])
+    @pytest.mark.parametrize(
+        "pose",
+        [Pose(0.0, 0.0, 0.05), Pose(0.03, -0.02, 0.02, 0.4, -0.3, 0.2)],
+        ids=["common", "partial"],
+    )
+    def test_fourier_oracle_converges_on_the_kernel(self, request, name, pose):
+        """On irregular contours the oracle's error against the converged
+        kernel falls as the facets shrink (about 1/N): at least 3x from
+        2,000 to 8,000 facets."""
+        contour = request.getfixturevalue(name)
+        reference = vf_general(pose, 0.10, contour, QuadratureSpec(512)).value
+        coarse, fine = (
+            abs(vf_dsi_oracle(pose, 0.10, contour, n).value - reference) for n in (2000, 8000)
+        )
+        assert fine <= coarse / 3.0
+        assert fine <= 2e-4
+
+    @pytest.mark.parametrize("radius", [0.015, 0.04, 0.10])
+    @pytest.mark.parametrize("n_facets", [16, 600, 2000, 20000])
+    def test_circle_mesh_is_the_polar_disk_grid(self, radius, n_facets):
+        centers, areas = viewfactor._facets(CircleContour(radius), n_facets)
+        ref_centers, ref_areas = disk_facets(radius, n_facets)
+        assert centers.shape == ref_centers.shape
+        assert np.abs(centers - ref_centers).max() <= 1e-13 * radius
+        np.testing.assert_allclose(areas, ref_areas, rtol=1e-13, atol=0.0)
+
+    def test_contour_not_star_shaped_from_its_centroid_is_rejected(self):
+        theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        r = 1.0 + 0.8 * np.cos(theta) ** 3
+        x, y = r * np.cos(theta), r * np.sin(theta)
+        bean = fourier_fit(0.02 * np.stack([x, 0.5 * y + 0.6 * x**2], axis=1), 5)
+        with pytest.raises(ValueError, match="not star-shaped from centroid"):
+            vf_dsi_oracle(Pose(0, 0, 0.05), 0.10, bean, 2000)
