@@ -342,16 +342,37 @@ def _partial_values(points, tangents, lo, hi, radius, dof=0):
     return terms, partials
 
 
-def _posed(frames, x, y, tx, ty):
+def _frames(angles):
+    """The (3, 3, rows) rotation planes of a block's angles (3, rows), or
+    None, the identity, when every angle is zero of either sign: R is then
+    the identity bit for bit (see _block_values)."""
+    return rotation_planes(angles) if angles.any() else None
+
+
+def _posed(frames, x, y, tx, ty, translations):
     """Rotated samples (3, m, rows) and the x and y of their rotated
     weighted tangents (2, m, rows), as planes with the rows innermost, of
     the node tables x, y, tx and ty (m, 1, T) under the rotations frames
-    (3, 3, rows), one entry per plane; row r takes column r % T of the
-    tables. Tangents drop their z, which no term reads."""
-    m = len(x)
-    frames = frames.reshape(3, 3, -1, x.shape[-1])
-    points = frames[:, 0, None] * x + frames[:, 1, None] * y
-    tangents = frames[:2, 0, None] * tx + frames[:2, 1, None] * ty
+    (3, 3, rows), one entry per plane, then moved by the translations
+    (3, rows) unless None; row r takes column r % T of the tables. Tangents
+    drop their z, which no term reads. frames None is the identity: the
+    samples are x + p1, y + p2 and p3 and the tangents the tables' own,
+    by adds alone (see _block_values for why that is exact)."""
+    m, width = len(x), x.shape[-1]
+    if frames is None:
+        p1, p2, p3 = translations.reshape(3, 1, -1, width)
+        points = np.empty((3, m) + p1.shape[1:])
+        np.add(x, p1, out=points[0])
+        np.add(y, p2, out=points[1])
+        points[2] = p3
+        tangents = np.empty((2,) + points.shape[1:])
+        tangents[0], tangents[1] = tx, ty
+    else:
+        frames = frames.reshape(3, 3, -1, width)
+        points = frames[:, 0, None] * x + frames[:, 1, None] * y
+        tangents = frames[:2, 0, None] * tx + frames[:2, 1, None] * ty
+        if translations is not None:
+            points += translations.reshape(3, 1, -1, width)
     return points.reshape(3, m, -1), tangents.reshape(2, m, -1)
 
 
@@ -372,7 +393,7 @@ def _gradients(partials, angles, tables):
     # (dR/dtheta_j) c': (rows, 3 angles, 5 coordinates, m).
     jacobian = np.empty((rows, 3, 5, m))
     for j, turned in enumerate(rotation_derivative_planes(angles)):
-        moved, turned_tangents = _posed(turned, *tables)
+        moved, turned_tangents = _posed(turned, *tables, None)
         jacobian[:, j, :3] = moved.transpose(2, 0, 1)
         jacobian[:, j, 3:] = turned_tangents.transpose(2, 0, 1)
     return np.concatenate([sums, np.einsum("bjsi,bsi->bj", jacobian, by_row)], axis=1)
@@ -402,41 +423,57 @@ def _block_values(poses, source_radius, ladder, dof):
     C-contiguous (rows, m) copy, whose contiguous last axis numpy adds
     pairwise: a row's sum has the same bits whatever the batch around it,
     where a sum across the planes would be a running sum in another order.
+
+    A block whose angles are all zero (either sign) skips rotation_planes,
+    the occlusion test and the height minima, and gives the same bits. At
+    theta = +-0, R has ones on its diagonal and signed zeros off it, and
+    adding a zero product to a non-zero number returns it: the general
+    path's samples are fl(x + p1), fl(y + p2) and p3 and its tangents the
+    tables' own, as _posed makes them under frames None. In
+    classify_occlusions the normal is (+-0, +-0, -1), d = -p3 and amp = 0:
+    no pose is Partial, a pose is Complete iff p3 <= 0 and coplanar iff
+    |p3| < 1e-12. Only the sign of an exact zero can differ (the circle's
+    first tangent x is -0.0 in its table, +0 after the general path's
+    adds), and it reaches the outputs only as a zero term of a sum with
+    non-zero terms.
     """
     bottom, midpoints, scale = ladder
     k_obj = len(scale)
     groups = len(poses) // k_obj
     coordinates = np.ascontiguousarray(poses.T)
     translations, angles = coordinates[:3], coordinates[3:]
-    frames = rotation_planes(angles)
-    points, tangents = _posed(frames, *bottom)
-    points += translations[:, None]
+    frames = _frames(angles)
+    points, tangents = _posed(frames, *bottom, translations)
     m = points.shape[1]
-    # The lowest of all n sample heights: the bottom rung's and those each
-    # higher rung adds. A height is fl(a_j + p3), a_j the sample's rotated
-    # local part; rounding is monotone, so adding p3 after the minimum
-    # gives the same bits.
-    lowest = points[2].min(axis=0)
-    for x, y, *_ in midpoints:
-        r20, r21 = frames[2, :2].reshape(2, groups, k_obj)
-        heights = r20 * x + r21 * y
-        lowest = np.minimum(lowest, heights.min(axis=0).reshape(-1) + translations[2])
-
-    occ = classify_occlusions(frames.transpose(2, 0, 1), translations.T, source_radius)
-    degenerate = occ.coplanar | (~occ.complete & (lowest < MIN_SURFACE_CLEARANCE))
+    if frames is None:  # every sample height is p3
+        lowest = translations[2]
+        complete, coplanar = lowest <= 0.0, np.abs(lowest) < 1e-12
+    else:
+        # The lowest of all n sample heights: the bottom rung's and those
+        # each higher rung adds. A height is fl(a_j + p3), a_j the sample's
+        # rotated local part; rounding is monotone, so adding p3 after the
+        # minimum gives the same bits.
+        lowest = points[2].min(axis=0)
+        for x, y, *_ in midpoints:
+            r20, r21 = frames[2, :2].reshape(2, groups, k_obj)
+            heights = r20 * x + r21 * y
+            lowest = np.minimum(lowest, heights.min(axis=0).reshape(-1) + translations[2])
+        occ = classify_occlusions(frames.transpose(2, 0, 1), translations.T, source_radius)
+        complete, coplanar = occ.complete, occ.coplanar
+    degenerate = coplanar | (~complete & (lowest < MIN_SURFACE_CLEARANCE))
     # Per occlusion class, its rows and the terms of given rows' samples.
-    classes = (
-        (
-            ~(occ.partial | occ.complete | degenerate),
-            lambda rows, *samples: _circle_values(*samples, source_radius, dof),
-        ),
-        (
-            occ.partial & ~degenerate,
-            lambda rows, *samples: _partial_values(
-                *samples, occ.lo[rows], occ.hi[rows], source_radius, dof
-            ),
-        ),
-    )
+    common = ~(complete | degenerate)
+    classes = [(common, lambda rows, *samples: _circle_values(*samples, source_radius, dof))]
+    if frames is not None:
+        common &= ~occ.partial
+        classes.append(
+            (
+                occ.partial & ~degenerate,
+                lambda rows, *samples: _partial_values(
+                    *samples, occ.lo[rows], occ.hi[rows], source_radius, dof
+                ),
+            )
+        )
     values = np.zeros(len(poses))
     partials = np.zeros((5 if dof == 6 else 3, m, len(poses))) if dof else None
     tolerance = REFINE_TOL * np.abs(scale) if midpoints else None  # on raw sums
@@ -466,8 +503,8 @@ def _block_values(poses, source_radius, ladder, dof):
                 break
             contour_of = rows % k_obj
             tables = tuple(table[..., contour_of] for table in tables)
-            mid_points, mid_tangents = _posed(frames[..., rows], *tables)
-            mid_points += translations[:, rows][:, None]
+            mid_frames = None if frames is None else frames[..., rows]
+            mid_points, mid_tangents = _posed(mid_frames, *tables, translations[:, rows])
             terms, mid_partials = terms_of(rows, mid_points, mid_tangents)
             previous = values[rows]
             values[rows] = finer = 0.5 * (previous + np.ascontiguousarray(terms.T).sum(axis=1))
@@ -478,13 +515,13 @@ def _block_values(poses, source_radius, ladder, dof):
 
     by_group = values.reshape(groups, -1)  # a view of values
     by_group /= scale
-    values[occ.complete] = 0.0  # not -0.0
+    values[complete] = 0.0  # not -0.0
     values[degenerate] = np.nan
     if not dof:
         return values, degenerate
     by_group = grads.reshape(groups, -1, dof)  # a view of grads
     by_group /= scale[:, None]
-    grads[occ.complete] = 0.0
+    grads[complete] = 0.0
     grads[degenerate] = np.nan
     return values, degenerate, grads
 
@@ -518,7 +555,11 @@ def vf_batch(
     rows that climb to it. Each pose's value and gradient, and the rung it
     stops on, are computed independently of the others, so they are bitwise
     identical alone, in any batch or group, at any block split and in any
-    order.
+    order. A block whose poses all have theta = 0 exactly, as every pose
+    of the translation grid, the feasibility search and the shipped loops
+    has, is posed by adds alone and classified by the sign of p3, with no
+    rotation, and gives the same bits as the general path (see
+    _block_values).
     Complete self-obstruction gives exactly 0. Degenerate poses (coplanar
     with the source, or with any of the n samples within
     MIN_SURFACE_CLEARANCE of the source plane, whichever rung the pose
@@ -640,18 +681,27 @@ def view_factor_gradient(
     return grad
 
 
-def _parallel_grid(pose: Pose, r1: float, r2: float, n: int):
-    """Both circles of the parallel-disk references on the n x n periodic
-    trapezoid grid w = 2 pi j / n: the source circle (radius r1, angle w1)
-    on axis 0, the object circle (radius r2, angle w2) on axis 1.
+#: Entries of each (rows, n) temporary of the parallel-disk references: they
+#: sum their n x n grid in blocks of source rows, so a call holds O(n) of
+#: it at a time, about 512 kB per array.
+_PARALLEL_BLOCK_ENTRIES = 2**16
 
-    Returns:
-        (dx, dy, s_sq, cos_dw), each (n, n): the contour-point difference
+
+def _parallel_blocks(pose: Pose, r1: float, r2: float, n: int):
+    """Both circles of the parallel-disk references on the n x n periodic
+    trapezoid grid w = 2 pi j / n, the source circle (radius r1, angle w1)
+    on axis 0 and the object circle (radius r2, angle w2) on axis 1, in
+    blocks of consecutive source rows of about _PARALLEL_BLOCK_ENTRIES
+    entries.
+
+    Yields:
+        (dx, dy, s_sq, cos_dw), each (rows, n): the contour-point difference
         (object minus source) in the plane, the squared distance floored at
         MIN_KERNEL_DISTANCE**2, and cos(w1 - w2).
 
     Raises:
-        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
+        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0, when
+            the first block is drawn.
     """
     if pose.theta_x != 0.0 or pose.theta_y != 0.0 or pose.theta_z != 0.0:
         raise ValueError("the parallel-disk references require a zero-rotation pose")
@@ -661,10 +711,13 @@ def _parallel_grid(pose: Pose, r1: float, r2: float, n: int):
         raise ValueError("radii must be positive")
     w = TWO_PI / n * np.arange(n)
     cos_w, sin_w = np.cos(w), np.sin(w)
-    dx = pose.p1 + r2 * cos_w[None, :] - r1 * cos_w[:, None]
-    dy = pose.p2 + r2 * sin_w[None, :] - r1 * sin_w[:, None]
-    s_sq = np.maximum(dx * dx + dy * dy + pose.p3**2, MIN_KERNEL_DISTANCE**2)
-    return dx, dy, s_sq, np.cos(w[:, None] - w[None, :])
+    step = max(1, _PARALLEL_BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        dx = pose.p1 + r2 * cos_w[None, :] - r1 * cos_w[rows, None]
+        dy = pose.p2 + r2 * sin_w[None, :] - r1 * sin_w[rows, None]
+        s_sq = np.maximum(dx * dx + dy * dy + pose.p3**2, MIN_KERNEL_DISTANCE**2)
+        yield dx, dy, s_sq, np.cos(w[rows, None] - w[None, :])
 
 
 def vf_parallel_disks(
@@ -681,9 +734,12 @@ def vf_parallel_disks(
         ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
     """
     n = spec.n_per_dim
-    _, _, s_sq, cos_dw = _parallel_grid(pose, r1, r2, n)
-    # ln s = ln(s^2) / 2, trapezoid weight (2 pi / n)^2, A2 = pi r2^2.
-    raw = r1 * r2 * (TWO_PI / n) ** 2 * np.sum(cos_dw * (0.5 * np.log(s_sq)))
+    total = sum(
+        float(np.sum(cos_dw * (0.5 * np.log(s_sq))))  # ln s = ln(s^2) / 2
+        for _, _, s_sq, cos_dw in _parallel_blocks(pose, r1, r2, n)
+    )
+    # Trapezoid weight (2 pi / n)^2, A2 = pi r2^2.
+    raw = r1 * r2 * (TWO_PI / n) ** 2 * total
     return ViewFactor.from_raw(-raw / (TWO_PI * math.pi * r2**2))
 
 
@@ -701,7 +757,8 @@ def l_parallel(
     three translation sensitivities are double integrals of the shared
     scalar kernel h = lambda1 * r1 r2 cos(w1 - w2) / (2 pi A2 s^2) against
     the components (dx, dy, p3) of the contour-point difference, on the
-    same n x n periodic trapezoid grid, built once for all three.
+    same n x n periodic trapezoid grid, each block of it taken once for
+    all three.
 
     Returns:
         (3,) array: d(rate)/d(p1, p2, p3) in K/s per m/s.
@@ -710,13 +767,13 @@ def l_parallel(
         ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
     """
     n = spec.n_per_dim
-    dx, dy, s_sq, cos_dw = _parallel_grid(pose, r1, r2, n)
-    kernel = cos_dw / s_sq
+    sums = np.zeros(3)
+    for dx, dy, s_sq, cos_dw in _parallel_blocks(pose, r1, r2, n):
+        kernel = cos_dw / s_sq
+        sums += (np.sum(kernel * dx), np.sum(kernel * dy), np.sum(kernel))
     # Trapezoid weight (2 pi / n)^2, A2 = pi r2^2.
     prefactor = lambda1 * r1 * r2 * (TWO_PI / n) ** 2 / (TWO_PI * math.pi * r2**2)
-    return -prefactor * np.array(
-        [np.sum(kernel * dx), np.sum(kernel * dy), pose.p3 * np.sum(kernel)]
-    )
+    return -prefactor * np.array([sums[0], sums[1], pose.p3 * sums[2]])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from thermoservo import (
     VelocityLimits,
     Workspace,
     classify_occlusion,
+    isosurface_grid,
     lambdas,
     pairwise_feasibility,
     run_simulation,
@@ -42,7 +43,13 @@ from thermoservo import (
 from thermoservo import feasibility as feasibility_module
 from thermoservo import simulator as simulator_module
 from thermoservo import viewfactor as viewfactor_module
-from thermoservo.geometry import MIN_SURFACE_CLEARANCE, TWO_PI, classify_occlusions, fourier_fit
+from thermoservo.geometry import (
+    MIN_SURFACE_CLEARANCE,
+    TWO_PI,
+    classify_occlusions,
+    fourier_fit,
+    rotation_planes,
+)
 from thermoservo.units import celsius_to_kelvin
 from thermoservo.viewfactor import MIN_KERNEL_DISTANCE, REFINE_TOL, _rungs, vf_batch
 
@@ -957,6 +964,122 @@ def test_equal_contours_share_one_cache_entry(monkeypatch):
     second = vf_batch(poses, SOURCE_RADIUS, (CircleContour(0.015), twin), spec)
     assert len(viewfactor_module._NODE_CACHE) == entries
     assert first[0].tobytes() == second[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Zero-rotation blocks: posed by adds, against the general path
+# ---------------------------------------------------------------------------
+
+
+def general_path():
+    """Every block takes the general path: rotation_planes, the occlusion
+    test and the height minima, whatever its angles."""
+    return mock.patch.object(viewfactor_module, "_frames", rotation_planes)
+
+
+signed_zero = st.sampled_from((0.0, -0.0))
+#: Heights that reach every flag of a zero-rotation pose: the source plane
+#: (either zero), inside and just outside the coplanar band, below the
+#: plane (Complete), at and around the contact clearance, near contact
+#: (climbing to n=64) and well clear of it.
+zero_rotation_heights = st.one_of(
+    st.sampled_from(
+        (
+            0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12, MIN_SURFACE_CLEARANCE,
+            math.nextafter(MIN_SURFACE_CLEARANCE, 0.0), math.nextafter(MIN_SURFACE_CLEARANCE, 1.0),
+        )
+    ),
+    st.floats(-0.05, -1e-9),
+    st.floats(1e-7, 2e-3),
+    st.floats(0.003, 0.3),
+)
+#: Lateral offsets, with signed zeros and the circle's own radius, which put
+#: a sample on x = 0 or y = 0.
+zero_rotation_laterals = st.one_of(signed_zero, st.sampled_from((0.015, -0.015)), lateral)
+zero_rotation_poses = st.tuples(
+    zero_rotation_laterals, zero_rotation_laterals, zero_rotation_heights,
+    signed_zero, signed_zero, signed_zero,
+)
+
+
+@st.composite
+def zero_rotation_batches(draw):
+    """(contours, n, poses, samples): a group of K = 1 to 3 contours, G * K
+    zero-rotation poses and a block budget of one to three groups, so that
+    the batch spans several blocks."""
+    contours = tuple(
+        draw(st.lists(st.sampled_from(GROUP_CONTOURS), min_size=1, max_size=3))
+    )
+    n = draw(st.sampled_from((16, 64)))
+    rows = draw(st.integers(1, 8)) * len(contours)
+    poses = np.array(draw(st.lists(zero_rotation_poses, min_size=rows, max_size=rows)))
+    samples = draw(st.integers(1, 3 * len(contours) * _rungs(n)[0]))
+    return contours, n, poses, samples
+
+
+@given(batch=zero_rotation_batches(), dof=dofs)
+@settings(max_examples=120, deadline=None)
+def test_zero_rotation_blocks_match_the_general_path_bitwise(batch, dof):
+    """Values, flags and gradients of zero-rotation poses, in one block and
+    over several, are bitwise those of the general path called directly."""
+    contours, n, poses, samples = batch
+    spec = QuadratureSpec(n)
+    outputs = vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof)
+    with general_path():
+        assert_same_outputs(outputs, vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof))
+    with block_budget(samples):
+        split = vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof)
+        with general_path():
+            assert_same_outputs(split, vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof))
+    assert_same_outputs(outputs, split)
+
+
+@given(batch=zero_rotation_batches(), dof=dofs, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_tiny_angle_sends_its_block_to_the_general_path(batch, dof, data):
+    """One pose turned by a tiny angle takes its block off the zero-rotation
+    path; every row, that block's and the others', keeps the general path's
+    bits, and the zero-rotation rows keep those of a batch without it."""
+    contours, n, poses, samples = batch
+    spec = QuadratureSpec(n)
+    row = data.draw(st.integers(0, len(poses) - 1), label="row")
+    axis = data.draw(st.integers(3, 5), label="axis")
+    turn = data.draw(st.sampled_from((5e-324, -1e-300, 1e-12, -1e-9, 0.3)), label="turn")
+    mixed = poses.copy()
+    mixed[row, axis] = turn
+    zero = np.ones(len(poses), dtype=bool)
+    zero[row] = False
+    with block_budget(samples):
+        outputs = vf_batch(mixed, SOURCE_RADIUS, contours, spec, dof=dof)
+        with general_path():
+            assert_same_outputs(outputs, vf_batch(mixed, SOURCE_RADIUS, contours, spec, dof=dof))
+    unturned = vf_batch(poses, SOURCE_RADIUS, contours, spec, dof=dof)
+    assert_same_outputs([a[zero] for a in outputs], [a[zero] for a in unturned])
+
+
+def test_zero_rotation_callers_skip_the_rotation(bench_env, aluminum_lambdas, monkeypatch):
+    """The feasibility search and the translation grid pose every block by
+    adds: rotation_planes, patched to raise, is never called. The grid's
+    values are those of the general path."""
+    grid = GridSpec(ranges=((-4.0, 4.0), (-4.0, 4.0), (0.0, 8.0)), step=2.0)
+    with general_path():
+        general = isosurface_grid(SOURCE_RADIUS, CONTOURS["fourier"], "translation", grid)
+
+    def no_rotation(angles):
+        raise AssertionError("a zero-rotation block built rotation planes")
+
+    monkeypatch.setattr(viewfactor_module, "rotation_planes", no_rotation)
+    field = isosurface_grid(SOURCE_RADIUS, CONTOURS["fourier"], "translation", grid)
+    assert field.n_cells <= 256  # one serial call: the patch reaches it
+    assert field.degenerate[:, :, 0].all() and not field.degenerate[:, :, 1:].any()
+    assert field.values.tobytes() == general.values.tobytes()
+    report = pairwise_feasibility(
+        [celsius_to_kelvin(30.0)] * 2,
+        [(0.02, 0.0, 0.0), (-0.02, 0.0, 0.01)],
+        [(CircleContour(0.015), aluminum_lambdas), (CONTOURS["fourier"], aluminum_lambdas)],
+        SOURCE_RADIUS, bench_env, grid, QuadratureSpec(16),
+    )
+    assert report.witness is not None
 
 
 # ---------------------------------------------------------------------------

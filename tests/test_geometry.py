@@ -228,6 +228,35 @@ class TestClassifyOcclusion:
         with pytest.raises(ValueError):
             classify_occlusion(Pose(0, 0, 0.05), -1.0)
 
+    @given(
+        translations=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0)),
+                st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0)),
+                st.one_of(
+                    st.sampled_from((0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13, 5e-324)),
+                    st.floats(-1.0, 1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        signs=st.lists(st.sampled_from((0.0, -0.0)), min_size=3, max_size=3),
+        radius=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=200)
+    def test_zero_rotation_reduces_to_the_sign_of_p3(self, translations, signs, radius):
+        """At theta = 0 exactly (either sign of zero) no pose is Partial, a
+        pose is Complete iff p3 <= 0 and coplanar iff |p3| < 1e-12: the
+        reduction the kernel's zero-rotation blocks use in place of this
+        test."""
+        p3 = np.array([t[2] for t in translations])
+        rotations = np.repeat(rotation_from_euler(*signs)[None], len(p3), axis=0)
+        occ = classify_occlusions(rotations, np.array(translations), radius)
+        assert not occ.partial.any()
+        assert (occ.complete == (p3 <= 0.0)).all()
+        assert (occ.coplanar == (np.abs(p3) < 1e-12)).all()
+
 
 class TestFourierFit:
     def test_circle_has_pure_fundamental(self):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from thermoservo import (
     Pose,
     QuadratureSpec,
     ViewFactor,
+    l_parallel,
     vf_dsi_oracle,
     vf_general,
     vf_parallel_disks,
@@ -95,6 +98,37 @@ class TestParallelDisks:
             fine = vf_parallel_disks(pose, 0.10, 0.015, QuadratureSpec(512)).value
             worst = max(worst, abs(coarse - fine))
         assert worst <= 1e-6, f"n=32 vs n=512: {worst:.2e}"
+
+    @pytest.mark.parametrize("entries", [1, 3 * 64 + 5, 64 * 64])
+    def test_row_blocks_sum_the_whole_grid(self, entries):
+        """Blocks of one row, of 3 rows with a short last block, and one
+        block of the whole grid give the same references to rounding."""
+        pose, spec = Pose(0.01, -0.02, 0.04), QuadratureSpec(64)
+        value = vf_parallel_disks(pose, 0.10, 0.015, spec).value
+        row = l_parallel(pose, 0.10, 0.015, 1.0, spec)
+        with mock.patch.object(viewfactor, "_PARALLEL_BLOCK_ENTRIES", entries):
+            assert vf_parallel_disks(pose, 0.10, 0.015, spec).value == pytest.approx(
+                value, rel=1e-13
+            )
+            assert l_parallel(pose, 0.10, 0.015, 1.0, spec) == pytest.approx(row, rel=1e-13)
+
+    @pytest.mark.parametrize("reference", ["vf_parallel_disks", "l_parallel"])
+    def test_memory_is_row_blocks_not_the_grid(self, reference):
+        """One n=2048 call allocates at most 12 MB at a time: a few (rows, n)
+        blocks of about 512 kB each, where the four 2048 x 2048 grids took
+        about 170-200 MB."""
+        pose, spec = Pose(0.01, -0.02, 0.04), QuadratureSpec(2048)
+        call = {
+            "vf_parallel_disks": lambda: vf_parallel_disks(pose, 0.10, 0.015, spec),
+            "l_parallel": lambda: l_parallel(pose, 0.10, 0.015, 1.0, spec),
+        }[reference]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestGeneral:
