@@ -13,6 +13,7 @@ matrix J built from view-factor gradients alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Gains:
-    """Controller gains; all strictly positive.
+    """Controller gains; all finite and strictly positive.
 
     d and k shape the model-based spring-damper response; mu weights the
     combined thermal error of the adaptive law; gamma1/gamma2 are the
@@ -35,8 +36,9 @@ class Gains:
 
     def __post_init__(self) -> None:
         for name in ("d", "k", "mu", "gamma1", "gamma2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"gain {name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"gain {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,10 @@ class VelocityLimits:
     max_rotation: float = 0.2  # rad/s
 
     def __post_init__(self) -> None:
-        if self.max_translation <= 0.0 or self.max_rotation <= 0.0:
-            raise ValueError("velocity limits must be positive")
+        for name in ("max_translation", "max_rotation"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"velocity limit {name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -9,12 +9,14 @@ during that initialization stage.
 
 The fit is in u = (t - t_newest) / span, span being the window's time
 extent, so the newest sample sits at u = 0: the constant coefficient is the
-smoothed temperature and the linear one divided by span the rate, and the
-Vandermonde matrix stays well conditioned at any absolute time. One window
-serves any number of objects sampled at the same times: each sample's
-temperature may be a vector, and all columns are fitted in one solve. With
-uniform sampling the fit is a fixed linear filter (Savitzky & Golay, Anal.
-Chem. 1964).
+smoothed temperature and the linear one divided by span the rate. Samples
+come at evenly spaced times, so a full window's u are always (j - 9) / 9
+and the fit is one fixed linear filter, built once at import (Savitzky &
+Golay, Anal. Chem. 1964); a push that breaks the spacing is rejected. One
+window serves any number of objects sampled at the same times: each
+sample's temperature may be a vector of K columns, and each column sums its
+products in the same order, so a K-column window gives, bit for bit, what K
+one-column windows give.
 """
 from __future__ import annotations
 
@@ -23,12 +25,21 @@ from collections import deque
 import numpy as np
 
 WINDOW_SIZE = 10
-_TERMS = 4  # cubic fit
+# Rows (T_hat, span * v_hat) of the cubic fit: the first two rows of the
+# pseudoinverse of the window's Vandermonde matrix, shaped (2, 1, window) to
+# meet a (K, window) stack of columns.
+_FILTER = np.linalg.pinv(
+    np.vander(np.arange(1 - WINDOW_SIZE, 1) / (WINDOW_SIZE - 1), 4, increasing=True)
+)[:2, None, :]
+# Largest deviation of a sample time from even spacing, as a share of the
+# window's span.
+_SPACING_TOL = 1e-9
 
 
 class SampleWindow:
-    """Ring of samples at strictly increasing times; each sample is one
-    temperature or a vector of K temperatures taken at that time."""
+    """Ring of samples at strictly increasing, evenly spaced times; each
+    sample is one temperature or a vector of K temperatures taken at that
+    time."""
 
     def __init__(self) -> None:
         self._times: deque[float] = deque(maxlen=WINDOW_SIZE)
@@ -48,22 +59,28 @@ class SampleWindow:
         pair of length-K arrays, one entry per column.
 
         Raises:
-            ValueError: Timestamp not greater than the last one.
+            ValueError: Timestamp not greater than the last one, or one
+                that leaves the window's times unevenly spaced by more than
+                1e-9 of its span. The sample is not stored.
         """
+        time_s = float(time_s)
         if self._times and time_s <= self._times[-1]:
             raise ValueError(
                 f"timestamps must be strictly increasing ({time_s} after {self._times[-1]})"
             )
-        self._times.append(float(time_s))
+        times = [*self._times, time_s][-WINDOW_SIZE:]
+        span = time_s - times[0]
+        step = span / max(len(times) - 1, 1)
+        if any(abs(t - times[0] - j * step) > _SPACING_TOL * span for j, t in enumerate(times)):
+            raise ValueError(f"timestamps must be evenly spaced ({time_s} after {times[:-1]})")
+        self._times.append(time_s)
         self._temps.append(np.array(temperature, dtype=float))
         if not self.filled:
             return None
-        times = np.array(self._times)
-        span = times[-1] - times[0]
-        vander = np.vander((times - times[-1]) / span, _TERMS, increasing=True)
         temps = np.array(self._temps)
-        coeffs = np.linalg.lstsq(vander, temps, rcond=None)[0]
-        t_hat, v_hat = coeffs[0], coeffs[1] / span
+        # The window axis last and contiguous: every column sums in one order.
+        fit = np.sum(_FILTER * np.ascontiguousarray(temps.T), axis=-1)  # (2, K or 1)
+        t_hat, v_hat = fit[0], fit[1] / span
         if temps.ndim == 1:
-            return float(t_hat), float(v_hat)
+            return float(t_hat[0]), float(v_hat[0])
         return t_hat, v_hat

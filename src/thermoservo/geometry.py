@@ -72,12 +72,6 @@ class Pose:
     def from_vector(x: np.ndarray) -> "Pose":
         return Pose(*(float(v) for v in x))
 
-    def perturbed(self, index: int, delta: float) -> "Pose":
-        """Pose with a single coordinate shifted by delta (for gradients)."""
-        x = self.as_vector()
-        x[index] += delta
-        return Pose.from_vector(x)
-
 
 def _trig(angles) -> tuple[np.ndarray, np.ndarray]:
     """Cosines and sines of (3, ...) angle planes, computed on a contiguous

@@ -58,6 +58,13 @@ class ObjectSpec:
     initial_temp: float  # K
     unknown_params: bool = False
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.initial_temp < math.inf:
+            raise ScenarioError(
+                f"object {self.name!r}: initial temperature must be finite and above "
+                f"0 K, got {self.initial_temp} K"
+            )
+
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -67,8 +74,10 @@ class SensorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_amplitude < 0.0:
-            raise ScenarioError("noise amplitude must be non-negative")
+        if not 0.0 <= self.noise_amplitude < math.inf:
+            raise ScenarioError(
+                f"noise amplitude must be finite and non-negative, got {self.noise_amplitude}"
+            )
         if self.seed < 0:
             raise ScenarioError(f"sensor seed must be non-negative, got {self.seed}")
 
@@ -163,18 +172,22 @@ class Scenario:
             raise ScenarioError("boundary_mode must be 'terminate' or 'clip'")
         if len(self.targets) != len(self.objects):
             raise ScenarioError("one target per object required")
+        if not all(0.0 < t < math.inf for t in self.targets):
+            raise ScenarioError(f"targets must be finite and above 0 K, got {self.targets} K")
         if self.controller not in ("model_based", "adaptive"):
             raise ScenarioError(f"unknown controller: {self.controller}")
         if self.dof not in (3, 6):
             raise ScenarioError("dof must be 3 or 6")
         if len(self.objects) > self.dof:
             raise ScenarioError("need no more objects than controlled DOF")
-        if self.duration <= 0.0 or self.control_period <= 0.0:
-            raise ScenarioError("duration and control period must be positive")
-        if self.plant_dt <= 0.0:
-            raise ScenarioError("plant_dt must be positive")
-        if self.source_radius <= 0.0:
-            raise ScenarioError("source radius must be positive")
+        for name in ("duration", "control_period", "plant_dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ScenarioError(f"{name} must be finite and positive, got {value} s")
+        if not 0.0 < self.source_radius < math.inf:
+            raise ScenarioError(
+                f"source radius must be finite and positive, got {self.source_radius} m"
+            )
         if not 0.0 <= self.pinv_damping < math.inf:
             raise ScenarioError(f"pinv_damping must be finite and >= 0, got {self.pinv_damping}")
         if any(o.unknown_params for o in self.objects) and self.controller != "adaptive":

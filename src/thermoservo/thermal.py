@@ -76,8 +76,8 @@ class Environment:
     ambient_temp: float
 
     def __post_init__(self) -> None:
-        if not (self.source_temp > self.ambient_temp > 0.0):
-            raise ValueError("require source_temp > ambient_temp > 0")
+        if not (math.inf > self.source_temp > self.ambient_temp > 0.0):
+            raise ValueError("require finite source_temp > ambient_temp > 0")
         if not 0.0 < self.source_emittance <= 1.0:
             raise ValueError("source_emittance must be in (0, 1]")
 

@@ -227,8 +227,10 @@ def test_criterion_3_interaction_consistency(aluminum_lambdas):
         reference = np.empty(3)
         h = 1e-5
         for i in range(3):
-            fp = vf_parallel_disks(pose.perturbed(i, h), SOURCE_RADIUS, 0.015, spec).value
-            fm = vf_parallel_disks(pose.perturbed(i, -h), SOURCE_RADIUS, 0.015, spec).value
+            x, step = pose.as_vector(), h * np.eye(6)[i]
+            up, down = Pose.from_vector(x + step), Pose.from_vector(x - step)
+            fp = vf_parallel_disks(up, SOURCE_RADIUS, 0.015, spec).value
+            fm = vf_parallel_disks(down, SOURCE_RADIUS, 0.015, spec).value
             reference[i] = lam1 * (fp - fm) / (2 * h)
         worst = max(worst, np.linalg.norm(row - reference) / np.linalg.norm(reference))
     coaxial = l_parallel(Pose(0, 0, 0.05), SOURCE_RADIUS, 0.015, lam1, spec)

@@ -226,6 +226,37 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("invalid scenario: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ((), "control_period_s", math.inf),
+            ((), "duration_s", math.nan),
+            (("sensor",), "noise_c", math.inf),
+            (("objects", 0), "initial_temp_c", -300.0),
+            (("controller", "limits"), "max_translation_m_s", math.nan),
+            (("controller", "gains"), "d", math.inf),
+        ],
+    )
+    def test_non_finite_number_fails_before_the_run(
+        self, quick_scenario_file, tmp_path, monkeypatch, capsys, where, key, value
+    ):
+        def not_called(scenario):
+            raise AssertionError(f"the run started with {key} = {value}")
+
+        monkeypatch.setattr(cli, "run_simulation", not_called)
+        raw = yaml.safe_load(quick_scenario_file.read_text())
+        mapping = raw
+        for k in where:
+            mapping = mapping[k]
+        mapping[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "bad.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err.startswith("invalid scenario: ")
+        assert not out.exists()
+
     def test_malformed_waypoint_returns_invalid(self, quick_scenario_file, tmp_path, capsys):
         raw = yaml.safe_load(quick_scenario_file.read_text())
         raw["source"]["waypoints"] = [{"time_s": 0.0, "center_cm": [0, 0]}]

@@ -120,7 +120,7 @@ class TestVectorWindow:
         k_cols = 3
         vector = SampleWindow()
         scalars = [SampleWindow() for _ in range(k_cols)]
-        times = 1234.5 + np.cumsum(rng.uniform(0.5, 1.5, 40))
+        times = 1234.5 + 0.8 * np.arange(40)
         samples = 300.0 + np.cumsum(rng.uniform(-0.5, 0.5, (40, k_cols)), axis=0)
         for t, row in zip(times, samples):
             got = vector.push_and_estimate(float(t), row)
@@ -130,8 +130,8 @@ class TestVectorWindow:
                 continue
             t_hat, v_hat = got
             assert t_hat.shape == v_hat.shape == (k_cols,)
-            np.testing.assert_allclose(t_hat, [e[0] for e in expected], rtol=1e-12)
-            np.testing.assert_allclose(v_hat, [e[1] for e in expected], rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(t_hat, [e[0] for e in expected])
+            np.testing.assert_array_equal(v_hat, [e[1] for e in expected])
 
     @pytest.mark.parametrize("k_cols", [None, 1, 4])
     def test_cubic_exact_for_both_shapes(self, k_cols):
@@ -156,3 +156,134 @@ class TestVectorWindow:
         for k in range(10):
             result = window.push_and_estimate(float(k), np.float64(300.0 + k))
         assert type(result[0]) is float and type(result[1]) is float
+
+
+def lstsq_estimate(times, temps):
+    """The cubic least-squares fit the filter replaces, solved on the
+    window's own times: (T_hat, v_hat) at the newest sample."""
+    times = np.asarray(times)
+    span = times[-1] - times[0]
+    vander = np.vander((times - times[-1]) / span, 4, increasing=True)
+    coeffs = np.linalg.lstsq(vander, np.asarray(temps), rcond=None)[0]
+    return coeffs[0], coeffs[1] / span
+
+
+# Evenly spaced windows as the loop pushes them: a period, a start time and
+# K columns (None: a scalar sample), pushed 10 to 25 times.
+evenly_spaced_runs = st.tuples(
+    st.floats(0.05, 4.0),
+    st.floats(0.0, 1e5),
+    st.sampled_from([None, 1, 2, 3, 4]),
+    st.integers(10, 25),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _on_binary_grid(run):
+    """The run with its period and start rounded to multiples of 2^-16 s:
+    every time start + k * period is then exact, and so is each window's
+    u = (t - t_newest) / span = (j - 9) / 9, the u the filter is built on."""
+    period, start, *rest = run
+    return (round(period * 2**16) / 2**16, round(start * 2**16) / 2**16, *rest)
+
+
+exact_time_runs = evenly_spaced_runs.map(_on_binary_grid)
+
+
+def run_samples(period, start, k_cols, count, seed):
+    """Times start + k * period and a random walk around 300 K whose step
+    size is drawn per run."""
+    rng = np.random.default_rng(seed)
+    times = [start + k * period for k in range(count)]
+    shape = (count,) if k_cols is None else (count, k_cols)
+    temps = 300.0 + np.cumsum(rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 1), axis=0)
+    return times, temps
+
+
+class TestFixedFilter:
+    """The fixed filter against the least-squares solve it replaces."""
+
+    @given(exact_time_runs)
+    @settings(max_examples=60, deadline=None)
+    def test_filter_matches_lstsq_on_exact_times(self, run):
+        """On exact times the solve and the filter see the same u, so the
+        1e-12 bounds their arithmetic."""
+        self._check_against_lstsq(run, 1e-12)
+
+    @given(evenly_spaced_runs)
+    @settings(max_examples=60, deadline=None)
+    def test_filter_matches_lstsq_on_rounded_times(self, run):
+        """Rounded times sit up to half an ulp of t off the even grid, which
+        the solve sees and the filter does not: at start times up to 1e5 s
+        and periods down to 0.05 s that is 1.6e-11 of the span. The bound is
+        the window's spacing tolerance, 1e-9."""
+        self._check_against_lstsq(run, 1e-9)
+
+    @staticmethod
+    def _check_against_lstsq(run, rtol):
+        """Every estimate of the run within rtol of the window's largest
+        temperature on T_hat, and of that over the span on v_hat."""
+        times, temps = run_samples(*run)
+        window = SampleWindow()
+        for k, (t, temp) in enumerate(zip(times, temps)):
+            got = window.push_and_estimate(t, temp)
+            if k < 9:
+                assert got is None
+                continue
+            last = slice(k - 9, k + 1)
+            t_ref, v_ref = lstsq_estimate(times[last], temps[last])
+            scale = np.abs(temps[last]).max()
+            span = times[k] - times[k - 9]
+            np.testing.assert_allclose(got[0], t_ref, rtol=0.0, atol=rtol * scale)
+            np.testing.assert_allclose(got[1], v_ref, rtol=0.0, atol=rtol * scale / span)
+
+    @given(evenly_spaced_runs)
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_scalar_windows_bit_for_bit(self, run):
+        period, start, k_cols, count, seed = run
+        times, temps = run_samples(period, start, k_cols or 1, count, seed)
+        vector = SampleWindow()
+        scalars = [SampleWindow() for _ in range(temps.shape[1])]
+        for t, row in zip(times, temps):
+            got = vector.push_and_estimate(t, row)
+            expected = [w.push_and_estimate(t, float(v)) for w, v in zip(scalars, row)]
+            if got is None:
+                assert expected == [None] * len(scalars)
+                continue
+            np.testing.assert_array_equal(got[0], [e[0] for e in expected])
+            np.testing.assert_array_equal(got[1], [e[1] for e in expected])
+
+    @given(
+        evenly_spaced_runs,
+        st.floats(1e-6, 0.9) | st.floats(-0.9, -1e-6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uneven_push_is_rejected_and_not_stored(self, run, offset):
+        """A push `offset` periods off the even spacing raises; the next
+        evenly spaced push estimates as if the bad one never came."""
+        times, temps = run_samples(*run)
+        period = run[0]
+        window, clean = SampleWindow(), SampleWindow()
+        for t, temp in zip(times[:-1], temps[:-1]):
+            window.push_and_estimate(t, temp)
+            clean.push_and_estimate(t, temp)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            window.push_and_estimate(times[-1] + offset * period, temps[-1])
+        assert len(window) == len(clean)
+        got = window.push_and_estimate(times[-1], temps[-1])
+        expected = clean.push_and_estimate(times[-1], temps[-1])
+        assert got is not None
+        np.testing.assert_array_equal(got, expected)
+
+    def test_no_solver_runs_per_push(self, monkeypatch):
+        """The filter is built once, at import."""
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("a solver ran during a push")
+
+        for module, name in ((np.linalg, "lstsq"), (np.linalg, "pinv"), (np.linalg, "solve"),
+                             (np.linalg, "qr"), (np.linalg, "svd"), (np, "vander")):
+            monkeypatch.setattr(module, name, no_solver)
+        window = SampleWindow()
+        estimates = [window.push_and_estimate(2.0 * k, [300.0 + k, 310.0]) for k in range(12)]
+        assert all(e is not None for e in estimates[9:])

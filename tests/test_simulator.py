@@ -606,6 +606,39 @@ class TestScenarioSchema:
                 scenario_from_dict(bad)
 
     @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ((), "duration_s", math.nan, "duration must be finite and positive"),
+            ((), "control_period_s", math.inf, "control_period must be finite and positive"),
+            ((), "plant_dt_s", math.nan, "plant_dt must be finite and positive"),
+            (("controller", "limits"), "max_translation_m_s", math.nan,
+             "velocity limit max_translation must be finite and positive"),
+            (("controller", "limits"), "max_rotation_rad_s", math.inf,
+             "velocity limit max_rotation must be finite and positive"),
+            *((("controller", "gains"), gain, math.inf, f"gain {gain} must be finite and positive")
+              for gain in ("d", "k", "mu", "gamma1", "gamma2")),
+            (("sensor",), "noise_c", math.inf, "noise amplitude must be finite and non-negative"),
+            (("objects", 0), "initial_temp_c", -300.0,
+             "initial temperature must be finite and above 0 K"),
+            (("objects", 0), "initial_temp_c", math.nan,
+             "initial temperature must be finite and above 0 K"),
+            ((), "targets_c", [40.0, math.nan, 50.0], "targets must be finite and above 0 K"),
+            (("source",), "radius_cm", math.inf, "source radius must be finite and positive"),
+            (("environment",), "source_temp_c", math.inf,
+             "require finite source_temp > ambient_temp > 0"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected_at_load(self, where, key, value, message):
+        """Each of these loaded and then failed inside the run (an overflow,
+        a NaN tick count, a plant step's error, a non-finite control or
+        temperature) or ran with its check off (a NaN velocity limit
+        disabled the clamp)."""
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        _at(raw, where)[key] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize(
         "where, key, value",
         [
             (("sensor",), "seed", -1),
