@@ -61,6 +61,7 @@ from .thermal import (
     ThermalDivergenceError,
     ThermalState,
     ThermoParams,
+    integrate_period,
     integrate_thermal,
     lambdas,
 )

@@ -11,26 +11,35 @@ The fit is in u = (t - t_newest) / span, span being the window's time
 extent, so the newest sample sits at u = 0: the constant coefficient is the
 smoothed temperature and the linear one divided by span the rate. Samples
 come at evenly spaced times, so a full window's u are always (j - 9) / 9
-and the fit is one fixed linear filter, built once at import (Savitzky &
-Golay, Anal. Chem. 1964); a push that breaks the spacing is rejected. One
-window serves any number of objects sampled at the same times: each
-sample's temperature may be a vector of K columns, and each column sums its
-products in the same order, so a K-column window gives, bit for bit, what K
-one-column windows give.
+and the fit is one fixed linear filter, built once, on the first full
+window (Savitzky & Golay, Anal. Chem. 1964); a push that breaks the
+spacing is rejected. One window serves any number of objects sampled at
+the same times: each sample's temperature may be a vector of K columns, and
+each column sums its products in the same order, so a K-column window
+gives, bit for bit, what K one-column windows give.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 import numpy as np
 
 WINDOW_SIZE = 10
-# Rows (T_hat, span * v_hat) of the cubic fit: the first two rows of the
-# pseudoinverse of the window's Vandermonde matrix, shaped (2, 1, window) to
-# meet a (K, window) stack of columns.
-_FILTER = np.linalg.pinv(
-    np.vander(np.arange(1 - WINDOW_SIZE, 1) / (WINDOW_SIZE - 1), 4, increasing=True)
-)[:2, None, :]
+
+
+@functools.cache
+def _filter() -> np.ndarray:
+    """Rows (T_hat, span * v_hat) of the cubic fit: the first two rows of the
+    pseudoinverse of the window's Vandermonde matrix, shaped (2, 1, window)
+    to meet a (K, window) stack of columns. Built on the first full window,
+    so a process that never estimates makes no LAPACK call for it."""
+    u = np.arange(1 - WINDOW_SIZE, 1) / (WINDOW_SIZE - 1)
+    rows = np.linalg.pinv(np.vander(u, 4, increasing=True))[:2, None, :]
+    rows.flags.writeable = False  # one array serves every window
+    return rows
+
+
 # Largest deviation of a sample time from even spacing, as a share of the
 # window's span.
 _SPACING_TOL = 1e-9
@@ -79,7 +88,7 @@ class SampleWindow:
             return None
         temps = np.array(self._temps)
         # The window axis last and contiguous: every column sums in one order.
-        fit = np.sum(_FILTER * np.ascontiguousarray(temps.T), axis=-1)  # (2, K or 1)
+        fit = np.sum(_filter() * np.ascontiguousarray(temps.T), axis=-1)  # (2, K or 1)
         t_hat, v_hat = fit[0], fit[1] / span
         if temps.ndim == 1:
             return float(t_hat[0]), float(v_hat[0])

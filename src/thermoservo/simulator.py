@@ -32,9 +32,8 @@ from .scenario import Scenario
 from .thermal import (
     LambdaParams,
     ThermalDivergenceError,
-    ThermalState,
     ThermoParams,
-    integrate_thermal,
+    integrate_period,
     lambdas,
 )
 from .units import kelvin_to_celsius
@@ -132,6 +131,9 @@ def run_simulation(scenario: Scenario) -> RunLog:
     current source-relative pose, compute the velocity command, Euler-step
     the pose over one period, then integrate the thermal plant across the
     period. The robot holds still until the estimator window has 10 samples.
+    One `integrate_period` call per period advances every object; each
+    object's RK4 takes as many steps as step doubling asks for, at most
+    round(control_period / plant_dt).
 
     Each plant step makes one view-factor kernel call over the period's
     ends. It returns F21 and its gradient over the controlled coordinates:
@@ -163,7 +165,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
     temps = np.array([o.initial_temp for o in scenario.objects])
     period = scenario.control_period
     n_ticks = scenario.n_ticks
-    substeps = max(1, int(round(period / scenario.plant_dt)))
+    max_steps = max(1, int(round(period / scenario.plant_dt)))
     schedule = scenario.source_schedule
     moving_source = schedule is not None and schedule.moves
     offsets = np.zeros((n_obj, 6))  # object frames relative to the end effector
@@ -308,21 +310,7 @@ def run_simulation(scenario: Scenario) -> RunLog:
                     f"{t:g} s and {(tick + 1) * period:g} s"
                 )
             f_ends, g_ends = view_factors(rel)
-            for i in range(n_obj):
-                f_start, f_end = float(f_ends[0, i]), float(f_ends[-1, i])
-
-                def f_of_time(tt: float, a=f_start, b=f_end, t0=t) -> float:
-                    return a + (b - a) * (tt - t0) / period
-
-                _, traj = integrate_thermal(
-                    ThermalState(temps[i]),
-                    f_of_time,
-                    lams[i],
-                    period / substeps,
-                    substeps,
-                    t0=t,
-                )
-                temps[i] = traj[-1]
+            temps, _ = integrate_period(temps, f_ends[0], f_ends[-1], lams, t, period, max_steps)
             rel_now, f_now, g_now = rel[-1], f_ends[-1], g_ends[-1]
     except DegeneratePoseError as exc:
         termination, detail = "degenerate_pose", str(exc)

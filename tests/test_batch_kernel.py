@@ -1360,23 +1360,23 @@ def sheet_scenario(n_objects, schedule=None, duration=40.0):
 
 def poses_per_call(monkeypatch, scenario):
     """Poses in each kernel call of a run, and the (start, end) view
-    factors each plant step of object 1 saw."""
+    factors each plant call saw for object 1."""
     sizes, ends = [], []
 
     def counting(poses, *args, **kwargs):
         sizes.append(len(poses))
         return vf_batch(poses, *args, **kwargs)
 
-    integrate = simulator_module.integrate_thermal
+    integrate = simulator_module.integrate_period
 
-    def plant(state, f_of_time, lam, dt, steps, t0=0.0):
-        ends.append((f_of_time(t0), f_of_time(t0 + dt * steps)))
-        return integrate(state, f_of_time, lam, dt, steps, t0=t0)
+    def plant(temps, f_start, f_end, *args):
+        ends.append((f_start[0], f_end[0]))
+        return integrate(temps, f_start, f_end, *args)
 
     monkeypatch.setattr(simulator_module, "vf_batch", counting)
-    monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
+    monkeypatch.setattr(simulator_module, "integrate_period", plant)
     log = run_simulation(scenario)
-    return np.array(sizes), ends[:: len(scenario.objects)], log
+    return np.array(sizes), ends, log
 
 
 def assert_logged_view_factors_are_fresh(log, scenario):
@@ -1436,29 +1436,30 @@ def test_moving_source_evaluates_both_plant_ends(monkeypatch):
     per_call, ends, log = poses_per_call(monkeypatch, scenario)
     assert len(per_call) == scenario.n_ticks + 1
     assert per_call[0] == 3 and np.all(per_call[1:] == 2 * 3)
+    assert len(ends) == scenario.n_ticks
     assert all(start != end for start, end in ends)
     assert_logged_view_factors_are_fresh(log, scenario)
 
 
 def kernel_calls_per_tick(monkeypatch, scenario):
-    """Kernel calls between consecutive plant steps of object 1, and all
-    kernel calls of the run."""
+    """Kernel calls between consecutive plant calls, and all kernel calls of
+    the run."""
     calls, marks = [0], []
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return vf_batch(*args, **kwargs)
 
-    integrate = simulator_module.integrate_thermal
+    integrate = simulator_module.integrate_period
 
-    def plant(*args, **kwargs):
+    def plant(*args):
         marks.append(calls[0])
-        return integrate(*args, **kwargs)
+        return integrate(*args)
 
     monkeypatch.setattr(simulator_module, "vf_batch", counting)
-    monkeypatch.setattr(simulator_module, "integrate_thermal", plant)
+    monkeypatch.setattr(simulator_module, "integrate_period", plant)
     run_simulation(scenario)
-    return np.diff(marks[:: len(scenario.objects)]), calls[0]
+    return np.diff(marks), calls[0]
 
 
 MOVING_SCHEDULE = SourceSchedule(
@@ -1473,6 +1474,7 @@ def test_one_gradient_and_one_plant_call_per_tick(monkeypatch, n_objects, moving
     call: exactly one call per tick, whatever the object count."""
     scenario = sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None)
     per_tick, total = kernel_calls_per_tick(monkeypatch, scenario)
+    assert len(per_tick) == scenario.n_ticks - 1
     assert np.all(per_tick == 1)
     assert total == scenario.n_ticks + 1
 
@@ -1570,21 +1572,22 @@ def test_thermal_divergence_keeps_the_finished_ticks(monkeypatch):
     """A plant step that diverges ends the run with thermal_divergence; the
     log keeps every tick up to and including the diverging step's tick."""
     scenario = sheet_scenario(1)
-    integrate = simulator_module.integrate_thermal
-    steps_taken = [0]
+    integrate = simulator_module.integrate_period
+    calls = [0]
 
-    def stiff_at_tick_12(state, f_of_time, lam, dt, steps, t0=0.0):
-        # From tick 12 on the step is far beyond RK4's stability limit.
-        steps_taken[0] += 1
-        scale = 1e6 if steps_taken[0] > 12 else 1.0
-        return integrate(state, f_of_time, lam, dt * scale, steps, t0=t0)
+    def stiff_at_tick_12(temps, f_start, f_end, lams, t0, period, max_steps):
+        # From tick 12 on every step is far beyond RK4's stability limit.
+        calls[0] += 1
+        scale = 1e6 if calls[0] > 12 else 1.0
+        return integrate(temps, f_start, f_end, lams, t0, period * scale, max_steps)
 
-    monkeypatch.setattr(simulator_module, "integrate_thermal", stiff_at_tick_12)
+    monkeypatch.setattr(simulator_module, "integrate_period", stiff_at_tick_12)
     log = run_simulation(scenario)
+    assert calls[0] == 13
     assert log.termination == "thermal_divergence"
     assert "temperature diverged" in log.detail
     assert not log.violation
     assert len(log.rows) == 13
-    monkeypatch.setattr(simulator_module, "integrate_thermal", integrate)
+    monkeypatch.setattr(simulator_module, "integrate_period", integrate)
     full = run_simulation(scenario)
     assert np.array_equal(log.rows, full.rows[:13], equal_nan=True)

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoservo import SampleWindow
+from thermoservo.estimation import WINDOW_SIZE, _filter
 
 
 class TestWindowFilling:
@@ -276,7 +281,8 @@ class TestFixedFilter:
         np.testing.assert_array_equal(got, expected)
 
     def test_no_solver_runs_per_push(self, monkeypatch):
-        """The filter is built once, at import."""
+        """The filter is built once, on the first full window."""
+        _filter()
 
         def no_solver(*args, **kwargs):
             raise AssertionError("a solver ran during a push")
@@ -287,3 +293,54 @@ class TestFixedFilter:
         window = SampleWindow()
         estimates = [window.push_and_estimate(2.0 * k, [300.0 + k, 310.0]) for k in range(12)]
         assert all(e is not None for e in estimates[9:])
+
+
+def _determinant(matrix):
+    """Exact determinant by cofactor expansion along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum(
+        (-1) ** c * matrix[0][c] * _determinant([row[:c] + row[c + 1:] for row in matrix[1:]])
+        for c in range(len(matrix))
+    )
+
+
+def test_filter_entries_are_the_exact_fractions_to_rounding():
+    """Each filter entry lies within 2e-14 of its exact rational: the normal
+    equations (V^T V) c = V^T e_j solved by Cramer's rule for every unit
+    sample e_j, at u_j = (j - 9) / 9. (LAPACK's pseudoinverse misses the
+    correctly rounded value of each entry by up to 1.8e-14.)"""
+    u = [Fraction(j - 9, 9) for j in range(WINDOW_SIZE)]
+    vander = [[x**p for p in range(4)] for x in u]
+    gram = [[sum(r[a] * r[b] for r in vander) for b in range(4)] for a in range(4)]
+    det = _determinant(gram)
+    exact = [
+        [
+            _determinant([g[:a] + [vander[j][row]] + g[a + 1:] for row, g in enumerate(gram)])
+            / det
+            for j in range(WINDOW_SIZE)
+        ]
+        for a in range(2)
+    ]
+    assert exact[0][:3] == [Fraction(-56, 715), Fraction(49, 715), Fraction(64, 715)]
+    assert exact[1][:3] == [Fraction(-291, 143), Fraction(389, 286), Fraction(641, 286)]
+    # The rows reproduce every cubic: value and slope at u = 0.
+    for p in range(4):
+        assert [sum(e[j] * vander[j][p] for j in range(WINDOW_SIZE)) for e in exact] == [
+            int(p == 0), int(p == 1)
+        ]
+    filter_rows = _filter()
+    assert filter_rows.shape == (2, 1, WINDOW_SIZE)
+    for a in range(2):
+        for j in range(WINDOW_SIZE):
+            assert abs(Fraction(float(filter_rows[a, 0, j])) - exact[a][j]) <= 2e-14, (a, j)
+
+
+def test_importing_the_package_builds_no_filter():
+    """The pseudoinverse, the package's only LAPACK call at import before,
+    waits for the first full window."""
+    probe = (
+        "import thermoservo, thermoservo.estimation as e; "
+        "assert e._filter.cache_info().currsize == 0"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
