@@ -54,7 +54,7 @@ from .scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from .simulator import RunLog, aluminum_reference_params, run_simulation
+from .simulator import RunLog, run_simulation
 from .thermal import (
     Environment,
     LambdaParams,

@@ -85,11 +85,11 @@ class GridSpec:
     step: float
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"grid step must be finite and positive, got {self.step}")
         for lo, hi in self.ranges:
-            if hi <= lo:
-                raise ValueError("each range needs hi > lo")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"each grid range needs finite lo < hi, got ({lo}, {hi})")
 
     def axis_values(self, axis: int) -> np.ndarray:
         lo, hi = self.ranges[axis]

@@ -142,7 +142,7 @@ class CircleContour:
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     @property
     def area(self) -> float:

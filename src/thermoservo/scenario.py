@@ -56,7 +56,6 @@ class ObjectSpec:
     material: ThermoParams
     displacement: np.ndarray  # (3,) meters from the end-effector frame
     initial_temp: float  # K
-    unknown_params: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.initial_temp < math.inf:
@@ -84,38 +83,39 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class AdaptiveInit:
-    """How adaptive estimates start.
+    """Where the adaptive estimates of a1 = 1/lambda1 and a2 =
+    lambda2/lambda1 start.
 
-    'reference' uses the center values directly, 'random' draws seeded
-    log-uniform factors in [1/spread, spread] around them, 'values' takes
-    explicit per-object vectors. Centers default to the aluminum reference
-    disk; scenarios with other material classes should supply centers of
-    the right order of magnitude (the estimates scale the velocity law, so
-    starting orders of magnitude off drives the rig away from the source
-    faster than the update law can correct).
+    Object i of n starts at a1_center * exp(u1_i) and a2_center * exp(u2_i):
+    `default_rng(seed)` draws n values of U(-ln spread, ln spread) for u1,
+    then n for u2. Spread 1 draws exact zeros, so every object starts at the
+    centers. The adaptive controller needs both centers (`Scenario` checks
+    this); they should be of the objects' order of magnitude, because the
+    estimates scale the velocity law, and a start orders of magnitude off
+    drives the rig away from the source faster than the update law corrects.
     """
 
-    mode: str = "reference"  # reference | random | values
     seed: int = 0
-    spread: float = 4.0
-    a1_center: float | None = None  # None: aluminum reference 1/lambda1
-    a2_center: float | None = None  # None: aluminum reference lambda2/lambda1
-    a1: tuple[float, ...] | None = None
-    a2: tuple[float, ...] | None = None
+    spread: float = 1.0
+    a1_center: float | None = None  # s/K
+    a2_center: float | None = None  # 1/K^4
 
     def __post_init__(self) -> None:
-        if self.mode not in ("reference", "random", "values"):
-            raise ScenarioError(f"unknown adaptive init mode: {self.mode}")
-        if self.mode == "values" and (self.a1 is None or self.a2 is None):
-            raise ScenarioError("adaptive init 'values' needs a1 and a2")
         if not 1.0 <= self.spread < math.inf:
             raise ScenarioError(f"adaptive init spread must be finite and >= 1, got {self.spread}")
         if self.seed < 0:
             raise ScenarioError(f"adaptive init seed must be non-negative, got {self.seed}")
-        for name in ("a1_center", "a2_center", "a1", "a2"):
+        for name in ("a1_center", "a2_center"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
+            if value is not None and not math.isfinite(value):
                 raise ScenarioError(f"adaptive init {name} must be finite, got {value}")
+
+    def start(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The start estimates (a1, a2) of n objects; both centers set."""
+        rng = np.random.default_rng(self.seed)
+        half = math.log(self.spread)
+        u1, u2 = rng.uniform(-half, half, n), rng.uniform(-half, half, n)
+        return self.a1_center * np.exp(u1), self.a2_center * np.exp(u2)
 
 
 @dataclass(frozen=True)
@@ -190,13 +190,12 @@ class Scenario:
             )
         if not 0.0 <= self.pinv_damping < math.inf:
             raise ScenarioError(f"pinv_damping must be finite and >= 0, got {self.pinv_damping}")
-        if any(o.unknown_params for o in self.objects) and self.controller != "adaptive":
-            raise ScenarioError(
-                "objects with unknown parameters require the adaptive controller"
-            )
         init = self.adaptive_init
-        if init.mode == "values" and not len(init.a1) == len(init.a2) == len(self.objects):
-            raise ScenarioError("adaptive init 'values' needs one a1 and one a2 per object")
+        if self.controller == "adaptive" and None in (init.a1_center, init.a2_center):
+            raise ScenarioError(
+                "the adaptive controller needs the start centers "
+                "adaptive_init.a1_center and adaptive_init.a2_center"
+            )
 
     @property
     def n_objects(self) -> int:
@@ -239,12 +238,6 @@ def _whole(value) -> int:
     if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
 
 
 def pose_from_cm_deg(values) -> Pose:
@@ -321,7 +314,6 @@ _OBJECT_KEYS = {
     "material": ("material", lambda spec: spec),
     "displacement_cm": ("displacement", lambda xyz: np.array(_each(cm_to_m)(xyz))),
     "initial_temp_c": ("initial_temp", celsius_to_kelvin),
-    "unknown_params": ("unknown_params", _flag),
 }
 _ENVIRONMENT_KEYS = {
     "source_temp_c": ("source_temp", celsius_to_kelvin),
@@ -339,10 +331,8 @@ _LIMITS_KEYS = {
     "max_rotation_rad_s": ("max_rotation", float),
 }
 _ADAPTIVE_INIT_KEYS = {
-    "mode": ("mode", str),
     "seed": ("seed", _whole),
     **{name: (name, float) for name in ("spread", "a1_center", "a2_center")},
-    **{name: (name, _each(float)) for name in ("a1", "a2")},
 }
 _CONTROLLER_KEYS = {
     "type": ("controller", str),

@@ -6,12 +6,13 @@ source-relative pose, computes the commanded Cartesian velocity, steps the
 pose (position-stepping robot), and integrates the radiative plant over the
 control period. One view-factor kernel call per tick evaluates F21 and its
 gradient at the period's ends; the end pose is the next tick's, so that
-tick's interaction matrix comes from the carried gradient. Runs are fully
-deterministic for a fixed scenario and seed.
+tick's interaction matrix comes from the carried gradient. The adaptive
+controller estimates every object's a1 and a2 online, from the seeded start
+that `AdaptiveInit.start` draws around the scenario's centers. Runs are fully
+deterministic for a fixed scenario and its seeds.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -29,27 +30,9 @@ from .estimation import SampleWindow
 from .feasibility import write_csv
 from .geometry import DegeneratePoseError, Pose
 from .scenario import Scenario
-from .thermal import (
-    LambdaParams,
-    ThermalDivergenceError,
-    ThermoParams,
-    integrate_period,
-    lambdas,
-)
+from .thermal import ThermalDivergenceError, integrate_period, lambdas
 from .units import kelvin_to_celsius
 from .viewfactor import vf_batch
-
-
-def aluminum_reference_params() -> ThermoParams:
-    """The bench aluminum disk used to seed adaptive estimates."""
-    return ThermoParams.from_disk(
-        emittance=0.04,
-        absorptance=0.04,
-        specific_heat=903.0,
-        density=2702.0,
-        radius=0.015,
-        thickness=0.003,
-    )
 
 
 @dataclass
@@ -108,21 +91,6 @@ def _log_columns(scenario: Scenario) -> list[str]:
     return cols
 
 
-def _initial_adaptive_state(scenario: Scenario, ref: LambdaParams) -> AdaptiveState:
-    n = scenario.n_objects
-    init = scenario.adaptive_init
-    a1_ref = init.a1_center if init.a1_center is not None else 1.0 / ref.lambda1
-    a2_ref = init.a2_center if init.a2_center is not None else ref.lambda2 / ref.lambda1
-    if init.mode == "reference":
-        return AdaptiveState(np.full(n, a1_ref), np.full(n, a2_ref))
-    if init.mode == "random":
-        rng = np.random.default_rng(init.seed)
-        factors1 = np.exp(rng.uniform(-math.log(init.spread), math.log(init.spread), n))
-        factors2 = np.exp(rng.uniform(-math.log(init.spread), math.log(init.spread), n))
-        return AdaptiveState(a1_ref * factors1, a2_ref * factors2)
-    return AdaptiveState(np.array(init.a1, dtype=float), np.array(init.a2, dtype=float))
-
-
 def run_simulation(scenario: Scenario) -> RunLog:
     """Run the closed loop and return the per-tick log.
 
@@ -131,6 +99,8 @@ def run_simulation(scenario: Scenario) -> RunLog:
     current source-relative pose, compute the velocity command, Euler-step
     the pose over one period, then integrate the thermal plant across the
     period. The robot holds still until the estimator window has 10 samples.
+    The adaptive law updates a1_hat and a2_hat from the start that the
+    scenario's `adaptive_init` gives, once the window is full.
     One `integrate_period` call per period advances every object; each
     object's RK4 takes as many steps as step doubling asks for, at most
     round(control_period / plant_dt).
@@ -158,8 +128,8 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
     rng = np.random.default_rng(scenario.sensor.seed)
     window = SampleWindow()
-    initial = _initial_adaptive_state(scenario, lambdas(aluminum_reference_params(), env))
-    a_hat = initial.a1_hat, initial.a2_hat  # logged each tick, then the next tick's
+    # The adaptive estimates, logged each tick, then the next tick's.
+    a_hat = scenario.adaptive_init.start(n_obj) if adaptive else None
 
     x = scenario.initial_pose.as_vector()  # end-effector pose
     temps = np.array([o.initial_temp for o in scenario.objects])

@@ -586,7 +586,8 @@ def vf_batch(
 
     Raises:
         ValueError: Malformed or non-finite poses, a row count that is not
-            a multiple of K, non-positive radius, dof not 0, 3 or 6.
+            a multiple of K, a radius that is not finite and positive, dof
+            not 0, 3 or 6.
     """
     contours = contour if isinstance(contour, tuple) else (contour,)
     poses = np.asarray(poses, dtype=float)
@@ -598,8 +599,8 @@ def vf_batch(
         )
     if not np.isfinite(poses).all():
         raise ValueError("pose coordinates must be finite")
-    if not source_radius > 0.0:
-        raise ValueError("source_radius must be positive")
+    if not 0.0 < source_radius < math.inf:
+        raise ValueError(f"source_radius must be finite and positive, got {source_radius}")
     if dof not in (0, 3, 6):
         raise ValueError(f"dof must be 0, 3 or 6, got {dof}")
     rungs = _rungs(spec.n_per_dim)
@@ -700,15 +701,15 @@ def _parallel_blocks(pose: Pose, r1: float, r2: float, n: int):
         MIN_KERNEL_DISTANCE**2, and cos(w1 - w2).
 
     Raises:
-        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0, when
-            the first block is drawn.
+        ValueError: Non-zero rotation, radii that are not finite and
+            positive, or p3 <= 0, when the first block is drawn.
     """
     if pose.theta_x != 0.0 or pose.theta_y != 0.0 or pose.theta_z != 0.0:
         raise ValueError("the parallel-disk references require a zero-rotation pose")
     if pose.p3 <= 0.0:
         raise ValueError("requires p3 > 0 (object above the source plane)")
-    if not (r1 > 0.0 and r2 > 0.0):
-        raise ValueError("radii must be positive")
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise ValueError(f"radii r1 and r2 must be finite and positive, got {r1} and {r2}")
     w = TWO_PI / n * np.arange(n)
     cos_w, sin_w = np.cos(w), np.sin(w)
     step = max(1, _PARALLEL_BLOCK_ENTRIES // n)
@@ -731,7 +732,8 @@ def vf_parallel_disks(
     of `vf_batch`: it shares no nodes or code with the kernel.
 
     Raises:
-        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
+        ValueError: Non-zero rotation, radii that are not finite and
+            positive, or p3 <= 0.
     """
     n = spec.n_per_dim
     total = sum(
@@ -764,7 +766,8 @@ def l_parallel(
         (3,) array: d(rate)/d(p1, p2, p3) in K/s per m/s.
 
     Raises:
-        ValueError: Non-zero rotation, non-positive radii, or p3 <= 0.
+        ValueError: Non-zero rotation, radii that are not finite and
+            positive, or p3 <= 0.
     """
     n = spec.n_per_dim
     sums = np.zeros(3)

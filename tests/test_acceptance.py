@@ -118,7 +118,7 @@ def three_object_rig():
 def adaptive_servo(targets_c, duration=8000.0, schedule=None) -> Scenario:
     contours, materials, arms = three_object_rig()
     objects = tuple(
-        ObjectSpec(name, contour, material, arm, c2k(23.0), True)
+        ObjectSpec(name, contour, material, arm, c2k(23.0))
         for name, contour, material, arm in zip(
             ("bunny", "hand", "circle"), contours, materials, arms
         )
@@ -131,9 +131,7 @@ def adaptive_servo(targets_c, duration=8000.0, schedule=None) -> Scenario:
         controller="adaptive",
         gains=Gains(d=0.2, k=0.15, mu=0.05, gamma1=0.1, gamma2=1e-18),
         limits=VelocityLimits(0.0015, 0.2),
-        adaptive_init=AdaptiveInit(
-            mode="random", seed=7, spread=3.0, a1_center=5.0, a2_center=2e-10
-        ),
+        adaptive_init=AdaptiveInit(seed=7, spread=3.0, a1_center=5.0, a2_center=2e-10),
         initial_pose=Pose(0.0, 0.0, 0.10),
         dof=3,
         sensor=SensorSpec(0.1, 11),
@@ -354,13 +352,12 @@ def test_criterion_6_adaptive_closed_loop():
     fine = Scenario(
         environment=ENV,
         source_radius=SOURCE_RADIUS,
-        objects=(ObjectSpec("sheet", CircleContour(0.015), SHEET, np.zeros(3), c2k(23.0), True),),
+        objects=(ObjectSpec("sheet", CircleContour(0.015), SHEET, np.zeros(3), c2k(23.0)),),
         targets=(c2k(50.0),),
         controller="adaptive",
         gains=Gains(d=0.2, k=0.15, mu=0.05, gamma1=0.1, gamma2=1e-18),
         limits=VelocityLimits(0.05, 0.2),
         adaptive_init=AdaptiveInit(
-            mode="random",
             seed=3,
             spread=2.0,
             a1_center=1.5 / sheet_lam.lambda1,

@@ -7,6 +7,7 @@ simulator's evaluation and kernel-call counts."""
 import dataclasses
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import Phase, assume, event, find, given, settings
 from hypothesis import strategies as st
 
 from thermoservo import (
+    AdaptiveInit,
     CircleContour,
     Common,
     Complete,
@@ -891,6 +893,15 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             vf_batch(poses, SOURCE_RADIUS, CONTOURS["circle"], QuadratureSpec(16))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, -0.1])
+    @pytest.mark.parametrize("dof", [0, 3])
+    def test_source_radius_must_be_finite_and_positive(self, radius, dof):
+        pose = np.array([[0.0, 0.0, 0.05, 0.0, 0.0, 0.0]])
+        message = f"source_radius must be finite and positive, got {radius}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vf_batch(pose, radius, CONTOURS["circle"], QuadratureSpec(16), dof=dof)
+
     def test_shape_and_radius_rejected(self):
         with pytest.raises(ValueError):
             vf_batch(np.zeros((2, 3)), SOURCE_RADIUS, CONTOURS["circle"])
@@ -1555,10 +1566,13 @@ def fresh_matrix(log, scenario, tick):
 @pytest.mark.parametrize("n_objects", [1, 3])
 def test_carried_gradients_equal_view_factor_gradients(monkeypatch, n_objects, moving, controller):
     """The gradient each control law receives, carried from the previous
-    plant step's kernel call, is bitwise a fresh call at the logged pose."""
-    scenario = dataclasses.replace(
-        sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None), controller=controller
-    )
+    plant step's kernel call, is bitwise a fresh call at the logged pose.
+    The adaptive run starts at the aluminum reference disk's a1 and a2."""
+    scenario = sheet_scenario(n_objects, MOVING_SCHEDULE if moving else None)
+    aluminum = ThermoParams.from_disk(0.04, 0.04, 903.0, 2702.0, 0.015, 0.003)
+    ref = lambdas(aluminum, scenario.environment)
+    start = AdaptiveInit(a1_center=1.0 / ref.lambda1, a2_center=ref.lambda2 / ref.lambda1)
+    scenario = dataclasses.replace(scenario, controller=controller, adaptive_init=start)
     received = received_gradients(monkeypatch, scenario)
     log = run_simulation(scenario)
     assert log.termination == "completed"

@@ -63,6 +63,24 @@ class TestViewfactorCommand:
         code = cli.main(["viewfactor", "--pose", "1,2,3"])
         assert code == cli.EXIT_INVALID_SCENARIO
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["contour", "dsi"])
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_source_radius_returns_invalid(self, capsys, method, radius):
+        """The radius is rejected, not integrated into a NaN view factor."""
+        code = cli.main(
+            [
+                "viewfactor",
+                "--pose", "0,0,5,0,0,0",
+                "--source-radius-cm", radius,
+                "--method", method,
+                "--facets", "200",
+            ]
+        )
+        assert code == cli.EXIT_INVALID_SCENARIO
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and "radius must be" in err and radius in err
+
     def test_missing_contour_csv_returns_invalid(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = cli.main(["viewfactor", "--pose", "0,0,5,0,0,0", "--contour-csv", str(missing)])
@@ -227,6 +245,52 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "where, section, key, value",
+        [
+            (("controller", "adaptive_init"), "controller.adaptive_init", "mode", "random"),
+            (("controller", "adaptive_init"), "controller.adaptive_init", "a1", [5.0] * 3),
+            (("controller", "adaptive_init"), "controller.adaptive_init", "a2", [2.0e-10] * 3),
+            (("objects", 0), "objects[0]", "unknown_params", True),
+        ],
+    )
+    def test_removed_start_keys_are_unknown_keys(
+        self, tmp_path, monkeypatch, capsys, where, section, key, value
+    ):
+        """The start modes, the per-object start vectors and the per-object
+        unknown-parameter flag are gone from the schema."""
+        monkeypatch.setattr(cli, "run_simulation", None)
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        mapping = raw
+        for k in where:
+            mapping = mapping[k]
+        mapping[key] = value
+        path = tmp_path / "removed.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "removed.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err == f"invalid scenario: unknown key '{key}' in {section}\n"
+        assert not out.exists()
+
+    def test_adaptive_scenario_without_centers_fails_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run_simulation", None)
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        del raw["controller"]["adaptive_init"]["a1_center"]
+        del raw["controller"]["adaptive_init"]["a2_center"]
+        path = tmp_path / "no-centers.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "no-centers.csv"
+        code = cli.main(["simulate", str(path), "--out", str(out)])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        assert capsys.readouterr().err == (
+            "invalid scenario: the adaptive controller needs the start centers "
+            "adaptive_init.a1_center and adaptive_init.a2_center\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "where, key, value",
         [
             ((), "control_period_s", math.inf),
@@ -313,6 +377,16 @@ class TestIsosurfaceCommand:
         code = cli.main(["isosurface", "--subset", "rotation", "--out", str(out)])
         assert code == cli.EXIT_INVALID_SCENARIO
         assert capsys.readouterr().err.startswith("invalid input:")
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-2"])
+    def test_bad_step_fails_before_the_out_file(self, tmp_path, monkeypatch, capsys, step):
+        monkeypatch.setattr(cli, "isosurface_grid", None)
+        out = tmp_path / "grid.csv"
+        code = cli.main(["isosurface", "--subset", "translation", "--out", str(out), "--step", step])
+        assert code == cli.EXIT_INVALID_SCENARIO
+        err = capsys.readouterr().err
+        assert err == f"invalid input: grid step must be finite and positive, got {float(step)}\n"
+        assert not out.exists()
 
 
 class TestFeasibilityCommand:

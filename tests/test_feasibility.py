@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from unittest import mock
@@ -117,6 +118,18 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(ranges=((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), step=1.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="grid step must be finite and positive"):
+            GridSpec(ranges=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), step=step)
+
+    @pytest.mark.parametrize(
+        "axis", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (1.0, 1.0)]
+    )
+    def test_range_ends_must_be_finite_and_ordered(self, axis):
+        with pytest.raises(ValueError, match="each grid range needs finite lo < hi"):
+            GridSpec(ranges=((0.0, 1.0), axis, (0.0, 1.0)), step=1.0)
 
 
 @pytest.fixture(scope="module")

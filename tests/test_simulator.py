@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoservo import (
     AdaptiveInit,
@@ -66,12 +68,6 @@ def quick_scenario(**overrides) -> Scenario:
 
 
 class TestScenarioValidation:
-    def test_unknown_params_need_adaptive(self):
-        sheet = ThermoParams.from_disk(0.9, 0.9, 1800.0, 1250.0, 0.015, 0.001)
-        obj = ObjectSpec("s", CircleContour(0.015), sheet, np.zeros(3), 300.0, True)
-        with pytest.raises(ScenarioError):
-            quick_scenario(objects=(obj,))
-
     def test_more_objects_than_dof(self):
         sheet = ThermoParams.from_disk(0.9, 0.9, 1800.0, 1250.0, 0.015, 0.001)
         objs = tuple(
@@ -89,17 +85,17 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             quick_scenario(boundary_mode="bounce")
 
-    def test_adaptive_values_need_one_entry_per_object(self):
-        sheet = ThermoParams.from_disk(0.9, 0.9, 1800.0, 1250.0, 0.015, 0.001)
-        objs = tuple(
-            ObjectSpec(f"s{i}", CircleContour(0.015), sheet, np.zeros(3), 300.0)
-            for i in range(3)
+    @pytest.mark.parametrize("centers", [{}, {"a1_center": 5.0}, {"a2_center": 2e-10}])
+    def test_the_adaptive_controller_needs_both_centers(self, centers):
+        """There is no default start: a missing center fails when the
+        scenario is built, naming both."""
+        message = "needs the start centers adaptive_init.a1_center and adaptive_init.a2_center"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            quick_scenario(controller="adaptive", adaptive_init=AdaptiveInit(**centers))
+        quick_scenario(adaptive_init=AdaptiveInit(**centers))  # model-based: no start
+        quick_scenario(
+            controller="adaptive", adaptive_init=AdaptiveInit(a1_center=5.0, a2_center=2e-10)
         )
-        common = dict(objects=objs, targets=(310.0,) * 3, controller="adaptive")
-        quick_scenario(**common, adaptive_init=AdaptiveInit("values", a1=(1.0,) * 3, a2=(1.0,) * 3))
-        for a1, a2 in (((1.0, 2.0), (1.0,) * 3), ((1.0,) * 3, (1.0, 2.0))):
-            with pytest.raises(ScenarioError):
-                quick_scenario(**common, adaptive_init=AdaptiveInit("values", a1=a1, a2=a2))
 
     @pytest.mark.parametrize("damping", [-1.0, math.inf, math.nan])
     def test_pinv_damping_must_be_finite_and_non_negative(self, damping):
@@ -108,10 +104,10 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("spread", [0.0, 0.5, math.inf, math.nan])
     def test_adaptive_spread_must_be_finite_and_at_least_one(self, spread):
-        """Below 1 the interval [1/spread, spread] of the random start is empty."""
+        """Below 1 the start interval [1/spread, spread] is empty."""
         with pytest.raises(ScenarioError, match="spread must be finite and >= 1"):
-            AdaptiveInit("random", spread=spread)
-        AdaptiveInit("random", spread=1.0)
+            AdaptiveInit(spread=spread)
+        AdaptiveInit(spread=1.0)
 
     @pytest.mark.parametrize("center_cm", [[0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     def test_waypoint_center_needs_three_coordinates(self, center_cm):
@@ -160,6 +156,36 @@ def tiny_field():
     return isosurface_grid(
         0.10, CircleContour(0.015), "translation", grid, QuadratureSpec(16)
     )
+
+
+class TestAdaptiveStart:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(1, 6),
+        a1=st.floats(allow_nan=False, allow_infinity=False),
+        a2=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_spread_one_starts_at_the_centers_bitwise(self, seed, n, a1, a2):
+        a1_hat, a2_hat = AdaptiveInit(seed, 1.0, a1, a2).start(n)
+        assert a1_hat.tobytes() == np.full(n, a1).tobytes()
+        assert a2_hat.tobytes() == np.full(n, a2).tobytes()
+
+    def test_shipped_start_is_the_seeded_log_uniform_draw(self):
+        """The three-sheet run starts where the old `random` mode put it: n
+        seeded log-uniform factors in [1/3, 3] for a1, then n for a2."""
+        scenario = load_scenario(SCENARIO_DIR / "three_sheet_adaptive.yaml")
+        rng = np.random.default_rng(7)
+        factors1 = np.exp(rng.uniform(-math.log(3.0), math.log(3.0), 3))
+        factors2 = np.exp(rng.uniform(-math.log(3.0), math.log(3.0), 3))
+        a1, a2 = scenario.adaptive_init.start(3)
+        assert a1.tobytes() == (5.0 * factors1).tobytes()
+        assert a2.tobytes() == (2.0e-10 * factors2).tobytes()
+        assert not np.any(factors1 == 1.0) and not np.any(factors2 == 1.0)
+        log = run_simulation(dataclasses.replace(scenario, duration=4.0))
+        for i in range(3):
+            assert log.column(f"a1_hat_{i + 1}")[0] == a1[i]
+            assert log.column(f"a2_hat_{i + 1}")[0] == a2[i]
 
 
 class TestRunLoop:
@@ -456,7 +482,6 @@ class TestScenarioLoading:
         scenario = load_scenario(SCENARIO_DIR / "three_sheet_adaptive.yaml")
         assert scenario.controller == "adaptive"
         assert scenario.n_objects == 3
-        assert all(o.unknown_params for o in scenario.objects)
         assert scenario.gains.gamma2 == pytest.approx(1e-18)
 
     def test_missing_key_rejected(self, tmp_path):
@@ -502,6 +527,65 @@ def _mapping_paths(node, path=()):
         return
     for key, child in children:
         yield from _mapping_paths(child, path + (key,))
+
+
+def _key_path(path, key) -> str:
+    """`key` of the mapping at `path`, with `[]` for any list index."""
+    name = "".join("[]" if isinstance(k, int) else f".{k}" for k in (*path, key))
+    return name.lstrip(".")
+
+
+#: The mapping each key table of the loader reads, as a `_key_path`.
+KEY_TABLES = (
+    ("", "_SCENARIO_KEYS"),
+    ("environment", "_ENVIRONMENT_KEYS"),
+    ("source", "_SOURCE_KEYS"),
+    ("source.waypoints[]", "_WAYPOINT_KEYS"),
+    ("objects[]", "_OBJECT_KEYS"),
+    ("objects[].contour", "_CIRCLE_KEYS"),
+    ("objects[].contour", "_FOURIER_KEYS"),
+    ("objects[].material", "_MATERIAL_KEYS"),
+    ("controller", "_CONTROLLER_KEYS"),
+    ("controller.gains", "_GAINS_KEYS"),
+    ("controller.limits", "_LIMITS_KEYS"),
+    ("controller.adaptive_init", "_ADAPTIVE_INIT_KEYS"),
+    ("sensor", "_SENSOR_KEYS"),
+    ("workspace_cm", "_WORKSPACE_KEYS"),
+)
+
+#: Scenario keys that no shipped scenario sets, kept with the reason.
+UNSET_SCENARIO_KEYS = {
+    **dict.fromkeys(
+        ("source.waypoints", "source.waypoints[].time_s", "source.waypoints[].center_cm"),
+        "a moving source: the CI moving-source step and criterion 7",
+    ),
+    **dict.fromkeys(
+        ("objects[].contour.points_cm", "objects[].contour.harmonics"),
+        "the paper's non-circular objects (Fourier contours), which only the tests set",
+    ),
+    "pinv_damping": "perfbench/micro.py reads Scenario.pinv_damping",
+}
+
+
+def schema_keys() -> set[str]:
+    """Every key the loader's `_*_KEYS` tables allow."""
+    tables = {name for name in vars(schema) if re.fullmatch(r"_[A-Z_]+_KEYS", name)}
+    assert tables == {table for _, table in KEY_TABLES}, "map each key table to its mapping"
+    return {
+        f"{section}.{key}".lstrip(".")
+        for section, table in KEY_TABLES
+        for key in getattr(schema, table)
+    }
+
+
+def shipped_keys() -> set[str]:
+    """Every key some file in scenarios/ sets."""
+    keys = set()
+    for name in SHIPPED:
+        raw = yaml.safe_load((SCENARIO_DIR / name).read_text())
+        for path in _mapping_paths(raw):
+            keys |= {_key_path(path, key) for key in _at(raw, path)}
+    return keys
 
 
 def _at(raw, path):
@@ -568,8 +652,9 @@ class TestScenarioSchema:
         ],
     )
     def test_integer_and_boolean_keys_are_strict(self, where, key, value):
-        """Integer keys take whole numbers only and `unknown_params` a YAML
-        boolean only: each rejection names the key and its section."""
+        """Integer keys take whole numbers only, and `unknown_params`, a
+        boolean until the adaptive law estimated every object, is an unknown
+        key: each rejection names the key and its section."""
         raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
         theta = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
         points = [[1.8 * math.cos(t), 1.8 * math.sin(t)] for t in theta]
@@ -595,6 +680,18 @@ class TestScenarioSchema:
         for cls, keys in tables.items():
             named = {field for table in keys for field, _ in table.values() if field is not None}
             assert named == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+    def test_every_key_is_set_by_a_shipped_scenario(self):
+        """No scenario key that no file sets, but those listed with a reason."""
+        assert sorted(path.name for path in SCENARIO_DIR.glob("*.yaml")) == sorted(SHIPPED)
+        shipped, allowed = shipped_keys(), schema_keys()
+        assert shipped <= allowed
+        unset = allowed - shipped - set(UNSET_SCENARIO_KEYS)
+        assert not unset, f"scenario keys that no file in scenarios/ sets: {sorted(unset)}"
+
+    def test_unset_keys_are_still_keys_and_unset(self):
+        assert set(UNSET_SCENARIO_KEYS) <= schema_keys()
+        assert not set(UNSET_SCENARIO_KEYS) & shipped_keys(), "drop the exception: a file sets it"
 
     def test_pinv_damping_and_spread_are_checked_at_load(self):
         raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
@@ -650,9 +747,12 @@ class TestScenarioSchema:
         ],
     )
     def test_seeds_and_start_estimates_are_checked_at_load(self, where, key, value):
-        """A negative seed or a non-finite start estimate fails at load,
-        naming its key, not once the run starts."""
+        """A negative seed or a non-finite start center fails at load, naming
+        its key, not once the run starts; `a1` and `a2`, the per-object start
+        vectors of the removed `values` start, are unknown keys."""
         raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
         _at(raw, where)[key] = value
+        if key in ("a1", "a2"):
+            key = re.escape(f"unknown key '{key}' in {_section(where)}")
         with pytest.raises(ScenarioError, match=key):
             scenario_from_dict(raw)

@@ -75,6 +75,18 @@ class TestParallelDisks:
         with pytest.raises(ValueError):
             vf_parallel_disks(Pose(0, 0, 0.05, theta_x=0.1), 0.015, 0.015)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("which", ["r1", "r2"])
+    def test_radii_must_be_finite_and_positive(self, which, bad):
+        """Both references reject the radius, not integrate it into NaN."""
+        radii = {"r1": 0.10, "r2": 0.015, which: bad}
+        pose = Pose(0, 0, 0.05)
+        with pytest.raises(ValueError, match="radii r1 and r2 must be finite and positive"):
+            vf_parallel_disks(pose, radii["r1"], radii["r2"])
+        with pytest.raises(ValueError, match="radii r1 and r2 must be finite and positive"):
+            l_parallel(pose, radii["r1"], radii["r2"], 1.0)
+
     def test_richardson_convergence(self):
         pose = Pose(0.01, -0.02, 0.04)
         values = {
