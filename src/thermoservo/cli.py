@@ -2,16 +2,17 @@
 
 Subcommands: simulate, viewfactor, isosurface, feasibility.
 Exit codes: 0 success, 2 invalid scenario/arguments or an unreadable or
-unwritable file, 3 workspace violation, 4 numerical failure. `simulate`
-and `isosurface` open their output first: an unwritable path exits 2. A
-simulation that ends early still writes the log of the ticks it finished:
-its termination reason gives exit 3 for workspace_violation and 4 for
-degenerate_pose, thermal_divergence or non_finite_control.
+unwritable file, 4 numerical failure. `simulate` and `isosurface` check
+every input, then open their output before the work: invalid input leaves
+no file, and an unwritable path exits 2. A simulation that ends early
+still writes the log of the ticks it finished; its termination reason
+(degenerate_pose, thermal_divergence or non_finite_control) gives exit 4.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .feasibility import (
     pairwise_feasibility,
     target_bounds,
 )
-from .geometry import CircleContour, DegeneratePoseError, fourier_fit
+from .geometry import CircleContour, fourier_fit
 from .scenario import ScenarioError, load_scenario, pose_from_cm_deg
 from .simulator import run_simulation
 from .thermal import ThermalDivergenceError, lambdas
@@ -35,20 +36,26 @@ from .viewfactor import DEFAULT_SPEC, QuadratureSpec, vf_dsi_oracle, vf_general
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 2
-EXIT_WORKSPACE_VIOLATION = 3
 EXIT_NUMERICAL_FAILURE = 4
 
 
 def _object_contour(args):
     if args.contour_csv:
         points = np.loadtxt(args.contour_csv, delimiter=",", ndmin=2)
-        return fourier_fit(points * 1e-2, args.harmonics)
+        return fourier_fit(cm_to_m(points), args.harmonics)
     return CircleContour(cm_to_m(args.object_radius_cm))
+
+
+def _source_radius(args) -> float:
+    if not 0.0 < args.source_radius_cm < math.inf:
+        raise ValueError(
+            f"source radius must be finite and positive, got {args.source_radius_cm} cm"
+        )
+    return cm_to_m(args.source_radius_cm)
 
 
 _TERMINATION_EXIT = {
     "completed": EXIT_OK,
-    "workspace_violation": EXIT_WORKSPACE_VIOLATION,
     "degenerate_pose": EXIT_NUMERICAL_FAILURE,
     "thermal_divergence": EXIT_NUMERICAL_FAILURE,
     "non_finite_control": EXIT_NUMERICAL_FAILURE,
@@ -81,30 +88,25 @@ def _cmd_simulate(args) -> int:
 def _cmd_viewfactor(args) -> int:
     pose = pose_from_cm_deg(args.pose.split(","))
     contour = _object_contour(args)
+    radius = _source_radius(args)
     if args.method == "contour":
-        value = vf_general(
-            pose, cm_to_m(args.source_radius_cm), contour, QuadratureSpec(args.quadrature_n)
-        ).value
+        value = vf_general(pose, radius, contour, QuadratureSpec(args.quadrature_n)).value
     else:
-        value = vf_dsi_oracle(pose, cm_to_m(args.source_radius_cm), contour, args.facets).value
+        value = vf_dsi_oracle(pose, radius, contour, args.facets).value
     print(f"{value:.9g}")
     return EXIT_OK
 
 
 def _cmd_isosurface(args) -> int:
     contour = _object_contour(args)
+    radius = _source_radius(args)
+    spec = QuadratureSpec(args.quadrature_n)
     grid = None
     if args.step is not None:
         default = TRANSLATION_GRID if args.subset == "translation" else ROTATION_GRID
         grid = dataclasses.replace(default, step=args.step)
     open(args.out, "w").close()  # an unwritable path fails before the grid
-    field = isosurface_grid(
-        cm_to_m(args.source_radius_cm),
-        contour,
-        subset=args.subset,
-        grid=grid,
-        spec=QuadratureSpec(args.quadrature_n),
-    )
+    field = isosurface_grid(radius, contour, subset=args.subset, grid=grid, spec=spec)
     export_field(field, args.out)
     print(f"{field.n_cells} cells written to {args.out}")
     return EXIT_OK
@@ -200,7 +202,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    except (ValueError, DegeneratePoseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
     except (ThermalDivergenceError, np.linalg.LinAlgError) as exc:

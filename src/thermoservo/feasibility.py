@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import Contour, Pose
 from .thermal import Environment, LambdaParams
-from .units import cm_to_m
+from .units import cm_to_m, m_to_cm
 from .viewfactor import DEFAULT_SPEC, QuadratureSpec, vf_batch
 
 #: Target counts as met when the steady-state temperature at the witness
@@ -360,7 +360,7 @@ def pairwise_feasibility(
     for _ in range(SEARCH_REFINE_LEVELS):
         if best_pose is None or best_residual <= FEASIBILITY_TOLERANCE_K:
             break
-        center = np.array([best_pose.p1, best_pose.p2, best_pose.p3]) * 1e2
+        center = m_to_cm(np.array([best_pose.p1, best_pose.p2, best_pose.p3]))
         fine = step / SEARCH_REFINE_FACTOR
         offsets = fine * np.arange(-SEARCH_REFINE_FACTOR, SEARCH_REFINE_FACTOR + 1)
         local_axes = []

@@ -120,7 +120,8 @@ class AdaptiveInit:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Axis-aligned box the end-effector must stay inside (meters)."""
+    """Axis-aligned box of the end-effector translation (meters). The
+    position driver saturates every step at it."""
 
     bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -130,10 +131,6 @@ class Workspace:
                 raise ScenarioError(
                     f"workspace {axis} range needs finite lo <= hi, got ({lo}, {hi}) m"
                 )
-
-    def contains(self, pose: Pose) -> bool:
-        p = (pose.p1, pose.p2, pose.p3)
-        return all(lo <= v <= hi for v, (lo, hi) in zip(p, self.bounds))
 
     def clip(self, translation: np.ndarray) -> np.ndarray:
         lo = np.array([b[0] for b in self.bounds])
@@ -160,7 +157,6 @@ class Scenario:
     plant_dt: float = 0.1
     duration: float = 600.0
     workspace: Workspace = Workspace(bounds=((-0.4, 0.4), (-0.4, 0.4), (0.002, 0.5)))
-    boundary_mode: str = "terminate"  # terminate | clip
     quadrature: QuadratureSpec = FAST_SPEC
     source_schedule: SourceSchedule | None = None
     pinv_damping: float = 1e-6
@@ -168,8 +164,6 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.objects:
             raise ScenarioError("at least one object required")
-        if self.boundary_mode not in ("terminate", "clip"):
-            raise ScenarioError("boundary_mode must be 'terminate' or 'clip'")
         if len(self.targets) != len(self.objects):
             raise ScenarioError("one target per object required")
         if not all(0.0 < t < math.inf for t in self.targets):
@@ -358,7 +352,6 @@ _SCENARIO_KEYS = {
     "plant_dt_s": ("plant_dt", float),
     "duration_s": ("duration", float),
     "workspace_cm": ("workspace", _workspace),
-    "boundary_mode": ("boundary_mode", str),
     "quadrature_n": ("quadrature", lambda n: QuadratureSpec(_whole(n))),
     "pinv_damping": ("pinv_damping", float),
 }

@@ -53,7 +53,6 @@ class RunLog:
     rows: np.ndarray
     termination: Literal[
         "completed",
-        "workspace_violation",
         "degenerate_pose",
         "thermal_divergence",
         "non_finite_control",
@@ -62,8 +61,10 @@ class RunLog:
 
     @property
     def violation(self) -> bool:
-        """The pose left the workspace box."""
-        return self.termination == "workspace_violation"
+        """Always False: the position driver saturates at the workspace box,
+        so no run leaves it. Kept only because `perfbench/workloads.py`
+        checks it; it goes when the benchmark stops reading it."""
+        return False
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
@@ -97,8 +98,9 @@ def run_simulation(scenario: Scenario) -> RunLog:
     Loop per tick: sample true temperatures, add seeded sensor noise, push
     them into the estimator window, build the interaction matrix at the
     current source-relative pose, compute the velocity command, Euler-step
-    the pose over one period, then integrate the thermal plant across the
-    period. The robot holds still until the estimator window has 10 samples.
+    the pose over one period (the step saturates at the workspace box), then
+    integrate the thermal plant across the period. The robot holds still
+    until the estimator window has 10 samples.
     The adaptive law updates a1_hat and a2_hat from the start that the
     scenario's `adaptive_init` gives, once the window is full.
     One `integrate_period` call per period advances every object; each
@@ -109,11 +111,11 @@ def run_simulation(scenario: Scenario) -> RunLog:
     ends. It returns F21 and its gradient over the controlled coordinates:
     the period's end pose is the next tick's pose.
 
-    A run that leaves the configured workspace box, reaches a degenerate
-    pose, moves an object through the source plane within one period,
-    whose temperature diverges or whose control output or adaptive
-    estimates are not finite ends early. Its log keeps the rows of the
-    finished ticks and names the reason in `termination`.
+    A run that reaches a degenerate pose, moves an object through the
+    source plane within one period, whose temperature diverges or whose
+    control output or adaptive estimates are not finite ends early. Its log
+    keeps the rows of the finished ticks and names the reason in
+    `termination`.
     """
     n_obj = scenario.n_objects
     dof = scenario.dof
@@ -251,18 +253,11 @@ def run_simulation(scenario: Scenario) -> RunLog:
                 break
 
             # Position-stepping robot: apply the commanded velocity for one
-            # period. In clip mode the driver saturates steps at its range
-            # limits (what a real position controller does); in terminate
-            # mode leaving the box ends the run.
+            # period. The driver saturates the step at the workspace box, as
+            # a real position controller does at its range limits.
             x[:dof] += u * period
-            if scenario.boundary_mode == "clip":
-                x[:3] = scenario.workspace.clip(x[:3])
-            pose = Pose.from_vector(x)
-            if not scenario.workspace.contains(pose):
-                termination = "workspace_violation"
-                detail = f"pose {pose} left the workspace"
-                break
-            x = pose.as_vector()
+            x[:3] = scenario.workspace.clip(x[:3])
+            x = Pose.from_vector(x).as_vector()
 
             # Heat at the new pose; for a moving source the view factor is
             # interpolated linearly across the period. The values at the end

@@ -66,7 +66,6 @@ def aluminum_servo(target_c: float, duration: float, gains=Gains(d=0.2, k=0.05))
         control_period=4.0,
         duration=duration,
         workspace=WORKSPACE,
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
     )
 
@@ -86,7 +85,6 @@ def sheet_servo(k_gain: float, duration: float = 2500.0) -> Scenario:
         control_period=1.0,
         duration=duration,
         workspace=WORKSPACE,
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
     )
 
@@ -138,7 +136,6 @@ def adaptive_servo(targets_c, duration=8000.0, schedule=None) -> Scenario:
         control_period=2.0,
         duration=duration,
         workspace=WORKSPACE,
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
         source_schedule=schedule,
     )
@@ -276,7 +273,6 @@ def test_criterion_5_model_based_closed_loop():
         plant_dt=0.05,
         duration=700.0,
         workspace=WORKSPACE,
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
     )
     log = run_simulation(fine)
@@ -370,7 +366,6 @@ def test_criterion_6_adaptive_closed_loop():
         plant_dt=0.05,
         duration=700.0,
         workspace=WORKSPACE,
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
     )
     fine_log = run_simulation(fine)

@@ -1363,7 +1363,6 @@ def sheet_scenario(n_objects, schedule=None, duration=40.0):
         sensor=SensorSpec(0.1, 3),
         duration=duration,
         workspace=Workspace(((-0.3, 0.3), (-0.3, 0.3), (0.005, 0.4))),
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
         source_schedule=schedule,
     )

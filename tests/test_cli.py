@@ -104,32 +104,6 @@ class TestSimulateCommand:
         code = cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_INVALID_SCENARIO
 
-    def test_workspace_violation_exit_code(self, quick_scenario_file, tmp_path):
-        raw = yaml.safe_load(quick_scenario_file.read_text())
-        raw["boundary_mode"] = "terminate"
-        raw["workspace_cm"]["p3"] = [12.0, 45.0]  # dive crosses the floor
-        raw["duration_s"] = 400.0
-        path = quick_scenario_file.parent / "violating.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        code = cli.main(["simulate", str(path), "--out", str(tmp_path / "v.csv")])
-        assert code == cli.EXIT_WORKSPACE_VIOLATION
-
-    def test_workspace_violation_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
-        raw = yaml.safe_load(quick_scenario_file.read_text())
-        raw["boundary_mode"] = "terminate"
-        raw["workspace_cm"]["p3"] = [12.0, 45.0]  # dive crosses the floor
-        raw["duration_s"] = 400.0
-        path = tmp_path / "violating.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        out = tmp_path / "v.csv"
-        code = cli.main(["simulate", str(path), "--out", str(out)])
-        assert code == cli.EXIT_WORKSPACE_VIOLATION
-        log = run_simulation(load_scenario(path))
-        assert log.termination == "workspace_violation"
-        assert 10 < len(log.rows) < 201
-        assert out.read_text().splitlines()[1:] == _csv_lines(log, tmp_path)
-        assert "workspace_violation" in capsys.readouterr().err
-
     def test_degenerate_pose_writes_partial_log(self, quick_scenario_file, tmp_path, capsys):
         # The source rises to 0.5 um below the disk, which starts 15 cm up
         # and all but holds still: inside the contact clearance from the
@@ -387,6 +361,76 @@ class TestIsosurfaceCommand:
         err = capsys.readouterr().err
         assert err == f"invalid input: grid step must be finite and positive, got {float(step)}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["simulate", "{dir}/missing.yaml"], "cannot read scenario", id="unreadable"),
+        pytest.param(
+            ["simulate", "{dir}/unknown-key.yaml"],
+            "unknown key 'boundary_mode' in scenario",
+            id="unknown-key",
+        ),
+        pytest.param(
+            ["simulate", "{dir}/non-finite.yaml"],
+            "duration must be finite and positive, got nan s",
+            id="non-finite-number",
+        ),
+        pytest.param(
+            ["simulate", "{dir}/no-centers.yaml"], "needs the start centers", id="no-centers"
+        ),
+        *(
+            pytest.param(
+                ["isosurface", "--source-radius-cm", radius],
+                f"source radius must be finite and positive, got {float(radius)} cm",
+                id=f"source-radius-{radius}",
+            )
+            for radius in ("inf", "nan", "-1", "0")
+        ),
+        pytest.param(
+            ["isosurface", "--quadrature-n", "3"], "n_per_dim must be an even integer", id="odd-n"
+        ),
+        pytest.param(
+            ["isosurface", "--object-radius-cm", "0"],
+            "radius must be finite and positive, got 0.0",
+            id="object-radius",
+        ),
+        pytest.param(
+            ["isosurface", "--contour-csv", "{dir}/missing.csv"], "missing.csv", id="contour-csv"
+        ),
+        pytest.param(
+            ["isosurface", "--step", "nan"], "grid step must be finite and positive", id="step"
+        ),
+    ],
+)
+def test_invalid_input_exits_2_and_leaves_no_output_file(
+    tmp_path, monkeypatch, capsys, args, message
+):
+    """Each class of invalid input of the commands that write a file is
+    rejected before the file is opened, and before any work starts."""
+    monkeypatch.setattr(cli, "run_simulation", None)
+    monkeypatch.setattr(cli, "isosurface_grid", None)
+    aluminum = (SCENARIO_DIR / "aluminum_model_based.yaml").read_text()
+    adaptive = (SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text()
+    edits = {
+        "unknown-key.yaml": aluminum + "boundary_mode: clip\n",
+        "non-finite.yaml": aluminum.replace("duration_s: 40000.0", "duration_s: .nan"),
+        "no-centers.yaml": adaptive.replace(", a1_center: 5.0, a2_center: 2.0e-10}", "}"),
+    }
+    for name, text in edits.items():
+        assert text not in (aluminum, adaptive), name
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(dir=tmp_path) for arg in args]
+    if argv[0] == "isosurface":
+        argv += ["--subset", "translation"]
+    out = tmp_path / "out.csv"
+    code = cli.main([*argv, "--out", str(out)])
+    assert code == cli.EXIT_INVALID_SCENARIO
+    err = capsys.readouterr().err
+    assert err.startswith(("invalid scenario: ", "invalid input: ")), err
+    assert len(err.splitlines()) == 1 and message in err, err
+    assert not out.exists()
 
 
 class TestFeasibilityCommand:

@@ -257,6 +257,37 @@ class TestClosedLoopHomogeneity:
         assert np.allclose(scaled, reference, rtol=1e-9)
 
 
+class TestSampledLoopBound:
+    """The law imposes v-dot = -d v - k dtau; a loop that holds u over the
+    control period h steps these dynamics by forward Euler, whose matrix
+    [[1 - h d, -h k], [h, 1]] has determinant 1 - h d + h^2 k: stable only
+    for h < d/k (4 s at d = 0.2, k = 0.05)."""
+
+    @staticmethod
+    def final_error(h: float, periods: int = 400) -> float:
+        """|dtau| after `periods` periods of a linear stand-in plant from
+        dtau = -5 K at rest; no period clamps."""
+        gains = Gains(d=0.2, k=0.05)
+        l_row = np.array([[0.4, -0.2, 1.0]])
+        t_cubed = np.array([320.0**3])
+        lambda2s = np.array([3e-13])
+        v, dtau = np.zeros(1), np.array([-5.0])
+        for _ in range(periods):
+            out = model_based_control(
+                l_row, v, dtau, t_cubed, lambda2s, gains,
+                damping=0.0, limits=VelocityLimits(max_translation=1e9, max_rotation=1e9),
+            )
+            assert not out.clamped
+            v_dot = l_row @ out.u - 4.0 * t_cubed * lambda2s * v
+            v, dtau = v + h * v_dot, dtau + h * v
+        return abs(float(dtau[0]))
+
+    def test_stable_only_below_d_over_k(self):
+        assert self.final_error(3.6) < 1e-5  # 0.9 d/k: decays
+        assert 1.0 < self.final_error(4.0) < 10.0  # d/k: |eigenvalue| 1, neither
+        assert self.final_error(4.4) > 1e6  # 1.1 d/k: diverges
+
+
 class TestValidation:
     def test_gains_positive(self):
         with pytest.raises(ValueError):

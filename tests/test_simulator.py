@@ -60,7 +60,6 @@ def quick_scenario(**overrides) -> Scenario:
         control_period=2.0,
         duration=400.0,
         workspace=Workspace(bounds=((-0.3, 0.3), (-0.3, 0.3), (0.01, 0.45))),
-        boundary_mode="clip",
         quadrature=QuadratureSpec(16),
     )
     defaults.update(overrides)
@@ -80,10 +79,6 @@ class TestScenarioValidation:
     def test_target_count_mismatch(self):
         with pytest.raises(ScenarioError):
             quick_scenario(targets=(300.0, 310.0))
-
-    def test_bad_boundary_mode(self):
-        with pytest.raises(ScenarioError):
-            quick_scenario(boundary_mode="bounce")
 
     @pytest.mark.parametrize("centers", [{}, {"a1_center": 5.0}, {"a2_center": 2e-10}])
     def test_the_adaptive_controller_needs_both_centers(self, centers):
@@ -242,15 +237,19 @@ class TestRunLoop:
         )
         assert np.abs(v_hat[valid] - v_true).max() < 1e-5
 
-    def test_workspace_violation_terminates(self):
+    def test_commands_past_the_workspace_floor_saturate_at_it(self):
+        """The run dives toward the source past a 10 cm floor: the driver
+        holds p3 at the floor, and the run completes with every row."""
         scenario = quick_scenario(
-            boundary_mode="terminate",
             workspace=Workspace(bounds=((-0.3, 0.3), (-0.3, 0.3), (0.10, 0.45))),
             duration=600.0,
         )
         log = run_simulation(scenario)
-        assert log.violation
-        assert len(log.rows) < scenario.n_ticks + 1
+        assert log.termination == "completed"
+        assert len(log.rows) == scenario.n_ticks + 1 == 301
+        p3 = log.column("p3_m")
+        assert p3.min() == 0.10
+        assert (p3 == 0.10).sum() > 100
 
     def test_source_passing_through_the_object_ends_the_run(self):
         """The source rises 40 cm in 60 s past the disk, which starts 15 cm
