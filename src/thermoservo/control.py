@@ -85,11 +85,35 @@ class ControlOutput:
     zeta: np.ndarray | None = None
 
 
-def damped_pseudoinverse(matrix: np.ndarray, damping: float = 1e-6) -> np.ndarray:
-    """Damped right pseudoinverse M^T (M M^T + damping I)^-1 for wide matrices.
+def _floats(values) -> list[float]:
+    """A vector as a list of Python floats."""
+    return np.asarray(values, dtype=float).reshape(-1).tolist()
+
+
+def _dot(a, b) -> float:
+    """sum_i a_i b_i, added left to right: a fixed order on every host,
+    where a BLAS dot's order depends on the kernel it dispatches to."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def damped_pseudoinverse(matrix, damping: float = 1e-6, rhs=None):
+    """Damped right pseudoinverse M^T (M M^T + damping I)^-1 of a wide K x n
+    matrix, or, given a K-vector rhs, that pseudoinverse applied to it.
 
     With damping = 0 and full row rank this is the exact Moore-Penrose
-    pseudoinverse (M @ M_pinv = I).
+    pseudoinverse (M @ M_pinv = I). The K x K Gram matrix is factored by
+    Cholesky and solved on Python floats in a fixed order, so the bits do
+    not depend on the host's BLAS; u = M^T y then follows from the solution
+    y of (M M^T + damping I) y = rhs, without forming the pseudoinverse.
+    A pivot that is not positive (only a non-finite or numerically singular
+    matrix gives one) makes the result NaN rather than raise.
+
+    Returns:
+        The (n, K) pseudoinverse as an array, or for a given rhs the n
+        entries of M^T y as a list of floats.
 
     Raises:
         ValueError: More rows than columns, or damping = 0 with a
@@ -103,22 +127,59 @@ def damped_pseudoinverse(matrix: np.ndarray, damping: float = 1e-6) -> np.ndarra
         raise ValueError("damping must be non-negative")
     if damping == 0.0 and np.linalg.matrix_rank(m) < n_rows:
         raise ValueError("rank-deficient matrix with zero damping")
-    gram = m @ m.T + damping * np.eye(n_rows)
-    return np.linalg.solve(gram, m).T
+    rows = m.tolist()
+    # Lower Cholesky factor of M M^T + damping I, row by row.
+    low = []
+    for i, row in enumerate(rows):
+        low_row = []
+        for j in range(i):
+            s = _dot(row, rows[j])
+            for k in range(j):
+                s -= low_row[k] * low[j][k]
+            low_row.append(s / low[j][j])
+        s = _dot(row, row) + damping
+        for k in range(i):
+            s -= low_row[k] * low_row[k]
+        low_row.append(math.sqrt(s) if s > 0.0 else math.nan)
+        low.append(low_row)
+
+    def solve(b: list[float]) -> list[float]:
+        if len(b) != n_rows:
+            raise ValueError(f"rhs needs {n_rows} entries, got {len(b)}")
+        z = []  # L z = b
+        for i, low_row in enumerate(low):
+            s = b[i]
+            for k in range(i):
+                s -= low_row[k] * z[k]
+            z.append(s / low_row[i])
+        y = z  # L^T y = z, in place from the last row
+        for i in reversed(range(n_rows)):
+            s = z[i]
+            for k in range(i + 1, n_rows):
+                s -= low[k][i] * y[k]
+            y[i] = s / low[i][i]
+        return [_dot(column, y) for column in zip(*rows)]
+
+    if rhs is not None:
+        return solve(_floats(rhs))
+    return np.array([solve([float(i == j) for i in range(n_rows)]) for j in range(n_rows)]).T
 
 
-def _clamp(u: np.ndarray, limits: VelocityLimits) -> tuple[np.ndarray, bool]:
+def _clamp(u: list[float], limits: VelocityLimits) -> tuple[list[float], bool]:
     """u with its translation and rotation blocks scaled down to their
-    limits, and whether either was. A non-finite u is returned unscaled and
-    unflagged; `run_simulation` reports it."""
-    out = u.copy()
-    clamped = False
-    if np.isfinite(out).all():
-        for block, limit in ((out[:3], limits.max_translation), (out[3:], limits.max_rotation)):
-            norm = float(np.linalg.norm(block))
-            if norm > limit:
-                block *= limit / norm
-                clamped = True
+    limits, and whether either was; the norms are sums of squares added in
+    order. A non-finite u is returned unscaled and unflagged;
+    `run_simulation` reports it."""
+    if not all(map(math.isfinite, u)):
+        return u, False
+    out, clamped = [], False
+    for block, limit in ((u[:3], limits.max_translation), (u[3:], limits.max_rotation)):
+        norm = math.sqrt(_dot(block, block))
+        if norm > limit:
+            scale = limit / norm
+            block = [x * scale for x in block]
+            clamped = True
+        out += block
     return out, clamped
 
 
@@ -137,18 +198,17 @@ def model_based_control(
     The diagnostic Lyapunov value is Q = 0.5 ||v||^2 + 0.5 K ||dtau||^2,
     which is non-increasing along the exact-model closed loop.
     """
-    l_matrix = np.atleast_2d(np.asarray(l_matrix, dtype=float))
-    v = np.asarray(v, dtype=float).reshape(-1)
-    dtau = np.asarray(dtau, dtype=float).reshape(-1)
-    t_cubed = np.asarray(t_cubed, dtype=float).reshape(-1)
-    lambda2s = np.asarray(lambda2s, dtype=float).reshape(-1)
-    if np.any(lambda2s <= 0.0):
+    v, dtau, t_cubed, lambda2s = map(_floats, (v, dtau, t_cubed, lambda2s))
+    if any(l2 <= 0.0 for l2 in lambda2s):
         raise ValueError("lambda2 values must be positive")
-    rhs = -gains.d * v - gains.k * dtau + 4.0 * t_cubed * lambda2s * v
-    u_raw = damped_pseudoinverse(l_matrix, damping) @ rhs
-    u, clamped = _clamp(u_raw, limits)
-    q = 0.5 * float(v @ v) + 0.5 * gains.k * float(dtau @ dtau)
-    return ControlOutput(u=u, lyapunov=q, clamped=clamped)
+    d, k = gains.d, gains.k
+    rhs = [
+        -d * vi - k * di + 4.0 * t3 * l2 * vi
+        for vi, di, t3, l2 in zip(v, dtau, t_cubed, lambda2s)
+    ]
+    u, clamped = _clamp(damped_pseudoinverse(l_matrix, damping, rhs), limits)
+    q = 0.5 * _dot(v, v) + 0.5 * k * _dot(dtau, dtau)
+    return ControlOutput(u=np.array(u), lyapunov=q, clamped=clamped)
 
 
 def adaptive_control(
@@ -167,19 +227,17 @@ def adaptive_control(
     diagnostic needs the true parameters and is therefore left to the
     caller (see adaptive_lyapunov); lyapunov is None here.
     """
-    j_matrix = np.atleast_2d(np.asarray(j_matrix, dtype=float))
-    v = np.asarray(v, dtype=float).reshape(-1)
-    dtau = np.asarray(dtau, dtype=float).reshape(-1)
-    t_cubed = np.asarray(t_cubed, dtype=float).reshape(-1)
-    zeta = v + gains.mu * dtau
-    rhs = (
-        -gains.mu * adaptive.a1_hat * v
-        - gains.k * zeta
-        + 4.0 * t_cubed * adaptive.a2_hat * v
+    v, dtau, t_cubed, a1_hat, a2_hat = map(
+        _floats, (v, dtau, t_cubed, adaptive.a1_hat, adaptive.a2_hat)
     )
-    u_raw = damped_pseudoinverse(j_matrix, damping) @ rhs
-    u, clamped = _clamp(u_raw, limits)
-    return ControlOutput(u=u, lyapunov=None, clamped=clamped, zeta=zeta)
+    mu, k = gains.mu, gains.k
+    zeta = [vi + mu * di for vi, di in zip(v, dtau)]
+    rhs = [
+        -mu * a1 * vi - k * zi + 4.0 * t3 * a2 * vi
+        for vi, zi, t3, a1, a2 in zip(v, zeta, t_cubed, a1_hat, a2_hat)
+    ]
+    u, clamped = _clamp(damped_pseudoinverse(j_matrix, damping, rhs), limits)
+    return ControlOutput(u=np.array(u), lyapunov=None, clamped=clamped, zeta=np.array(zeta))
 
 
 def adaptive_update(
@@ -220,13 +278,13 @@ def adaptive_lyapunov(
     continuous-time derivative along the adaptive closed loop is
     -K ||zeta||^2.
     """
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    true_a1 = np.asarray(true_a1, dtype=float).reshape(-1)
-    true_a2 = np.asarray(true_a2, dtype=float).reshape(-1)
-    err1 = adaptive.a1_hat - true_a1
-    err2 = adaptive.a2_hat - true_a2
+    zeta, true_a1, true_a2, a1_hat, a2_hat = map(
+        _floats, (zeta, true_a1, true_a2, adaptive.a1_hat, adaptive.a2_hat)
+    )
+    err1 = [a - b for a, b in zip(a1_hat, true_a1)]
+    err2 = [a - b for a, b in zip(a2_hat, true_a2)]
     return (
-        0.5 * float(zeta @ (true_a1 * zeta))
-        + 0.5 / gains.gamma1 * float(err1 @ err1)
-        + 0.5 / gains.gamma2 * float(err2 @ err2)
+        0.5 * _dot(zeta, [a * z for a, z in zip(true_a1, zeta)])
+        + 0.5 / gains.gamma1 * _dot(err1, err1)
+        + 0.5 / gains.gamma2 * _dot(err2, err2)
     )

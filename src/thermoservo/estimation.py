@@ -11,12 +11,12 @@ The fit is in u = (t - t_newest) / span, span being the window's time
 extent, so the newest sample sits at u = 0: the constant coefficient is the
 smoothed temperature and the linear one divided by span the rate. Samples
 come at evenly spaced times, so a full window's u are always (j - 9) / 9
-and the fit is one fixed linear filter, built once, on the first full
-window (Savitzky & Golay, Anal. Chem. 1964); a push that breaks the
-spacing is rejected. One window serves any number of objects sampled at
-the same times: each sample's temperature may be a vector of K columns, and
-each column sums its products in the same order, so a K-column window
-gives, bit for bit, what K one-column windows give.
+and the fit is one fixed linear filter, a table of constants (Savitzky &
+Golay, Anal. Chem. 1964); a push that breaks the spacing is rejected. One
+window serves any number of objects sampled at the same times: each
+sample's temperature may be a vector of K columns, and each column sums its
+products in the same order, so a K-column window gives, bit for bit, what K
+one-column windows give.
 """
 from __future__ import annotations
 
@@ -28,14 +28,31 @@ import numpy as np
 WINDOW_SIZE = 10
 
 
+# Rows (T_hat, span * v_hat) of the cubic fit at u_j = (j - 9) / 9: the
+# first two rows of the pseudoinverse of the window's Vandermonde matrix, as
+# LAPACK's pinv gave them on OpenBLAS's SkylakeX kernel. Each lies within
+# 2e-14 of its exact rational; a constant table keeps every host's bits.
+_FILTER_HEX = (
+    (
+        "-0x1.40ce3b6f59d13p-4", "0x1.18b474016e9d0p-4", "0x1.6ea28d118b424p-4",
+        "0x1.12f9e9cd286e3p-5", "-0x1.9c76deb3bcbb1p-5", "-0x1.d005ba8a34496p-4",
+        "-0x1.b3610784d5677p-4", "0x1.40ce3b6f59e2ep-6", "0x1.40ce3b6f59dfep-2",
+        "0x1.a5c5ff48aeba3p-1",
+    ),
+    (
+        "-0x1.0479bbf8d6d28p+1", "0x1.5c32203949612p+0", "0x1.1ee19101ca4bep+1",
+        "0x1.6a11e6efe35fap+0", "-0x1.423cddfc6b645p-2", "-0x1.11e6efe35b4cfp+1",
+        "-0x1.a0abdc32203afp+1", "-0x1.6d6d33ea847b0p+1", "-0x1.101ca4b30558ep-3",
+        "0x1.6ddfc6b699f5fp+2",
+    ),
+)
+
+
 @functools.cache
 def _filter() -> np.ndarray:
-    """Rows (T_hat, span * v_hat) of the cubic fit: the first two rows of the
-    pseudoinverse of the window's Vandermonde matrix, shaped (2, 1, window)
-    to meet a (K, window) stack of columns. Built on the first full window,
-    so a process that never estimates makes no LAPACK call for it."""
-    u = np.arange(1 - WINDOW_SIZE, 1) / (WINDOW_SIZE - 1)
-    rows = np.linalg.pinv(np.vander(u, 4, increasing=True))[:2, None, :]
+    """The filter rows shaped (2, 1, window), to meet a (K, window) stack of
+    columns."""
+    rows = np.array([[float.fromhex(h) for h in row] for row in _FILTER_HEX])[:, None, :]
     rows.flags.writeable = False  # one array serves every window
     return rows
 
@@ -52,7 +69,11 @@ class SampleWindow:
 
     def __init__(self) -> None:
         self._times: deque[float] = deque(maxlen=WINDOW_SIZE)
-        self._temps: deque[np.ndarray] = deque(maxlen=WINDOW_SIZE)
+        # Sample k sits in columns k % W and k % W + W of a (K, 2W) ring, so
+        # the newest W samples are always one contiguous slice, oldest first.
+        self._ring: np.ndarray | None = None
+        self._shape: tuple[int, ...] = ()  # the first sample's
+        self._pushed = 0
 
     def __len__(self) -> int:
         return len(self._times)
@@ -68,9 +89,10 @@ class SampleWindow:
         pair of length-K arrays, one entry per column.
 
         Raises:
-            ValueError: Timestamp not greater than the last one, or one
-                that leaves the window's times unevenly spaced by more than
-                1e-9 of its span. The sample is not stored.
+            ValueError: Timestamp not greater than the last one, one that
+                leaves the window's times unevenly spaced by more than 1e-9
+                of its span, or a sample whose shape differs from the first
+                one's. The sample is not stored.
         """
         time_s = float(time_s)
         if self._times and time_s <= self._times[-1]:
@@ -82,14 +104,22 @@ class SampleWindow:
         step = span / max(len(times) - 1, 1)
         if any(abs(t - times[0] - j * step) > _SPACING_TOL * span for j, t in enumerate(times)):
             raise ValueError(f"timestamps must be evenly spaced ({time_s} after {times[:-1]})")
+        sample = np.asarray(temperature, dtype=float)
+        if self._ring is None:
+            self._shape = sample.shape
+            self._ring = np.empty((sample.size, 2 * WINDOW_SIZE))
+        elif sample.shape != self._shape:
+            raise ValueError(f"sample shape {sample.shape} differs from {self._shape}")
+        slot = self._pushed % WINDOW_SIZE
+        self._ring[:, slot] = self._ring[:, slot + WINDOW_SIZE] = sample
+        self._pushed += 1
         self._times.append(time_s)
-        self._temps.append(np.array(temperature, dtype=float))
         if not self.filled:
             return None
-        temps = np.array(self._temps)
         # The window axis last and contiguous: every column sums in one order.
-        fit = np.sum(_filter() * np.ascontiguousarray(temps.T), axis=-1)  # (2, K or 1)
+        window = self._ring[:, slot + 1 : slot + 1 + WINDOW_SIZE]
+        fit = (_filter() * window).sum(axis=-1)  # (2, K or 1)
         t_hat, v_hat = fit[0], fit[1] / span
-        if temps.ndim == 1:
+        if not self._shape:
             return float(t_hat[0]), float(v_hat[0])
         return t_hat, v_hat

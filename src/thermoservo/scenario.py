@@ -16,7 +16,7 @@ import yaml
 from .control import Gains, VelocityLimits
 from .geometry import CircleContour, Contour, Pose, fourier_fit
 from .thermal import Environment, ThermoParams
-from .units import celsius_to_kelvin, cm_to_m
+from .units import celsius_to_kelvin, cm_to_m, m_to_cm
 from .viewfactor import FAST_SPEC, QuadratureSpec
 
 
@@ -132,10 +132,9 @@ class Workspace:
                     f"workspace {axis} range needs finite lo <= hi, got ({lo}, {hi}) m"
                 )
 
-    def clip(self, translation: np.ndarray) -> np.ndarray:
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.clip(translation, lo, hi)
+    def clip(self, translation) -> list[float]:
+        """The translation (p1, p2, p3) saturated at the box."""
+        return [min(max(v, lo), hi) for v, (lo, hi) in zip(translation, self.bounds)]
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,16 @@ class Scenario:
             )
         if not 0.0 <= self.pinv_damping < math.inf:
             raise ScenarioError(f"pinv_damping must be finite and >= 0, got {self.pinv_damping}")
+        start = [self.initial_pose.p1, self.initial_pose.p2, self.initial_pose.p3]
+        if self.workspace.clip(start) != start:
+            box = ", ".join(
+                f"{axis} [{m_to_cm(lo):g}, {m_to_cm(hi):g}]"
+                for axis, (lo, hi) in zip(("p1", "p2", "p3"), self.workspace.bounds)
+            )
+            raise ScenarioError(
+                "initial pose ({:g}, {:g}, {:g}) cm lies outside the workspace box "
+                "{} cm".format(*map(m_to_cm, start), box)
+            )
         init = self.adaptive_init
         if self.controller == "adaptive" and None in (init.a1_center, init.a2_center):
             raise ScenarioError(

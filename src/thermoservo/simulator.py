@@ -13,6 +13,7 @@ deterministic for a fixed scenario and its seeds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -28,7 +29,7 @@ from .control import (
 )
 from .estimation import SampleWindow
 from .feasibility import write_csv
-from .geometry import DegeneratePoseError, Pose
+from .geometry import DegeneratePoseError, Pose, wrap_angle
 from .scenario import Scenario
 from .thermal import ThermalDivergenceError, integrate_period, lambdas
 from .units import kelvin_to_celsius
@@ -128,15 +129,21 @@ def run_simulation(scenario: Scenario) -> RunLog:
     true_a2 = lambda2s / lambda1s
     targets = np.array(scenario.targets)
 
-    rng = np.random.default_rng(scenario.sensor.seed)
-    window = SampleWindow()
-    # The adaptive estimates, logged each tick, then the next tick's.
-    a_hat = scenario.adaptive_init.start(n_obj) if adaptive else None
-
-    x = scenario.initial_pose.as_vector()  # end-effector pose
-    temps = np.array([o.initial_temp for o in scenario.objects])
     period = scenario.control_period
     n_ticks = scenario.n_ticks
+    amplitude = scenario.sensor.noise_amplitude
+    # One draw of every tick's noise: the same values, in the same order, as
+    # one draw of n_obj values per tick.
+    noise = np.random.default_rng(scenario.sensor.seed).uniform(
+        -amplitude, amplitude, (n_ticks + 1, n_obj)
+    )
+    window = SampleWindow()
+    # The adaptive estimates, logged each tick, then the next tick's; the
+    # start is checked once, and the loop checks every update.
+    state = AdaptiveState(*scenario.adaptive_init.start(n_obj)) if adaptive else None
+
+    x = scenario.initial_pose.as_vector().tolist()  # end-effector pose
+    temps = np.array([o.initial_temp for o in scenario.objects])
     max_steps = max(1, int(round(period / scenario.plant_dt)))
     schedule = scenario.source_schedule
     moving_source = schedule is not None and schedule.moves
@@ -146,10 +153,12 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
     def object_poses(times) -> np.ndarray:
         """Source-relative poses of every object at pose x, (len(times), n_obj, 6)."""
+        rel = np.add(x, offsets)
+        if schedule is None:  # a static source at the origin
+            return rel[None]
         src = np.zeros((len(times), 1, 6))
-        if schedule is not None:
-            src[:, 0, :3] = [schedule.position(tt) for tt in times]
-        return x + offsets - src
+        src[:, 0, :3] = [schedule.position(tt) for tt in times]
+        return rel - src
 
     def view_factors(rel: np.ndarray):
         """F21 of every object at the poses `object_poses` returned and its
@@ -168,9 +177,8 @@ def run_simulation(scenario: Scenario) -> RunLog:
         return values.reshape(rel.shape[:2]), grads.reshape(*rel.shape[:2], dof)
 
     columns = _log_columns(scenario)
-    rows = np.full((n_ticks + 1, len(columns)), np.nan)
-    # Per-object columns of every row, (ticks, n_obj, 8), in _log_columns order.
-    object_rows = rows[:, 1 : 1 + 8 * n_obj].reshape(n_ticks + 1, n_obj, 8)
+    rows = np.empty((n_ticks + 1, len(columns)))
+    unset = [np.nan] * n_obj
     logged = 0  # rows of finished ticks
     termination, detail = "completed", ""
     try:
@@ -181,28 +189,25 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
         for tick in range(n_ticks + 1):
             t = tick * period
-            measured = temps + rng.uniform(
-                -scenario.sensor.noise_amplitude, scenario.sensor.noise_amplitude, n_obj
-            )
+            measured = temps + noise[tick]
             estimate = window.push_and_estimate(t, measured)
 
-            u = np.zeros(dof)
+            u = [0.0] * dof
             lyap = np.nan
             clamped = False
-            t_hat = v_hat = dtau = np.full(n_obj, np.nan)
+            t_hat = v_hat = dtau = unset
             if estimate is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # non-finite u: checked below
                     t_hat, v_hat = estimate
                     dtau = t_hat - targets
                     t_cubed = t_hat**3
                     if adaptive:
-                        adaptive_state = AdaptiveState(*a_hat)
                         output = adaptive_control(
                             g_now,
                             v_hat,
                             dtau,
                             t_cubed,
-                            adaptive_state,
+                            state,
                             scenario.gains,
                             scenario.pinv_damping,
                             scenario.limits,
@@ -211,9 +216,9 @@ def run_simulation(scenario: Scenario) -> RunLog:
                             v_hat, output.zeta, t_cubed, scenario.gains, period
                         )
                         lyap = adaptive_lyapunov(
-                            output.zeta, adaptive_state, true_a1, true_a2, scenario.gains
+                            output.zeta, state, true_a1, true_a2, scenario.gains
                         )
-                        a_hat = adaptive_state.a1_hat + da1, adaptive_state.a2_hat + da2
+                        state.a1_hat, state.a2_hat = state.a1_hat + da1, state.a2_hat + da2
                     else:
                         output = model_based_control(
                             lambda1s[:, None] * g_now,
@@ -226,38 +231,35 @@ def run_simulation(scenario: Scenario) -> RunLog:
                             scenario.limits,
                         )
                         lyap = output.lyapunov
-                    u, clamped = output.u, output.clamped
+                    u, clamped = output.u.tolist(), output.clamped
+                    v_hat, dtau = v_hat.tolist(), dtau.tolist()
 
-            rows[tick, 0] = t
-            obj_row = object_rows[tick]
-            obj_row[:, 0] = kelvin_to_celsius(temps)
-            obj_row[:, 1] = kelvin_to_celsius(measured)
-            obj_row[:, 2] = kelvin_to_celsius(t_hat)
-            obj_row[:, 3] = v_hat
-            obj_row[:, 4] = dtau
-            obj_row[:, 5] = f_now
-            if adaptive:
-                obj_row[:, 6], obj_row[:, 7] = a_hat
-            rows[tick, 1 + 8 * n_obj :] = (*u, *x, lyap, 1.0 if clamped else 0.0)
+            a_hat = (state.a1_hat.tolist(), state.a2_hat.tolist()) if adaptive else (unset, unset)
+            celsius = kelvin_to_celsius(np.array([temps, measured, t_hat])).tolist()
+            per_object = zip(*celsius, v_hat, dtau, f_now.tolist(), *a_hat)
+            rows[tick] = [
+                t, *(v for values in per_object for v in values), *u, *x, lyap, float(clamped)
+            ]
             logged = tick + 1
 
             if tick == n_ticks:
                 break
-            if not np.isfinite(u).all():
+            if not all(map(math.isfinite, u)):
                 termination = "non_finite_control"
-                detail = f"control output {u.tolist()} at {t:g} s is not finite"
+                detail = f"control output {u} at {t:g} s is not finite"
                 break
-            if adaptive and not np.isfinite(a_hat).all():
+            if adaptive and not all(map(math.isfinite, a_hat[0] + a_hat[1])):
                 termination = "non_finite_control"
-                detail = f"adaptive estimates {np.array(a_hat).tolist()} at {t:g} s are not finite"
+                detail = f"adaptive estimates {list(a_hat)} at {t:g} s are not finite"
                 break
 
             # Position-stepping robot: apply the commanded velocity for one
             # period. The driver saturates the step at the workspace box, as
             # a real position controller does at its range limits.
-            x[:dof] += u * period
+            for j, rate in enumerate(u):
+                x[j] += rate * period
             x[:3] = scenario.workspace.clip(x[:3])
-            x = Pose.from_vector(x).as_vector()
+            x[3:] = map(wrap_angle, x[3:])
 
             # Heat at the new pose; for a moving source the view factor is
             # interpolated linearly across the period. The values at the end

@@ -474,23 +474,26 @@ def _block_values(poses, source_radius, ladder, dof):
                 ),
             )
         )
-    values = np.zeros(len(poses))
-    partials = np.zeros((5 if dof == 6 else 3, m, len(poses))) if dof else None
+    class_rows = [(of_class.nonzero()[0], terms_of) for of_class, terms_of in classes]
+    # A class that holds every row writes its sums and partials directly.
+    whole = any(0 < len(rows) == len(poses) for rows, _ in class_rows)
+    if not whole:
+        values = np.zeros(len(poses))
+        partials = np.zeros((5 if dof == 6 else 3, m, len(poses))) if dof else None
     tolerance = REFINE_TOL * np.abs(scale) if midpoints else None  # on raw sums
     climbing = []
-    for of_class, terms_of in classes:
-        rows = of_class.nonzero()[0]
+    for rows, terms_of in class_rows:
         if not len(rows):
             continue
-        if len(rows) == len(poses):
-            samples = points, tangents
-        else:
-            samples = points[..., rows], tangents[..., rows]
+        samples = (points, tangents) if whole else (points[..., rows], tangents[..., rows])
         terms, class_partials = terms_of(rows, *samples)
         by_row = np.ascontiguousarray(terms.T)
-        values[rows] = by_row.sum(axis=1)
-        if dof:
-            partials[..., rows] = class_partials
+        if whole:
+            values, partials = by_row.sum(axis=1), class_partials
+        else:
+            values[rows] = by_row.sum(axis=1)
+            if dof:
+                partials[..., rows] = class_partials
         if midpoints:
             estimate = np.abs(values[rows] - 2.0 * by_row[:, ::2].sum(axis=1))
             climbing.append((terms_of, rows[estimate > tolerance[rows % k_obj]]))
@@ -515,14 +518,16 @@ def _block_values(poses, source_radius, ladder, dof):
 
     by_group = values.reshape(groups, -1)  # a view of values
     by_group /= scale
-    values[complete] = 0.0  # not -0.0
-    values[degenerate] = np.nan
+    if not whole:
+        values[complete] = 0.0  # not -0.0
+        values[degenerate] = np.nan
     if not dof:
         return values, degenerate
     by_group = grads.reshape(groups, -1, dof)  # a view of grads
     by_group /= scale[:, None]
-    grads[complete] = 0.0
-    grads[degenerate] = np.nan
+    if not whole:
+        grads[complete] = 0.0
+        grads[degenerate] = np.nan
     return values, degenerate, grads
 
 

@@ -380,6 +380,11 @@ class TestIsosurfaceCommand:
         pytest.param(
             ["simulate", "{dir}/no-centers.yaml"], "needs the start centers", id="no-centers"
         ),
+        pytest.param(
+            ["simulate", "{dir}/outside-box.yaml"],
+            "initial pose (0, 0, 50) cm lies outside the workspace box",
+            id="start-outside-box",
+        ),
         *(
             pytest.param(
                 ["isosurface", "--source-radius-cm", radius],
@@ -417,6 +422,9 @@ def test_invalid_input_exits_2_and_leaves_no_output_file(
         "unknown-key.yaml": aluminum + "boundary_mode: clip\n",
         "non-finite.yaml": aluminum.replace("duration_s: 40000.0", "duration_s: .nan"),
         "no-centers.yaml": adaptive.replace(", a1_center: 5.0, a2_center: 2.0e-10}", "}"),
+        "outside-box.yaml": aluminum.replace(
+            "initial_pose_cm_deg: [0.0, 0.0, 15.0,", "initial_pose_cm_deg: [0.0, 0.0, 50.0,"
+        ),
     }
     for name, text in edits.items():
         assert text not in (aluminum, adaptive), name

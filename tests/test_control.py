@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermoservo import (
     AdaptiveState,
@@ -16,6 +18,7 @@ from thermoservo import (
     model_based_control,
     vf_parallel_disks,
 )
+from thermoservo.control import _clamp
 
 from conftest import temperature_rate
 
@@ -302,3 +305,133 @@ class TestValidation:
     def test_adaptive_state_shape(self):
         with pytest.raises(ValueError):
             AdaptiveState(np.ones(2), np.ones(3))
+
+
+def reference_solve(matrix, rhs, damping):
+    """M^T (M M^T + damping I)^-1 rhs through LAPACK, the solve the laws
+    ran before, and the Gram matrix's condition number."""
+    gram = matrix @ matrix.T + damping * np.eye(len(matrix))
+    return matrix.T @ np.linalg.solve(gram, rhs), np.linalg.cond(gram)
+
+
+def reference_clamp(u, limits):
+    """The clamp on numpy norms, as the laws clamped before."""
+    out = np.array(u, dtype=float)
+    for block, limit in ((out[:3], limits.max_translation), (out[3:], limits.max_rotation)):
+        norm = np.linalg.norm(block)
+        if norm > limit:
+            block *= limit / norm
+    return out
+
+
+# A seed, K objects and the controlled DOF, and whether the Gram matrix is
+# undamped (a full-rank draw) or damped.
+solve_cases = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([3, 6]), st.booleans()
+)
+
+
+def draw_case(seed, k, dof, undamped):
+    """A K x dof matrix with rows of different scales, a damping, and K-vectors
+    v, dtau, T^3 and positive per-object parameters near the loop's."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(k, dof)) * 10.0 ** rng.uniform(-3, 1, (k, 1))
+    damping = 0.0 if undamped else 10.0 ** rng.uniform(-8, 0)
+    v = rng.normal(size=k) * 10.0 ** rng.uniform(-4, -1)
+    dtau = rng.normal(size=k) * 10.0 ** rng.uniform(-2, 1)
+    t_cubed = rng.uniform(290.0, 340.0, k) ** 3
+    params = 10.0 ** rng.uniform(-1, 1, (3, k)) * np.array([[1e-13], [5.0], [2e-10]])
+    return rng, matrix, damping, v, dtau, t_cubed, params
+
+
+class TestFixedOrderSolveAgainstLapack:
+    """The Python-float solve, clamp and laws against the numpy code they
+    replace: equal to rounding, the bound scaling with the Gram matrix's
+    condition number (both solves are backward stable)."""
+
+    @staticmethod
+    def assert_close(got, expected, cond):
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14 * cond * scale)
+
+    @given(solve_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_pseudoinverse_applied_to_a_vector(self, case):
+        rng, matrix, damping, *_ = draw_case(*case)
+        rhs = rng.normal(size=len(matrix))
+        expected, cond = reference_solve(matrix, rhs, damping)
+        got = damped_pseudoinverse(matrix, damping, rhs)
+        assert isinstance(got, list) and len(got) == matrix.shape[1]
+        self.assert_close(got, expected, cond)
+        gram = matrix @ matrix.T + damping * np.eye(len(matrix))
+        self.assert_close(
+            damped_pseudoinverse(matrix, damping), np.linalg.solve(gram, matrix).T, cond
+        )
+
+    @given(solve_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_model_based_law(self, case):
+        rng, matrix, damping, v, dtau, t_cubed, (lambda2s, _, _) = draw_case(*case)
+        gains = Gains(d=0.2, k=0.05)
+        rhs = -gains.d * v - gains.k * dtau + 4.0 * t_cubed * lambda2s * v
+        raw, cond = reference_solve(matrix, rhs, damping)
+        limits = self.limits_near(rng, raw)
+        out = model_based_control(matrix, v, dtau, t_cubed, lambda2s, gains, damping, limits)
+        self.assert_close(out.u, reference_clamp(raw, limits), cond)
+        assert out.clamped == (not np.array_equal(reference_clamp(raw, limits), raw))
+        assert out.lyapunov == pytest.approx(
+            0.5 * float(v @ v) + 0.5 * gains.k * float(dtau @ dtau), rel=1e-14
+        )
+
+    @given(solve_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_adaptive_law(self, case):
+        rng, matrix, damping, v, dtau, t_cubed, (_, a1, a2) = draw_case(*case)
+        gains = Gains(k=0.15, mu=0.05)
+        zeta = v + gains.mu * dtau
+        rhs = -gains.mu * a1 * v - gains.k * zeta + 4.0 * t_cubed * a2 * v
+        raw, cond = reference_solve(matrix, rhs, damping)
+        limits = self.limits_near(rng, raw)
+        out = adaptive_control(
+            matrix, v, dtau, t_cubed, AdaptiveState(a1, a2), gains, damping, limits
+        )
+        np.testing.assert_array_equal(out.zeta, zeta)
+        self.assert_close(out.u, reference_clamp(raw, limits), cond)
+        assert out.clamped == (not np.array_equal(reference_clamp(raw, limits), raw))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 6]))
+    @settings(max_examples=80, deadline=None)
+    def test_clamp(self, seed, dof):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=dof) * 10.0 ** rng.uniform(-4, 1)
+        limits = self.limits_near(rng, u)
+        got, clamped = _clamp(u.tolist(), limits)
+        expected = reference_clamp(u, limits)
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+        assert clamped == (not np.array_equal(expected, u))
+
+    @staticmethod
+    def limits_near(rng, u):
+        """Limits from half to twice each block's norm, away from rounding
+        of it, so that about half the draws clamp."""
+        norms = [np.linalg.norm(u[:3]), np.linalg.norm(u[3:])]
+        ratios = rng.uniform(0.5, 2.0, 2)
+        assume(all(abs(r - 1.0) > 1e-9 for r in ratios) and norms[0] > 0.0)
+        return VelocityLimits(norms[0] * ratios[0], (norms[1] or 1.0) * ratios[1])
+
+    @given(solve_cases, st.sampled_from([np.inf, -np.inf, np.nan]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_rhs_gives_non_finite_u_and_never_raises(self, case, bad):
+        rng, matrix, damping, v, dtau, t_cubed, (lambda2s, a1, a2) = draw_case(*case)
+        rhs = rng.normal(size=len(matrix))
+        rhs[rng.integers(len(rhs))] = bad
+        assert not np.isfinite(damped_pseudoinverse(matrix, damping, rhs)).any()
+        v = v.copy()
+        v[rng.integers(len(v))] = bad
+        laws = (
+            model_based_control(matrix, v, dtau, t_cubed, lambda2s, Gains(), damping),
+            adaptive_control(matrix, v, dtau, t_cubed, AdaptiveState(a1, a2), Gains(), damping),
+        )
+        for out in laws:
+            assert not np.isfinite(out.u).any()
+            assert not out.clamped

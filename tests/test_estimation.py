@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +153,34 @@ class TestVectorWindow:
         expected_v = c[1] + 2 * c[2] * dt + 3 * c[3] * dt**2
         np.testing.assert_allclose(result[0], expected_t, rtol=1e-9, atol=1e-7)
         np.testing.assert_allclose(result[1], expected_v, rtol=1e-9, atol=1e-7)
+
+    def test_columns_equal_scalar_windows_after_the_ring_wraps(self):
+        """47 pushes wrap the (K, 2W) ring's slots four times; every estimate
+        of the K-column window still equals, bit for bit, those of K
+        one-column windows."""
+        rng = np.random.default_rng(17)
+        k_cols, pushes = 3, 47
+        assert pushes > 4 * WINDOW_SIZE
+        vector = SampleWindow()
+        scalars = [SampleWindow() for _ in range(k_cols)]
+        samples = 300.0 + np.cumsum(rng.normal(size=(pushes, k_cols)), axis=0)
+        for k, row in enumerate(samples):
+            t = 0.25 + 2.0 * k
+            got = vector.push_and_estimate(t, row)
+            expected = [w.push_and_estimate(t, float(x)) for w, x in zip(scalars, row)]
+            if k < WINDOW_SIZE - 1:
+                assert got is None and expected == [None] * k_cols
+                continue
+            assert got[0].tolist() == [e[0] for e in expected]
+            assert got[1].tolist() == [e[1] for e in expected]
+
+    def test_a_sample_of_another_shape_is_rejected(self):
+        window = SampleWindow()
+        window.push_and_estimate(0.0, [300.0, 301.0])
+        for bad in (300.0, [300.0, 301.0, 302.0]):
+            with pytest.raises(ValueError, match="sample shape"):
+                window.push_and_estimate(1.0, bad)
+        assert len(window) == 1
 
     def test_scalar_input_gives_python_floats(self):
         window = SampleWindow()
@@ -334,13 +360,3 @@ def test_filter_entries_are_the_exact_fractions_to_rounding():
     for a in range(2):
         for j in range(WINDOW_SIZE):
             assert abs(Fraction(float(filter_rows[a, 0, j])) - exact[a][j]) <= 2e-14, (a, j)
-
-
-def test_importing_the_package_builds_no_filter():
-    """The pseudoinverse, the package's only LAPACK call at import before,
-    waits for the first full window."""
-    probe = (
-        "import thermoservo, thermoservo.estimation as e; "
-        "assert e._filter.cache_info().currsize == 0"
-    )
-    subprocess.run([sys.executable, "-c", probe], check=True)

@@ -1,7 +1,12 @@
 import copy
 import dataclasses
+import hashlib
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +108,19 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="spread must be finite and >= 1"):
             AdaptiveInit(spread=spread)
         AdaptiveInit(spread=1.0)
+
+    def test_a_start_outside_the_workspace_is_rejected(self):
+        """The driver saturates every step at the box, so a start outside it
+        would jump onto the box at the first step with no commanded velocity;
+        the scenario is rejected when it is built, naming the pose and box."""
+        box = Workspace(bounds=((-0.05, 0.05), (-0.05, 0.05), (0.05, 0.15)))
+        message = (
+            "initial pose (20, 0, 40) cm lies outside the workspace box "
+            "p1 [-5, 5], p2 [-5, 5], p3 [5, 15] cm"
+        )
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            quick_scenario(initial_pose=Pose(0.2, 0.0, 0.4), workspace=box)
+        quick_scenario(initial_pose=Pose(0.05, -0.05, 0.15), workspace=box)  # on its faces
 
     @pytest.mark.parametrize("center_cm", [[0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     def test_waypoint_center_needs_three_coordinates(self, center_cm):
@@ -755,3 +773,80 @@ class TestScenarioSchema:
             key = re.escape(f"unknown key '{key}' in {_section(where)}")
         with pytest.raises(ScenarioError, match=key):
             scenario_from_dict(raw)
+
+
+def _openblas_picks_its_kernel() -> bool:
+    """numpy's BLAS is scipy-openblas on x86_64: a DYNAMIC_ARCH build that
+    reads OPENBLAS_CORETYPE."""
+    if platform.machine() != "x86_64":
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return blas.get("name") == "scipy-openblas" and "DYNAMIC_ARCH" in str(
+        blas.get("openblas configuration")
+    )
+
+
+class TestHostIndependentLogs:
+    """The loop's small solves run on Python floats in a fixed order and the
+    estimator's filter is a constant table, so the logs do not depend on the
+    BLAS kernel that OpenBLAS picks for the host."""
+
+    def test_the_loop_makes_no_lapack_call(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("a LAPACK routine ran in the loop")
+
+        for name in ("solve", "lstsq", "pinv", "inv", "matrix_rank", "svd", "qr", "cholesky",
+                     "eig", "eigh", "det", "norm"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        for name in ("aluminum_model_based", "three_sheet_adaptive"):
+            scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+            scenario = dataclasses.replace(scenario, duration=40 * scenario.control_period)
+            log = run_simulation(scenario)
+            assert log.termination == "completed" and len(log.rows) == 41
+            assert not np.isnan(log.column("u_1")[-1])
+
+    @pytest.mark.skipif(
+        not _openblas_picks_its_kernel(), reason="numpy's BLAS is not scipy-openblas on x86_64"
+    )
+    def test_the_log_bytes_do_not_depend_on_the_openblas_kernel(self, tmp_path):
+        """200 ticks of the adaptive scenario (the aluminum run is clamped
+        throughout, so its first ticks hide a solve's rounding) in two
+        processes, one with the kernel OpenBLAS picks and one with the
+        oldest x86-64 kernel it ships."""
+        script = (
+            "import dataclasses, sys\n"
+            "from thermoservo import load_scenario, run_simulation\n"
+            "s = load_scenario(sys.argv[1])\n"
+            "run_simulation(dataclasses.replace(s, duration=200 * s.control_period))"
+            ".to_csv(sys.argv[2])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = {}
+        for coretype in (None, "Prescott"):
+            env = dict(os.environ)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / f"{coretype}.csv"
+            subprocess.run(
+                [sys.executable, "-c", script, str(SCENARIO_DIR / "three_sheet_adaptive.yaml"),
+                 str(out)],
+                env=env, check=True,
+            )
+            digests[coretype] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests[None] == digests["Prescott"], digests
+
+
+def test_noise_drawn_at_once_equals_per_tick_draws():
+    """`run_simulation` draws every tick's sensor noise in one call; numpy's
+    generator fills the (ticks, objects) array in the order that one call per
+    tick would draw, so the values are the same bits."""
+    for amplitude in (0.1, 0.0):
+        per_tick = np.random.default_rng(11)
+        at_once = np.random.default_rng(11).uniform(-amplitude, amplitude, (4001, 3))
+        expected = [per_tick.uniform(-amplitude, amplitude, 3) for _ in range(4001)]
+        assert at_once.tobytes() == np.array(expected).tobytes()
