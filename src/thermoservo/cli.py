@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    except (ThermalDivergenceError, np.linalg.LinAlgError) as exc:
+    except ThermalDivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

@@ -99,25 +99,30 @@ def _dot(a, b) -> float:
     return total
 
 
-def damped_pseudoinverse(matrix, damping: float = 1e-6, rhs=None):
-    """Damped right pseudoinverse M^T (M M^T + damping I)^-1 of a wide K x n
-    matrix, or, given a K-vector rhs, that pseudoinverse applied to it.
+# A pivot at or below this share of its diagonal entry of M M^T + damping I
+# is rounding, not rank: forming and factoring the Gram matrix of a wide
+# matrix over at most 6 coordinates (K <= n <= 6) errs by about
+# (n + K + 1) u d = 6.5 eps d (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 10); 64 eps leaves a ten-fold margin.
+_SINGULAR_PIVOT = 64.0 * math.ulp(1.0)
 
-    With damping = 0 and full row rank this is the exact Moore-Penrose
-    pseudoinverse (M @ M_pinv = I). The K x K Gram matrix is factored by
-    Cholesky and solved on Python floats in a fixed order, so the bits do
-    not depend on the host's BLAS; u = M^T y then follows from the solution
-    y of (M M^T + damping I) y = rhs, without forming the pseudoinverse.
-    A pivot that is not positive (only a non-finite or numerically singular
-    matrix gives one) makes the result NaN rather than raise.
 
-    Returns:
-        The (n, K) pseudoinverse as an array, or for a given rhs the n
-        entries of M^T y as a list of floats.
+def damped_pseudoinverse(matrix, damping: float, rhs) -> list[float]:
+    """The n entries of u = M^T y, (M M^T + damping I) y = rhs, as floats:
+    the damped right pseudoinverse of a wide K x n matrix applied to the
+    K-vector rhs, without forming it. At damping 0 and full row rank,
+    M u = rhs.
+
+    The K x K Gram matrix is factored by Cholesky and solved on Python
+    floats in a fixed order, so the bits do not depend on the host's BLAS.
+    Its pivots decide singularity: one at or below 64 eps of its diagonal
+    entry, or NaN, makes every entry of u NaN (a rank-deficient undamped or
+    a non-finite matrix), and the control loop ends the run with
+    `non_finite_control`.
 
     Raises:
-        ValueError: More rows than columns, or damping = 0 with a
-            rank-deficient matrix (callers near singularities must damp).
+        ValueError: More rows than columns, a negative damping, or an rhs
+            whose length is not K.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     n_rows, n_cols = m.shape
@@ -125,8 +130,9 @@ def damped_pseudoinverse(matrix, damping: float = 1e-6, rhs=None):
         raise ValueError("pseudoinverse expects a wide matrix (N <= n)")
     if damping < 0.0:
         raise ValueError("damping must be non-negative")
-    if damping == 0.0 and np.linalg.matrix_rank(m) < n_rows:
-        raise ValueError("rank-deficient matrix with zero damping")
+    b = _floats(rhs)
+    if len(b) != n_rows:
+        raise ValueError(f"rhs needs {n_rows} entries, got {len(b)}")
     rows = m.tolist()
     # Lower Cholesky factor of M M^T + damping I, row by row.
     low = []
@@ -137,32 +143,23 @@ def damped_pseudoinverse(matrix, damping: float = 1e-6, rhs=None):
             for k in range(j):
                 s -= low_row[k] * low[j][k]
             low_row.append(s / low[j][j])
-        s = _dot(row, row) + damping
+        s = diagonal = _dot(row, row) + damping
         for k in range(i):
             s -= low_row[k] * low_row[k]
-        low_row.append(math.sqrt(s) if s > 0.0 else math.nan)
+        low_row.append(math.sqrt(s) if s > _SINGULAR_PIVOT * diagonal else math.nan)
         low.append(low_row)
-
-    def solve(b: list[float]) -> list[float]:
-        if len(b) != n_rows:
-            raise ValueError(f"rhs needs {n_rows} entries, got {len(b)}")
-        z = []  # L z = b
-        for i, low_row in enumerate(low):
-            s = b[i]
-            for k in range(i):
-                s -= low_row[k] * z[k]
-            z.append(s / low_row[i])
-        y = z  # L^T y = z, in place from the last row
-        for i in reversed(range(n_rows)):
-            s = z[i]
-            for k in range(i + 1, n_rows):
-                s -= low[k][i] * y[k]
-            y[i] = s / low[i][i]
-        return [_dot(column, y) for column in zip(*rows)]
-
-    if rhs is not None:
-        return solve(_floats(rhs))
-    return np.array([solve([float(i == j) for i in range(n_rows)]) for j in range(n_rows)]).T
+    y = []  # L z = b, then L^T y = z in place from the last row
+    for i, low_row in enumerate(low):
+        s = b[i]
+        for k in range(i):
+            s -= low_row[k] * y[k]
+        y.append(s / low_row[i])
+    for i in reversed(range(n_rows)):
+        s = y[i]
+        for k in range(i + 1, n_rows):
+            s -= low[k][i] * y[k]
+        y[i] = s / low[i][i]
+    return [_dot(column, y) for column in zip(*rows)]
 
 
 def _clamp(u: list[float], limits: VelocityLimits) -> tuple[list[float], bool]:

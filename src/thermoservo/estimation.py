@@ -20,7 +20,6 @@ one-column windows give.
 """
 from __future__ import annotations
 
-import functools
 from collections import deque
 
 import numpy as np
@@ -48,13 +47,10 @@ _FILTER_HEX = (
 )
 
 
-@functools.cache
-def _filter() -> np.ndarray:
-    """The filter rows shaped (2, 1, window), to meet a (K, window) stack of
-    columns."""
-    rows = np.array([[float.fromhex(h) for h in row] for row in _FILTER_HEX])[:, None, :]
-    rows.flags.writeable = False  # one array serves every window
-    return rows
+# The filter rows shaped (2, 1, window), to meet a (K, window) stack of
+# columns; one read-only array serves every window.
+_FILTER = np.array([[float.fromhex(h) for h in row] for row in _FILTER_HEX])[:, None, :]
+_FILTER.flags.writeable = False
 
 
 # Largest deviation of a sample time from even spacing, as a share of the
@@ -118,7 +114,7 @@ class SampleWindow:
             return None
         # The window axis last and contiguous: every column sums in one order.
         window = self._ring[:, slot + 1 : slot + 1 + WINDOW_SIZE]
-        fit = (_filter() * window).sum(axis=-1)  # (2, K or 1)
+        fit = (_FILTER * window).sum(axis=-1)  # (2, K or 1)
         t_hat, v_hat = fit[0], fit[1] / span
         if not self._shape:
             return float(t_hat[0]), float(v_hat[0])

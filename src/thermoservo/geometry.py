@@ -280,14 +280,16 @@ def fourier_fit(polyline: np.ndarray, harmonics: int) -> FourierContour:
         harmonics: Harmonic count F >= 1; the series keeps 2F+1 terms.
 
     Raises:
-        ValueError: Fewer than 2F+2 distinct points, a self-intersecting
-            polygon, or a degenerate (zero-area) boundary.
+        ValueError: A non-finite point, fewer than 2F+2 distinct points, a
+            self-intersecting polygon, or a degenerate (zero-area) boundary.
     """
     pts = np.asarray(polyline, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("polyline must have shape (n, 2)")
     if harmonics < 1:
         raise ValueError("harmonics must be >= 1")
+    if not np.isfinite(pts).all():
+        raise ValueError("polyline points must be finite")
     # Drop a duplicated closing point and any consecutive duplicates.
     if len(pts) > 1 and np.allclose(pts[0], pts[-1]):
         pts = pts[:-1]

@@ -405,6 +405,11 @@ class TestIsosurfaceCommand:
             ["isosurface", "--contour-csv", "{dir}/missing.csv"], "missing.csv", id="contour-csv"
         ),
         pytest.param(
+            ["isosurface", "--contour-csv", "{dir}/nan.csv"],
+            "polyline points must be finite",
+            id="contour-csv-nan",
+        ),
+        pytest.param(
             ["isosurface", "--step", "nan"], "grid step must be finite and positive", id="step"
         ),
     ],
@@ -429,6 +434,10 @@ def test_invalid_input_exits_2_and_leaves_no_output_file(
     for name, text in edits.items():
         assert text not in (aluminum, adaptive), name
         (tmp_path / name).write_text(text)
+    # A 16-point circle of radius 1.5 cm with one coordinate not a number.
+    circle = [[1.5 * math.cos(j * math.pi / 8), 1.5 * math.sin(j * math.pi / 8)] for j in range(16)]
+    circle[5][0] = math.nan
+    (tmp_path / "nan.csv").write_text("".join(f"{x},{y}\n" for x, y in circle))
     argv = [arg.format(dir=tmp_path) for arg in args]
     if argv[0] == "isosurface":
         argv += ["--subset", "translation"]

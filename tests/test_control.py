@@ -27,31 +27,47 @@ SPEC = QuadratureSpec(32)
 WIDE_LIMITS = VelocityLimits(max_translation=1e6, max_rotation=1e6)
 
 
+def pseudoinverse_columns(matrix, damping):
+    """The (n, K) damped pseudoinverse, column j the solve applied to the
+    unit vector e_j."""
+    return np.array(
+        [damped_pseudoinverse(matrix, damping, e) for e in np.eye(len(matrix))]
+    ).T
+
+
 class TestDampedPseudoinverse:
     def test_unit_row(self):
         m = np.array([[1.0, 0.0, 0.0]])
-        assert np.allclose(damped_pseudoinverse(m, 0.0), m.T)
+        assert np.allclose(pseudoinverse_columns(m, 0.0), m.T)
 
     def test_zero_row_damped_limit(self):
         m = np.zeros((1, 3))
-        assert np.allclose(damped_pseudoinverse(m, 1e-6), np.zeros((3, 1)))
+        assert np.allclose(pseudoinverse_columns(m, 1e-6), np.zeros((3, 1)))
 
     def test_right_inverse_residual(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(2, 6))
-        pinv = damped_pseudoinverse(m, 0.0)
+        pinv = pseudoinverse_columns(m, 0.0)
         assert np.linalg.norm(m @ pinv - np.eye(2)) < 1e-10
 
     def test_rank_deficient_needs_damping(self):
+        """Undamped, the factor's own pivot finds the rank deficiency and
+        every entry of u is NaN; damped, u is finite."""
         m = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-        with pytest.raises(ValueError):
-            damped_pseudoinverse(m, 0.0)
-        damped = damped_pseudoinverse(m, 1e-6)
+        assert np.isnan(pseudoinverse_columns(m, 0.0)).all()
+        damped = pseudoinverse_columns(m, 1e-6)
         assert np.isfinite(damped).all()
 
     def test_tall_matrix_rejected(self):
         with pytest.raises(ValueError):
-            damped_pseudoinverse(np.ones((4, 2)), 0.0)
+            damped_pseudoinverse(np.ones((4, 2)), 0.0, np.ones(4))
+
+    def test_negative_damping_and_wrong_rhs_length_rejected(self):
+        m = np.ones((2, 3))
+        with pytest.raises(ValueError, match="damping must be non-negative"):
+            damped_pseudoinverse(m, -1e-6, np.ones(2))
+        with pytest.raises(ValueError, match="rhs needs 2 entries, got 3"):
+            damped_pseudoinverse(m, 1e-6, np.ones(3))
 
 
 class TestModelBasedControl:
@@ -365,7 +381,7 @@ class TestFixedOrderSolveAgainstLapack:
         self.assert_close(got, expected, cond)
         gram = matrix @ matrix.T + damping * np.eye(len(matrix))
         self.assert_close(
-            damped_pseudoinverse(matrix, damping), np.linalg.solve(gram, matrix).T, cond
+            pseudoinverse_columns(matrix, damping), np.linalg.solve(gram, matrix).T, cond
         )
 
     @given(solve_cases)

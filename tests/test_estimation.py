@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoservo import SampleWindow
-from thermoservo.estimation import WINDOW_SIZE, _filter
+from thermoservo.estimation import WINDOW_SIZE, _FILTER
 
 
 class TestWindowFilling:
@@ -307,8 +307,7 @@ class TestFixedFilter:
         np.testing.assert_array_equal(got, expected)
 
     def test_no_solver_runs_per_push(self, monkeypatch):
-        """The filter is built once, on the first full window."""
-        _filter()
+        """The filter is a constant table; no push solves for it."""
 
         def no_solver(*args, **kwargs):
             raise AssertionError("a solver ran during a push")
@@ -355,7 +354,7 @@ def test_filter_entries_are_the_exact_fractions_to_rounding():
         assert [sum(e[j] * vander[j][p] for j in range(WINDOW_SIZE)) for e in exact] == [
             int(p == 0), int(p == 1)
         ]
-    filter_rows = _filter()
+    filter_rows = _FILTER
     assert filter_rows.shape == (2, 1, WINDOW_SIZE)
     for a in range(2):
         for j in range(WINDOW_SIZE):

@@ -333,6 +333,30 @@ class TestRunLoop:
         assert head.termination == "completed"
         assert np.array_equal(log.rows, head.rows, equal_nan=True)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_interaction_matrix_ends_the_run(self):
+        """Two identical sheets at one displacement give two equal rows of
+        the interaction matrix. Undamped, the solve's own Cholesky pivot
+        finds it singular at the first estimate (tick 9, 18 s) and every
+        entry of u is NaN: the run ends with non_finite_control and keeps
+        its rows, that tick's included, instead of raising. Damped, the
+        same run completes."""
+        raw = yaml.safe_load((SCENARIO_DIR / "three_sheet_adaptive.yaml").read_text())
+        raw["objects"] = [raw["objects"][0], {**raw["objects"][0], "name": "twin"}]
+        raw["targets_c"] = [40.0, 45.0]
+        raw["pinv_damping"] = 0.0
+        raw["duration_s"] = 60.0
+        scenario = scenario_from_dict(raw)
+        log = run_simulation(scenario)
+        assert log.termination == "non_finite_control"
+        assert log.detail == "control output [nan, nan, nan] at 18 s is not finite"
+        assert len(log.rows) == 10
+        head = run_simulation(dataclasses.replace(scenario, duration=18.0))
+        assert head.termination == "completed"
+        assert np.array_equal(log.rows, head.rows, equal_nan=True)
+        damped = run_simulation(dataclasses.replace(scenario, pinv_damping=1e-6))
+        assert damped.termination == "completed" and len(damped.rows) == 31
+
     def test_six_dof_loop_runs(self):
         """6-DOF control path: rotation gradients enter the loop and the
         commanded rotation rates stay within their clamp."""
@@ -803,10 +827,14 @@ class TestHostIndependentLogs:
             monkeypatch.setattr(np.linalg, name, no_lapack)
         for name in ("aluminum_model_based", "three_sheet_adaptive"):
             scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
-            scenario = dataclasses.replace(scenario, duration=40 * scenario.control_period)
-            log = run_simulation(scenario)
-            assert log.termination == "completed" and len(log.rows) == 41
-            assert not np.isnan(log.column("u_1")[-1])
+            for damping in (scenario.pinv_damping, 0.0):
+                log = run_simulation(
+                    dataclasses.replace(
+                        scenario, duration=40 * scenario.control_period, pinv_damping=damping
+                    )
+                )
+                assert log.termination == "completed" and len(log.rows) == 41
+                assert not np.isnan(log.column("u_1")[-1])
 
     @pytest.mark.skipif(
         not _openblas_picks_its_kernel(), reason="numpy's BLAS is not scipy-openblas on x86_64"
